@@ -25,7 +25,6 @@ __all__ = [
     "eval_inner",
     "log_abs_inner",
     "boundary_unimodularity_defect",
-    "zero_residuals",
     "blaschke_divisibility",
     "singular_division_heuristic",
     "inner_to_dict",

@@ -41,6 +41,7 @@ __all__ = [
     "ensure_valid",
     "membership",
     "sample_element",
+    "random_series",
     "sampled_members",
     "log_distance_integral",
     "shift_invariance_check",
@@ -284,7 +285,8 @@ def sample_element(spec, h, tol=1e-9):
     return out
 
 
-def _random_polynomial(rng, max_degree):
+def random_series(rng, max_degree):
+    """Random polynomial with unit-box complex coefficients."""
     deg = int(rng.integers(0, max_degree + 1))
     c = rng.uniform(-1, 1, deg + 1) + 1j * rng.uniform(-1, 1, deg + 1)
     return TaylorSeries(c)
@@ -295,7 +297,7 @@ def sampled_members(spec, count, seed=0, tol=1e-9, max_degree=8):
     for the invariance harnesses and the scale-invariance checks."""
     rng = np.random.default_rng([int(seed), 77])
     return [
-        sample_element(spec, _random_polynomial(rng, max_degree), tol)
+        sample_element(spec, random_series(rng, max_degree), tol)
         for _ in range(int(count))
     ]
 
@@ -322,6 +324,8 @@ def log_distance_integral(spec, num_points=4096):
 
 
 def _coeff_repr(f, head=4):
+    """Compact, deterministic witness form; seed and sample index make the
+    full input reproducible."""
     parts = [repr(complex(c)) for c in f.coeffs[:head]]
     if f.order + 1 > head:
         parts.append(f"...<order {f.order}>")

@@ -63,8 +63,7 @@ class SpaceParams:
             raise ValueError(
                 f"derivative depth n must be a non-negative integer, got {self.n}"
             )
-        if not (self.p >= 1 and math.isfinite(self.p)):
-            raise ValueError(f"exponent p must satisfy 1 <= p < inf, got {self.p}")
+        _check_exponent(self.p)
 
 
 @dataclass(frozen=True)

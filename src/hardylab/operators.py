@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .series import (
-    RationalComplex,
     TaylorSeries,
+    _reweighted,
     add,
     derivative,
     monomial,
@@ -40,10 +39,6 @@ __all__ = [
 ]
 
 
-def _zero_like(f):
-    return RationalComplex(0) if f.exact else 0j
-
-
 def _check_multiple(n):
     if n != int(n) or n < 1:
         raise ValueError(f"operator parameter n must be a positive integer, got {n}")
@@ -52,14 +47,18 @@ def _check_multiple(n):
 
 def shift(f):
     """Multiplication by the coordinate: ``(c_0, ..., c_N) -> (0, c_0, ..., c_N)``."""
-    return TaylorSeries((_zero_like(f),) + f.coeffs)
+    if f.exact:
+        return _reweighted(f, [1] * (f.order + 1), offset=1)
+    return TaylorSeries((0j,) + f.coeffs)
 
 
 def _antiderivative(f):
     """Term-by-term antiderivative with value 0 at the origin."""
     if f.is_zero:
         return zero(exact=f.exact)
-    return TaylorSeries([_zero_like(f)] + [c / (k + 1) for k, c in enumerate(f.coeffs)])
+    if f.exact:
+        return _reweighted(f, [1] * (f.order + 1), range(1, f.order + 2), offset=1)
+    return TaylorSeries([0j] + [c / (k + 1) for k, c in enumerate(f.coeffs)])
 
 
 def volterra(f, g):
@@ -82,11 +81,10 @@ def shift_plus_volterra(f, n):
     """
     n = _check_multiple(n)
     if f.exact:
-        out = [RationalComplex(0)]
-        out += [c * Fraction(k + 1 + n, k + 1) for k, c in enumerate(f.coeffs)]
-    else:
-        out = [0j]
-        out += [c * ((k + 1 + n) / (k + 1)) for k, c in enumerate(f.coeffs)]
+        weights = range(n + 1, f.order + n + 2)
+        return _reweighted(f, weights, range(1, f.order + 2), offset=1)
+    out = [0j]
+    out += [c * ((k + 1 + n) / (k + 1)) for k, c in enumerate(f.coeffs)]
     return TaylorSeries(out)
 
 
@@ -112,8 +110,10 @@ def nth_antiderivative(f, n):
     kernel integral ``(1/(n-1)!) * integral_0^z (z - w)^(n-1) f(w) dw``.
     """
     n = _check_multiple(n)
-    pad = [_zero_like(f)] * n
-    out = pad + [c / math.perm(k + n, n) for k, c in enumerate(f.coeffs)]
+    if f.exact:
+        divisors = [math.perm(k + n, n) for k in range(f.order + 1)]
+        return _reweighted(f, [1] * (f.order + 1), divisors, offset=n)
+    out = [0j] * n + [c / math.perm(k + n, n) for k, c in enumerate(f.coeffs)]
     return TaylorSeries(out)
 
 
@@ -128,10 +128,8 @@ def lift_approximant(f, pm, n):
     density from H^p up to the derivative spaces.
     """
     n = _check_multiple(n)
-    head = list(f.coeffs[:n])
-    if len(head) < n:
-        head += [_zero_like(f)] * (n - len(head))
-    return add(TaylorSeries(head), nth_antiderivative(pm, n))
+    head = _reweighted(f, [1] * n) if f.exact else TaylorSeries(f.coeffs[:n])
+    return add(head, nth_antiderivative(pm, n))
 
 
 _KINDS = ("shift", "volterra", "combined", "diff", "integrate")

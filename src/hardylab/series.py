@@ -1,16 +1,30 @@
 """Dense truncated Taylor series and their coefficient algebra.
 
 Everything else in the package works on these objects: a series is a plain
-polynomial ``c_0 + c_1 z + ... + c_N z**N`` stored as a dense coefficient
-tuple.  Truncating an infinite Taylor expansion down to one of these is the
-caller's modelling decision; the arithmetic here is exact polynomial
-arithmetic up to the requested truncation degree.
+polynomial ``c_0 + c_1 z + ... + c_N z**N`` stored densely.  Truncating an
+infinite Taylor expansion down to one of these is the caller's modelling
+decision; the arithmetic here is exact polynomial arithmetic up to the
+requested truncation degree.
 
-Two coefficient modes exist.  The default is double-precision complex.  If
-every coefficient passed in is an ``int``, a ``Fraction``, or a
-``RationalComplex``, the series is kept in exact rational-complex form
-instead, which makes the coefficient-level operator identities testable
-with zero tolerance.
+Two coefficient modes exist.  The default is double-precision complex,
+stored as a tuple of Python ``complex``.  If every coefficient passed in is
+an ``int``, a ``Fraction``, or a ``RationalComplex``, the series is kept in
+exact form instead, which makes the coefficient-level operator identities
+testable with zero tolerance.  Any operation that mixes the two modes
+promotes to float.
+
+Exact storage follows FLINT's ``fmpq_poly`` layout: a tuple of Python-int
+real numerators, a tuple of imaginary numerators, and one positive int
+denominator, so coefficient k is ``(re[k] + 1j * im[k]) / den``.  The form
+is canonical, ``gcd(den, *re, *im) == 1``: the zero series has denominator
+1, and two exact series are equal exactly when their denominators agree
+and their numerator tuples agree once trailing zeros are trimmed.  Sums go
+through one ``lcm`` of the two denominators, the product through Kronecker
+substitution (each numerator vector packed into one big int), and every
+result is reduced back to canonical form.  ``RationalComplex`` remains the
+scalar type of exact mode: ``coeffs`` of an exact series is a tuple of them,
+built on each access, and exact ``evaluate`` returns one; no arithmetic in
+the package goes through it.
 """
 
 from __future__ import annotations
@@ -18,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -138,48 +153,78 @@ class RationalComplex:
         return f"RationalComplex({self.re!r}, {self.im!r})"
 
 
+def _gaussian(value):
+    """An exact scalar as ``(re, im, den)`` Gaussian-integer numerators over
+    a positive denominator; None when the value is inexact."""
+    if isinstance(value, RationalComplex):
+        re, im = value.re, value.im
+        den = math.lcm(re.denominator, im.denominator)
+        return (re.numerator * (den // re.denominator),
+                im.numerator * (den // im.denominator), den)
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, 0, value.denominator
+    return None
+
+
 class TaylorSeries:
     """A polynomial ``c_0 + c_1 z + ... + c_N z**N``, immutable, densely stored.
 
-    ``order`` is N and ``len(coeffs) == order + 1`` always; the canonical
-    zero series is the single coefficient ``[0]``.  Equality is polynomial
-    equality: trailing zero coefficients are ignored.
+    ``order`` is N and ``len(coeffs) == order + 1`` always, trailing zeros
+    included; the canonical zero series is the single coefficient ``[0]``.
+    Equality is polynomial equality: trailing zero coefficients are ignored.
     """
 
-    __slots__ = ("coeffs", "exact")
+    # float mode: ``_c`` is the tuple of complex coefficients; exact mode:
+    # ``_c`` is ``(re, im, den)``.  Two slots keep the many short-lived
+    # float series small.
+    __slots__ = ("exact", "_c")
 
     def __init__(self, coeffs):
         items = list(coeffs)
         if not items:
             raise ValueError("a series needs at least the degree-0 coefficient")
         exact = all(isinstance(c, (RationalComplex, int, Fraction)) for c in items)
-        if exact:
-            self.coeffs = tuple(
-                c if isinstance(c, RationalComplex) else RationalComplex(c)
-                for c in items
-            )
-        else:
-            self.coeffs = tuple(complex(c) for c in items)
         self.exact = exact
+        if not exact:
+            self._c = tuple(complex(c) for c in items)
+            return
+        parts = [c.re if isinstance(c, RationalComplex) else c for c in items]
+        parts += [c.im if isinstance(c, RationalComplex) else 0 for c in items]
+        dens = [x.denominator for x in parts]
+        # the Fractions are reduced, so numerators over the lcm of their
+        # denominators are already canonical
+        den = math.lcm(*dens)
+        nums = [x.numerator * (den // d) for x, d in zip(parts, dens)]
+        self._c = (tuple(nums[: len(items)]), tuple(nums[len(items):]), den)
+
+    @property
+    def coeffs(self):
+        """The coefficients: ``complex`` in float mode, ``RationalComplex``
+        in exact mode (built on each access)."""
+        if not self.exact:
+            return self._c
+        re, im, d = self._c
+        return tuple(
+            RationalComplex(Fraction(r, d), Fraction(i, d)) for r, i in zip(re, im)
+        )
 
     @property
     def order(self):
-        return len(self.coeffs) - 1
+        return len(self._c[0] if self.exact else self._c) - 1
 
     @property
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        if self.exact:
+            return not any(self._c[0]) and not any(self._c[1])
+        return all(c == 0 for c in self._c)
 
     def __eq__(self, other):
         if not isinstance(other, TaylorSeries):
             return NotImplemented
-        top = max(self.order, other.order)
-        for k in range(top + 1):
-            a = self.coeffs[k] if k <= self.order else 0
-            b = other.coeffs[k] if k <= other.order else 0
-            if not a == b:
-                return False
-        return True
+        if self.exact and other.exact:
+            return self._c[2] == other._c[2] and _trimmed(self) == _trimmed(other)
+        a, b = _complex_coeffs(self), _complex_coeffs(other)
+        return all(x == y for x, y in zip_longest(a, b, fillvalue=0j))
 
     def __add__(self, other):
         if isinstance(other, TaylorSeries):
@@ -206,83 +251,189 @@ class TaylorSeries:
         return f"TaylorSeries({list(self.coeffs)!r})"
 
 
+def _exact_series(re, im, den):
+    """Exact series with numerators ``re``, ``im`` over ``den > 0``, reduced
+    to canonical form."""
+    g = math.gcd(den, *re, *im)
+    if g != 1:
+        re = [x // g for x in re]
+        im = [x // g for x in im]
+        den //= g
+    f = object.__new__(TaylorSeries)
+    f.exact = True
+    f._c = (tuple(re), tuple(im), den)
+    return f
+
+
+def _reweighted(f, weights, divisors=None, offset=0):
+    """Exact series with ``c_k * weights[i] / divisors[i]`` at degree
+    ``k + offset``, all over one ``lcm`` of the divisors.
+
+    ``weights[i]`` belongs to source degree ``k = i + max(0, -offset)``: a
+    negative offset drops the lowest coefficients, a positive one prepends
+    zeros, and the source is cut at ``len(weights)`` coefficients.
+    """
+    re, im, den = f._c
+    if divisors is not None:
+        common = math.lcm(*divisors)
+        weights = [w * (common // d) for w, d in zip(weights, divisors)]
+        den *= common
+    start = max(0, -offset)
+    pad = (0,) * max(0, offset)
+    re = pad + tuple(x * w for x, w in zip(re[start:], weights))
+    im = pad + tuple(x * w for x, w in zip(im[start:], weights))
+    return _exact_series(re, im, den)
+
+
+def _trimmed(f):
+    """Exact numerators without trailing zero coefficients (one kept)."""
+    re, im, _ = f._c
+    k = len(re)
+    while k > 1 and not re[k - 1] and not im[k - 1]:
+        k -= 1
+    return re[:k], im[:k]
+
+
+def _complex_coeffs(f):
+    """The coefficients as a tuple of Python ``complex``, in either mode."""
+    if not f.exact:
+        return f._c
+    re, im, d = f._c
+    return tuple(complex(r / d, i / d) for r, i in zip(re, im))
+
+
 def zero(exact=False):
     """The canonical zero series in the requested coefficient mode."""
-    return TaylorSeries([RationalComplex(0)]) if exact else TaylorSeries([0j])
+    return _exact_series((0,), (0,), 1) if exact else TaylorSeries([0j])
 
 
 def monomial(degree, coeff=1):
     """The series ``coeff * z**degree``; coefficient mode follows ``coeff``."""
     if degree < 0 or degree != int(degree):
         raise ValueError(f"degree must be a non-negative integer, got {degree}")
-    return TaylorSeries([0] * int(degree) + [coeff]) if _is_exact_scalar(coeff) \
-        else TaylorSeries([0j] * int(degree) + [complex(coeff)])
-
-
-def _is_exact_scalar(c):
-    return isinstance(c, (RationalComplex, int, Fraction))
+    if _gaussian(coeff) is not None:
+        return TaylorSeries([0] * int(degree) + [coeff])
+    return TaylorSeries([0j] * int(degree) + [complex(coeff)])
 
 
 def _aligned(f, g):
-    """Coefficient lists of f and g in a common mode, padded to equal length."""
-    exact = f.exact and g.exact
+    """Complex coefficient lists of f and g, padded to equal length."""
     top = max(f.order, g.order)
-    pad = RationalComplex(0) if exact else 0j
 
     def widen(s):
-        cs = s.coeffs if s.exact == exact else tuple(complex(c) for c in s.coeffs)
-        return list(cs) + [pad] * (top - s.order)
+        return list(_complex_coeffs(s)) + [0j] * (top - s.order)
 
     return widen(f), widen(g)
 
 
+def _exact_sum(f, g, sign):
+    """``f + sign * g`` for exact f and g, over the lcm of their denominators."""
+    (fr, fi, fd), (gr, gi, gd) = f._c, g._c
+    den = math.lcm(fd, gd)
+    a, b = den // fd, sign * (den // gd)
+    re = [x * a + y * b for x, y in zip_longest(fr, gr, fillvalue=0)]
+    im = [x * a + y * b for x, y in zip_longest(fi, gi, fillvalue=0)]
+    return _exact_series(re, im, den)
+
+
 def add(f, g):
     """Coefficient-wise sum; output order is max(order(f), order(g))."""
+    if f.exact and g.exact:
+        return _exact_sum(f, g, 1)
     fa, ga = _aligned(f, g)
     return TaylorSeries([a + b for a, b in zip(fa, ga)])
 
 
 def subtract(f, g):
     """Coefficient-wise difference; output order is max(order(f), order(g))."""
+    if f.exact and g.exact:
+        return _exact_sum(f, g, -1)
     fa, ga = _aligned(f, g)
     return TaylorSeries([a - b for a, b in zip(fa, ga)])
 
 
 def scale(f, factor):
     """Multiply every coefficient by a scalar."""
-    return TaylorSeries([c * factor for c in f.coeffs])
+    s = _gaussian(factor) if f.exact else None
+    if s is None:
+        return TaylorSeries([c * factor for c in _complex_coeffs(f)])
+    (sr, si, sd), (fr, fi, fd) = s, f._c
+    re = [x * sr - y * si for x, y in zip(fr, fi)]
+    im = [x * si + y * sr for x, y in zip(fr, fi)]
+    return _exact_series(re, im, fd * sd)
+
+
+def _pack(values, width, bias):
+    """``sum values[k] * 2**(8*width*k)`` for signed ``|values[k]| < bias``,
+    where ``bias = 2**(8*width - 1)``."""
+    raw = b"".join((v + bias).to_bytes(width, "little") for v in values)
+    return int.from_bytes(raw, "little") - int.from_bytes(
+        bias.to_bytes(width, "little") * len(values), "little"
+    )
+
+
+def _unpack(value, count, width, bias):
+    """Inverse of :func:`_pack` for ``count`` slots."""
+    raw = (value + int.from_bytes(bias.to_bytes(width, "little") * count, "little")
+           ).to_bytes(width * count, "little")
+    return [int.from_bytes(raw[k:k + width], "little") - bias
+            for k in range(0, width * count, width)]
+
+
+def _kronecker_product(fr, fi, gr, gi):
+    """Real and imaginary numerators of ``(fr + i fi) * (gr + i gi)``.
+
+    Kronecker substitution: each integer vector is evaluated at ``2**s`` as
+    one big int, with ``s`` wide enough that every output coefficient fits
+    a signed slot; the complex product takes three big-int products
+    (Karatsuba's trick), and the two outputs are read back slot by slot.
+    """
+    mf = max(map(abs, fr)) + max(map(abs, fi))
+    mg = max(map(abs, gr)) + max(map(abs, gi))
+    bound = max(min(len(fr), len(gr)) * mf * mg, mf, mg)
+    width = (bound.bit_length() + 8) // 8
+    bias = 1 << (8 * width - 1)
+    pr, pi = _pack(fr, width, bias), _pack(fi, width, bias)
+    qr, qi = _pack(gr, width, bias), _pack(gi, width, bias)
+    rr, ii = pr * qr, pi * qi
+    mixed = (pr + pi) * (qr + qi)
+    count = len(fr) + len(gr) - 1
+    return (_unpack(rr - ii, count, width, bias),
+            _unpack(mixed - rr - ii, count, width, bias))
 
 
 def multiply(f, g, out_order=None):
     """Cauchy product truncated at ``out_order`` (default: full product order).
 
     With the default the product is exact for polynomials; a smaller
-    ``out_order`` truncates, a larger one zero-pads.  Exact mode convolves
-    with rational arithmetic, float mode goes through ``np.convolve``.
+    ``out_order`` truncates, a larger one zero-pads.  Exact mode multiplies
+    by Kronecker substitution, float mode goes through ``np.convolve``.
     """
     if out_order is None:
         out_order = f.order + g.order
     if out_order < 0 or out_order != int(out_order):
         raise ValueError(f"out_order must be a non-negative integer, got {out_order}")
-    out_order = int(out_order)
+    size = int(out_order) + 1
     if f.exact and g.exact:
-        out = [RationalComplex(0)] * (out_order + 1)
-        for i, a in enumerate(f.coeffs):
-            if not a:
-                continue
-            for j in range(min(g.order, out_order - i) + 1):
-                out[i + j] = out[i + j] + a * g.coeffs[j]
-        return TaylorSeries(out)
-    fa = np.asarray([complex(c) for c in f.coeffs], dtype=complex)
-    ga = np.asarray([complex(c) for c in g.coeffs], dtype=complex)
-    conv = np.convolve(fa, ga)[: out_order + 1]
-    out = np.zeros(out_order + 1, dtype=complex)
+        (fr, fi, fd), (gr, gi, gd) = f._c, g._c
+        re, im = _kronecker_product(fr[:size], fi[:size], gr[:size], gi[:size])
+        pad = [0] * (size - len(re))
+        return _exact_series(re[:size] + pad, im[:size] + pad, fd * gd)
+    fa = np.asarray(_complex_coeffs(f), dtype=complex)
+    ga = np.asarray(_complex_coeffs(g), dtype=complex)
+    conv = np.convolve(fa, ga)[:size]
+    out = np.zeros(size, dtype=complex)
     out[: conv.size] = conv
     return TaylorSeries(out)
 
 
 def derivative(f, m=1):
-    """The m-th formal derivative; degree drops by m, floored at the zero series."""
+    """The m-th formal derivative; degree drops by m, floored at the zero series.
+
+    Coefficient k of the result is ``c_{k+m} * perm(k+m, m)``.  In float
+    mode a factor beyond double range raises ValueError rather than
+    overflowing.
+    """
     if m < 0 or m != int(m):
         raise ValueError(f"derivative count must be a non-negative integer, got {m}")
     m = int(m)
@@ -290,28 +441,47 @@ def derivative(f, m=1):
         return f
     if m > f.order:
         return zero(exact=f.exact)
-    # coefficient at degree k picks up (k+m)! / k! = perm(k+m, m), exactly
-    out = [f.coeffs[k + m] * math.perm(k + m, m) for k in range(f.order - m + 1)]
-    return TaylorSeries(out)
+    if f.exact:
+        return _reweighted(f, [math.perm(k, m) for k in range(m, f.order + 1)], offset=-m)
+    try:
+        float(math.perm(f.order, m))
+    except OverflowError:
+        raise ValueError(
+            f"derivative {m} of an order-{f.order} float series needs the factor "
+            f"perm({f.order}, {m}), which exceeds double range"
+        ) from None
+    c = f._c
+    return TaylorSeries([c[k + m] * math.perm(k + m, m) for k in range(f.order - m + 1)])
 
 
 def evaluate(f, z):
     """Horner evaluation of the stored polynomial at z.
 
-    Exact coefficients with an exact z give an exact result; any float or
-    complex operand degrades the result to complex.
+    Exact coefficients with an exact z give an exact ``RationalComplex``,
+    computed by Gaussian-integer Horner with one final division; any float
+    or complex operand degrades the result to complex.
     """
-    acc = f.coeffs[-1]
-    for c in reversed(f.coeffs[:-1]):
-        acc = acc * z + c
-    return acc
+    w = _gaussian(z) if f.exact else None
+    if w is None:
+        cs = _complex_coeffs(f)
+        acc = cs[-1]
+        for c in reversed(cs[:-1]):
+            acc = acc * z + c
+        return acc
+    (zr, zi, zd), (re, im, fd) = w, f._c
+    ar, ai, power = re[-1], im[-1], 1
+    for k in range(len(re) - 2, -1, -1):
+        power *= zd
+        ar, ai = ar * zr - ai * zi + re[k] * power, ar * zi + ai * zr + im[k] * power
+    den = fd * power
+    return RationalComplex(Fraction(ar, den), Fraction(ai, den))
 
 
 def to_dict(f):
     """JSON-ready form: ``{"order": N, "coeffs": [[re, im], ...]}``."""
     return {
         "order": f.order,
-        "coeffs": [[complex(c).real, complex(c).imag] for c in f.coeffs],
+        "coeffs": [[c.real, c.imag] for c in _complex_coeffs(f)],
     }
 
 

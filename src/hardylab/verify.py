@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
 from .membership import (
     SubspaceSpec,
+    _coeff_repr,
     combined_invariance_check,
     log_distance_integral,
     membership,
+    random_series,
     sampled_members,
     shift_invariance_check,
     validate_spec,
@@ -49,8 +51,9 @@ from .operators import (
 )
 from .report import ClaimResult, VerificationReport
 from .series import (
-    RationalComplex,
     TaylorSeries,
+    _exact_series,
+    _reweighted,
     add,
     derivative,
     multiply,
@@ -93,56 +96,36 @@ class RunConfig:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
 
 
-def random_series(rng, max_degree):
-    """Random polynomial with unit-box complex coefficients."""
-    deg = int(rng.integers(0, max_degree + 1))
-    c = rng.uniform(-1, 1, deg + 1) + 1j * rng.uniform(-1, 1, deg + 1)
-    return TaylorSeries(c)
-
-
 def random_rational_series(rng, max_degree):
     """Random exact-mode polynomial, coefficients in the unit box with
     denominator 64."""
     deg = int(rng.integers(0, max_degree + 1))
-    return TaylorSeries(
-        [
-            RationalComplex(
-                Fraction(int(rng.integers(-64, 65)), 64),
-                Fraction(int(rng.integers(-64, 65)), 64),
-            )
-            for _ in range(deg + 1)
-        ]
-    )
+    re, im = [], []
+    for _ in range(deg + 1):
+        re.append(int(rng.integers(-64, 65)))
+        im.append(int(rng.integers(-64, 65)))
+    return _exact_series(re, im, 64)
 
 
 def zero_head(f, n):
     """Project into zero initial data: blank the first n coefficients."""
+    if f.exact:
+        return _reweighted(f, [0] * n + [1] * (f.order + 1 - n))
     coeffs = list(f.coeffs)
-    pad = RationalComplex(0) if f.exact else 0j
     for k in range(min(n, len(coeffs))):
-        coeffs[k] = pad
+        coeffs[k] = 0j
     return TaylorSeries(coeffs)
 
 
 def max_rel_coeff_error(f, g):
     """Worst per-coefficient relative difference between two series."""
     worst = 0.0
-    for k in range(max(f.order, g.order) + 1):
-        a = complex(f.coeffs[k]) if k <= f.order else 0j
-        b = complex(g.coeffs[k]) if k <= g.order else 0j
+    for a, b in zip_longest(f.coeffs, g.coeffs, fillvalue=0j):
+        a, b = complex(a), complex(b)
         denom = max(abs(a), abs(b))
         if denom > 0:
             worst = max(worst, abs(a - b) / denom)
     return worst
-
-
-def _coeff_repr(f, head=4):
-    """Compact, deterministic witness form; seed and sample index make the
-    full input reproducible."""
-    parts = [repr(complex(c)) for c in f.coeffs[:head]]
-    if f.order + 1 > head:
-        parts.append(f"...<order {f.order}>")
-    return "[" + ", ".join(parts) + "]"
 
 
 class _Tracker:

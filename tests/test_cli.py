@@ -51,6 +51,15 @@ class TestNormCommand:
         assert main(["norm", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_derivative_factor_beyond_double_range_is_usage_error(self, tmp_path, capsys):
+        # perm(300, k) leaves double range long before k = 200
+        path = tmp_path / "order300.json"
+        save_series(TaylorSeries([1.0] * 301), path)
+        assert main(["norm", str(path), "--n", "200"]) == 2
+        captured = capsys.readouterr()
+        assert "exceeds double range" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
 
 class TestApplyCommand:
     def test_shift_to_stdout(self, series_file, capsys):

@@ -27,6 +27,8 @@ from hardylab import (
 )
 from hardylab.verify import max_rel_coeff_error, zero_head
 
+import exact_reference as ref
+
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=16)
 rc_scalars = st.builds(RationalComplex, rationals, rationals)
 exact_series = st.lists(rc_scalars, min_size=1, max_size=10).map(TaylorSeries)
@@ -160,3 +162,48 @@ class TestDescriptorDispatch:
             OperatorDescriptor("volterra")
         with pytest.raises(ValueError):
             OperatorDescriptor("diff", n=0)
+
+
+class TestExactAgainstFractions:
+    """Every exact operator against the plain-Fraction reference."""
+
+    @given(ref.references)
+    def test_shift(self, a):
+        assert ref.pairs(shift(ref.series(a))) == ref.shift(a)
+
+    @given(ref.references, orders)
+    def test_nth_derivative(self, a, n):
+        assert ref.pairs(nth_derivative(ref.series(a), n)) == ref.derivative(a, n)
+
+    @given(ref.references, orders)
+    def test_shift_plus_volterra(self, a, n):
+        out = shift_plus_volterra(ref.series(a), n)
+        assert ref.pairs(out) == ref.shift_plus_volterra(a, n)
+
+    @given(ref.references, orders)
+    def test_nth_antiderivative(self, a, n):
+        out = nth_antiderivative(ref.series(a), n)
+        assert ref.pairs(out) == ref.nth_antiderivative(a, n)
+
+    @given(ref.references, ref.references, orders)
+    def test_lift_approximant(self, a, p, n):
+        out = lift_approximant(ref.series(a), ref.series(p), n)
+        assert ref.pairs(out) == ref.lift_approximant(a, p, n)
+
+    @given(ref.references, orders)
+    def test_zero_head(self, a, n):
+        out = zero_head(ref.series(a), n)
+        assert ref.pairs(out) == [ref.ZERO] * min(n, len(a)) + a[n:]
+
+    @given(ref.references, orders)
+    def test_wrong_multiple_stays_unequal_on_nonzero_input(self, a, n):
+        f = ref.series(a)
+        g = zero_head(f, n)
+        if not g.is_zero:
+            lhs = nth_derivative(shift(g), n)
+            assert lhs == shift_plus_volterra(nth_derivative(g, n), n)
+            assert lhs != shift_plus_volterra(nth_derivative(g, n), n + 1)
+        if not f.is_zero:
+            assert shift_plus_volterra(f, n) != shift_plus_volterra_composed(f, n + 1)
+            leibniz = add(shift(nth_derivative(f, n)), scale(derivative(f, n - 1), n + 1))
+            assert (nth_derivative(shift(f), n) == leibniz) == derivative(f, n - 1).is_zero

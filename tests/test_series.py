@@ -23,6 +23,8 @@ from hardylab import (
 )
 from hardylab.series import dumps, loads, from_dict, to_dict
 
+import exact_reference as ref
+
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=16)
 rc_scalars = st.builds(RationalComplex, rationals, rationals)
 exact_series = st.lists(rc_scalars, min_size=1, max_size=8).map(TaylorSeries)
@@ -194,3 +196,83 @@ class TestSerialization:
     def test_json_is_plain(self):
         payload = json.loads(dumps(TaylorSeries([1.5, -2.25j])))
         assert payload["coeffs"] == [[1.5, 0.0], [0.0, -2.25]]
+
+
+class TestExactAgainstFractions:
+    """Every exact series operation against the plain-Fraction reference."""
+
+    @given(ref.references)
+    def test_construction_and_coeffs_view(self, a):
+        f = ref.series(a)
+        assert f.exact and f.order == len(a) - 1
+        assert all(isinstance(c, RationalComplex) for c in f.coeffs)
+        assert ref.pairs(f) == a
+        assert f.is_zero == all(x == ref.ZERO for x in a)
+
+    def test_int_and_fraction_inputs_are_exact(self):
+        f = TaylorSeries([1, Fraction(-2, 6), True])
+        assert ref.pairs(f) == [(1, 0), (Fraction(-1, 3), 0), (1, 0)]
+        assert ref.pairs(zero(exact=True)) == [ref.ZERO]
+
+    @given(ref.references, ref.references)
+    def test_equality_ignores_trailing_zeros(self, a, b):
+        assert (ref.series(a) == ref.series(b)) == (ref.trimmed(a) == ref.trimmed(b))
+        assert ref.series(a) == ref.series(a + [ref.ZERO] * 3)
+
+    @given(ref.references, ref.references)
+    def test_equal_series_through_different_denominators(self, a, b):
+        f, g = ref.series(a), ref.series(b)
+        assert subtract(add(f, g), g) == f
+        assert scale(scale(f, Fraction(7, 3)), Fraction(3, 7)) == f
+        assert subtract(f, f) == zero(exact=True)
+
+    @given(ref.references, ref.references)
+    def test_add_subtract(self, a, b):
+        f, g = ref.series(a), ref.series(b)
+        assert ref.pairs(add(f, g)) == ref.add(a, b)
+        assert ref.pairs(subtract(f, g)) == ref.add(a, b, -1)
+
+    @given(ref.references, ref.scalars)
+    def test_scale_by_int_fraction_and_rational_complex(self, a, s):
+        out = scale(ref.series(a), s)
+        assert out.exact and ref.pairs(out) == ref.scale(a, s)
+
+    @given(ref.references, ref.references)
+    def test_multiply(self, a, b):
+        assert ref.pairs(multiply(ref.series(a), ref.series(b))) == ref.multiply(a, b)
+
+    @given(ref.references, ref.references, st.integers(0, 20))
+    def test_multiply_truncated_and_padded(self, a, b, top):
+        full = ref.multiply(a, b) + [ref.ZERO] * 21
+        out = multiply(ref.series(a), ref.series(b), out_order=top)
+        assert ref.pairs(out) == full[: top + 1]
+
+    @given(ref.references, st.integers(0, 10))
+    def test_derivative(self, a, m):
+        assert ref.pairs(derivative(ref.series(a), m)) == ref.derivative(a, m)
+
+    @given(ref.references, ref.scalars)
+    def test_evaluate(self, a, z):
+        out = evaluate(ref.series(a), z)
+        assert isinstance(out, RationalComplex)
+        assert (out.re, out.im) == ref.evaluate(a, z)
+
+    @given(ref.references, ref.references)
+    def test_exact_plus_float_promotes_to_float(self, a, b):
+        f = ref.series(a)
+        g = TaylorSeries([complex(float(x), float(y)) for x, y in b])
+        for out in (add(f, g), subtract(g, f), multiply(f, g), scale(f, 0.5)):
+            assert not out.exact
+        for c, (x, y) in zip(add(f, g).coeffs, ref.add(a, b), strict=True):
+            assert abs(c - complex(float(x), float(y))) <= 1e-12
+        assert isinstance(evaluate(f, 0.5), complex)
+
+
+class TestDeepDerivative:
+    def test_float_factor_beyond_double_range_is_value_error(self):
+        f = TaylorSeries([1.0] * 301)
+        with pytest.raises(ValueError, match="exceeds double range"):
+            derivative(f, 200)
+        # the exact mode has no such limit
+        d = derivative(TaylorSeries([0] * 300 + [1]), 200)
+        assert d.exact and d.coeffs[-1] == math.perm(300, 200)
