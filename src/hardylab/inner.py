@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .norms import boundary_scale
+from .norms import _is_integral, boundary_scale
 from .series import derivative, evaluate
 
 __all__ = [
@@ -49,12 +49,12 @@ class InnerFunction:
     atoms: tuple = ()
 
     def __post_init__(self):
-        zs = tuple((complex(a), int(m)) for a, m in self.zeros)
-        for a, m in zs:
-            if abs(a) >= 1:
+        for a, m in self.zeros:
+            if abs(complex(a)) >= 1:
                 raise ValueError(f"Blaschke zeros must lie inside the disk, got {a}")
-            if m < 1:
-                raise ValueError(f"zero multiplicity must be >= 1, got {m}")
+            if not _is_integral(m) or m < 1:
+                raise ValueError(f"zero multiplicity must be an integer >= 1, got {m!r}")
+        zs = tuple((complex(a), int(m)) for a, m in self.zeros)
         object.__setattr__(self, "zeros", zs)
         c = complex(self.const)
         if abs(abs(c) - 1.0) > 1e-12:
@@ -233,7 +233,7 @@ def inner_from_dict(data):
         raise ValueError("inner-function object must be a JSON object")
     try:
         zeros = tuple(
-            (complex(float(e[0]), float(e[1])), int(e[2]))
+            (complex(float(e[0]), float(e[1])), e[2])
             for e in data.get("zeros", [])
         )
         cpair = data.get("const", [1.0, 0.0])

@@ -190,6 +190,8 @@ def membership(f, spec, tol=1e-9):
     conditions), so the verdict does not change when f is rescaled.  The
     zero series is a member of every subspace and short-circuits.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     ensure_valid(spec)
     if f.is_zero:
         cond = ConditionResult(
@@ -446,9 +448,11 @@ def spec_from_dict(data):
     if not isinstance(data, dict):
         raise ValueError("subspace spec must be a JSON object")
     try:
-        n = int(data["n"])
+        n = data["n"]
         p = float(data["p"])
-        zero_mode = bool(data["zero_mode"])
+        zero_mode = data["zero_mode"]
+        if not isinstance(zero_mode, bool):
+            raise ValueError(f"'zero_mode' must be true or false, got {zero_mode!r}")
         ksets = tuple(
             tuple(complex(float(e[0]), float(e[1])) for e in ks) for ks in data["K"]
         )

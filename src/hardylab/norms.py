@@ -4,32 +4,48 @@ Norm evaluation never searches over radii: a stored series is a polynomial,
 continuous up to the closed disk, and its integral means are nondecreasing
 in the radius, so the boundary radius r = 1 realises the sup.  Every norm
 call still checks that monotonicity on a three-point radius grid as a
-sanity assertion on the quadrature itself.
+sanity assertion on the quadrature itself; the three means come from one
+coefficient transform.
 
 Quadrature modes:
 
 ``parseval``
     p = 2 only; the mean is the coefficient sum ``sum |c_k|^2 r^(2k)``.
 ``power-trick``
-    even integer p; reduces to the Parseval sum of ``f**(p/2)``.
+    even integer p; reduces to the Parseval sum of ``f**(p/2)``, built by
+    direct ``np.convolve`` in O(N^2).
 ``trapezoid``
-    any p >= 1; uniform boundary samples via FFT.  For trigonometric
-    polynomials the uniform trapezoid rule is exact once the node count
-    exceeds the top frequency, so the node count is silently raised to at
-    least ``4 * (order + 1)``.
+    any p >= 1; uniform boundary samples via one batched FFT.  For
+    trigonometric polynomials the uniform trapezoid rule is exact once the
+    node count exceeds the top frequency (Trefethen & Weideman, SIAM Review
+    56 (2014) 385-458), so the node count has the floor ``4 * (order + 1)``,
+    and ``(p/2) * order + 1`` for even integer p.  A request at or above
+    the floor is used as given; below it, the count is the least 2*3*5-smooth
+    integer at or above the floor, a length the FFT handles without
+    Bluestein's algorithm.
 ``auto``
-    picks the first applicable mode in the order above.
+    ``parseval`` at p = 2; ``power-trick`` at even p >= 4 up to order
+    ``_AUTO_TRAPEZOID_ORDER`` (1024), where the O(N log N) ``trapezoid``
+    takes over, exact as well; ``trapezoid`` for every other p.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TaylorSeries, derivative, evaluate
+from .series import (
+    TaylorSeries,
+    _check_derivative_range,
+    _complex_coeffs,
+    _smooth_size,
+    derivative,
+    evaluate,
+)
 
 __all__ = [
     "SpaceParams",
@@ -49,6 +65,8 @@ __all__ = [
 _MODES = ("auto", "parseval", "power-trick", "trapezoid")
 _SANITY_RADII = (0.5, 0.75, 1.0)
 _TWO_PI = 2.0 * math.pi
+# auto sends even p >= 4 to the trapezoid above this order
+_AUTO_TRAPEZOID_ORDER = 1024
 
 
 @dataclass(frozen=True)
@@ -59,10 +77,11 @@ class SpaceParams:
     p: float
 
     def __post_init__(self):
-        if self.n != int(self.n) or self.n < 0:
+        if not _is_integral(self.n) or self.n < 0:
             raise ValueError(
-                f"derivative depth n must be a non-negative integer, got {self.n}"
+                f"derivative depth n must be a non-negative integer, got {self.n!r}"
             )
+        object.__setattr__(self, "n", int(self.n))
         _check_exponent(self.p)
 
 
@@ -72,7 +91,9 @@ class QuadratureConfig:
 
     ``num_points`` is a floor request, not an exact count: quadrature
     oversamples to at least ``4 * (order + 1)`` nodes so the configured
-    count can never undersample the integrand.
+    count can never undersample the integrand.  ``sup_norm`` samples
+    exactly that floor; the trapezoid rounds a raised count up to a
+    2*3*5-smooth size (see the module docstring).
     """
 
     num_points: int = 4096
@@ -98,7 +119,7 @@ def boundary_values(f, num_points, radius=1.0):
     FFT-based: the j-th entry is ``f(radius * exp(2j*pi*1j*j/num_points))``.
     Sampling a degree-N polynomial needs ``num_points >= N + 1``.
     """
-    c = np.asarray([complex(x) for x in f.coeffs], dtype=complex)
+    c = np.asarray(_complex_coeffs(f), dtype=complex)
     if num_points < c.size:
         raise ValueError(
             f"need at least order+1 = {c.size} sample points, got {num_points}"
@@ -122,45 +143,95 @@ def boundary_scale(f, num_points=None):
     return float(np.max(np.abs(boundary_values(f, m))))
 
 
+def _is_integral(value):
+    """True for an integer-valued number (2 or 2.0), False for 1.7 or "2"."""
+    if isinstance(value, numbers.Integral):
+        return True
+    return isinstance(value, numbers.Real) and float(value).is_integer()
+
+
 def _check_exponent(p):
     if not (p >= 1 and math.isfinite(p)):
         raise ValueError(f"exponent p must satisfy 1 <= p < inf, got {p}")
 
 
-def _resolve_mode(p, mode):
+def _is_even(p):
+    return float(p).is_integer() and int(p) % 2 == 0
+
+
+def _resolve_mode(p, mode, order):
     if mode == "auto":
         if p == 2:
             return "parseval"
-        if float(p).is_integer() and int(p) % 2 == 0:
+        if _is_even(p) and order <= _AUTO_TRAPEZOID_ORDER:
             return "power-trick"
         return "trapezoid"
     if mode == "parseval" and p != 2:
         raise ValueError("parseval mode is only valid for p = 2")
-    if mode == "power-trick" and not (float(p).is_integer() and int(p) % 2 == 0):
+    if mode == "power-trick" and not _is_even(p):
         raise ValueError("power-trick mode needs an even integer exponent")
     return mode
 
 
-def _parseval_mean(f, r):
-    c = np.abs(np.asarray([complex(x) for x in f.coeffs], dtype=complex))
-    weights = 1.0 if r == 1.0 else r ** (2.0 * np.arange(c.size))
-    return math.sqrt(float(np.sum(c * c * weights)))
+def _node_count(order, p, requested):
+    """Trapezoid nodes: the request, or the least 2*3*5-smooth size at or
+    above the exactness floor when the request is below that floor."""
+    floor = 4 * (order + 1)
+    if _is_even(p):
+        floor = max(floor, int(p) // 2 * order + 1)
+    return int(requested) if requested >= floor else _smooth_size(floor)
 
 
-def _even_power_mean(f, p, r):
-    half = int(p) // 2
-    c = np.asarray([complex(x) for x in f.coeffs], dtype=complex)
-    g = c
-    for _ in range(half - 1):
-        g = np.convolve(g, c)
-    mag = np.abs(g)
-    weights = 1.0 if r == 1.0 else r ** (2.0 * np.arange(g.size))
-    return float(np.sum(mag * mag * weights)) ** (1.0 / p)
+def _means(f, p, radii, mode, num_points):
+    """The p-th integral means of f on the circles |z| = r, r in ``radii``,
+    in a resolved ``mode``, from one coefficient transform.
 
-
-def _trapezoid_mean(f, p, r, num_points):
-    vals = boundary_values(f, _effective_points(f, num_points), r)
-    return float(np.mean(np.abs(vals) ** p)) ** (1.0 / p)
+    The sums form ``|f|^p`` directly.  When that could leave double range,
+    they run on ``f / 2**e``, where ``2**(e-1) <= max |c_k| < 2**e``, an
+    exact rescaling, and the means are scaled back by ``2**e``.  A mean
+    that is still not finite raises ValueError.
+    """
+    c = np.asarray(_complex_coeffs(f), dtype=complex)
+    e = math.frexp(float(np.max(np.abs(c))))[1]
+    if p * max(e + c.size.bit_length(), -e) > 1000:
+        c = np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e)
+    else:
+        e = 0
+    if mode == "trapezoid":
+        m = _node_count(f.order, p, num_points)
+        buf = np.zeros((len(radii), m), dtype=complex)
+        for row, r in zip(buf, radii):
+            row[: c.size] = c if r == 1.0 else c * r ** np.arange(c.size)
+        np.fft.ifft(buf, out=buf)
+        buf *= m
+        means = []
+        for row in buf:
+            # one row at a time keeps the float temporaries at M entries
+            mag = np.abs(row)
+            mag **= p
+            means.append(float(np.mean(mag)) ** (1.0 / p))
+    else:
+        g = c
+        for _ in range(int(p) // 2 - 1):
+            g = np.convolve(g, c)
+        mag = np.abs(g)
+        sq = mag * mag
+        sums = [
+            float(np.sum(sq if r == 1.0 else sq * r ** (2.0 * np.arange(sq.size))))
+            for r in radii
+        ]
+        root = math.sqrt if mode == "parseval" else lambda s: s ** (1.0 / p)
+        means = [root(s) for s in sums]
+    try:
+        means = [math.ldexp(x, e) for x in means]
+    except OverflowError:
+        means = [math.inf]
+    if not all(map(math.isfinite, means)):
+        raise ValueError(
+            f"an integral mean of the order-{f.order} series is not finite in "
+            "double precision"
+        )
+    return means
 
 
 def integral_mean(f, p, r=None, cfg=None):
@@ -186,12 +257,8 @@ def integral_mean(f, p, r=None, cfg=None):
     _check_exponent(p)
     if not 0 < r <= 1:
         raise ValueError(f"radius must lie in (0, 1], got {r}")
-    mode = _resolve_mode(p, cfg.mode)
-    if mode == "parseval":
-        return _parseval_mean(f, r)
-    if mode == "power-trick":
-        return _even_power_mean(f, p, r)
-    return _trapezoid_mean(f, p, r, cfg.num_points)
+    mode = _resolve_mode(p, cfg.mode, f.order)
+    return _means(f, p, (r,), mode, cfg.num_points)[0]
 
 
 def hp_norm(f, p, cfg=None):
@@ -202,7 +269,9 @@ def hp_norm(f, p, cfg=None):
     the quadrature itself is broken and raises RuntimeError.
     """
     cfg = cfg if cfg is not None else QuadratureConfig()
-    means = [integral_mean(f, p, r, cfg) for r in _SANITY_RADII]
+    _check_exponent(p)
+    mode = _resolve_mode(p, cfg.mode, f.order)
+    means = _means(f, p, _SANITY_RADII, mode, cfg.num_points)
     for lo, hi in zip(means, means[1:]):
         if lo > hi + 1e-12 * max(1.0, hi):
             raise RuntimeError(
@@ -212,11 +281,23 @@ def hp_norm(f, p, cfg=None):
 
 
 def sn_norm(f, params, cfg=None):
-    """Recursive derivative-space norm: ``|f(0)| + norm(f', n-1)``, base H^p."""
-    if params.n == 0:
-        return hp_norm(f, params.p, cfg)
-    tail = sn_norm(derivative(f, 1), SpaceParams(params.n - 1, params.p), cfg)
-    return abs(complex(f.coeffs[0])) + tail
+    """Recursive derivative-space norm: ``|f(0)| + norm(f', n-1)``, base H^p.
+
+    The recursion is unwound innermost first, so the sum is the recursive
+    one.  A float series whose n-th derivative factor ``perm(order, n)``
+    exceeds double range is rejected up front with ValueError, as
+    :func:`derivative` rejects it.
+    """
+    if not f.exact:
+        _check_derivative_range(f.order, params.n)
+    heads = []
+    for _ in range(params.n):
+        heads.append(abs(complex(f.coeffs[0])))
+        f = derivative(f, 1)
+    total = hp_norm(f, params.p, cfg)
+    for head in reversed(heads):
+        total = head + total
+    return total
 
 
 def sn_norm_unrolled(f, params, cfg=None):

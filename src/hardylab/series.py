@@ -29,6 +29,7 @@ the package goes through it.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from fractions import Fraction
@@ -402,12 +403,34 @@ def _kronecker_product(fr, fi, gr, gi):
             _unpack(mixed - rr - ii, count, width, bias))
 
 
+# float products go through the FFT once both factors have more
+# coefficients than this; below it ``np.convolve`` is faster
+_FFT_PRODUCT_LEN = 384
+
+
+def _smooth_size(n):
+    """The least 2*3*5-smooth integer >= n (n >= 1): an FFT length pocketfft
+    handles without falling back to Bluestein's algorithm."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def multiply(f, g, out_order=None):
     """Cauchy product truncated at ``out_order`` (default: full product order).
 
     With the default the product is exact for polynomials; a smaller
     ``out_order`` truncates, a larger one zero-pads.  Exact mode multiplies
-    by Kronecker substitution, float mode goes through ``np.convolve``.
+    by Kronecker substitution.  Float mode goes through ``np.convolve``, or,
+    once both factors have more than ``_FFT_PRODUCT_LEN`` coefficients,
+    through an FFT of 2*3*5-smooth length; the FFT's rounding error is
+    relative to the largest output coefficient, not to each one.
     """
     if out_order is None:
         out_order = f.order + g.order
@@ -421,10 +444,29 @@ def multiply(f, g, out_order=None):
         return _exact_series(re[:size] + pad, im[:size] + pad, fd * gd)
     fa = np.asarray(_complex_coeffs(f), dtype=complex)
     ga = np.asarray(_complex_coeffs(g), dtype=complex)
-    conv = np.convolve(fa, ga)[:size]
+    if min(fa.size, ga.size) > _FFT_PRODUCT_LEN:
+        # coefficients above out_order cannot reach the kept degrees
+        fa, ga = fa[:size], ga[:size]
+        full = fa.size + ga.size - 1
+        m = _smooth_size(full)
+        conv = np.fft.ifft(np.fft.fft(fa, m) * np.fft.fft(ga, m))[: min(full, size)]
+    else:
+        conv = np.convolve(fa, ga)[:size]
     out = np.zeros(size, dtype=complex)
     out[: conv.size] = conv
     return TaylorSeries(out)
+
+
+def _check_derivative_range(order, m):
+    """Raise ValueError when ``perm(order, m)``, the largest factor of the
+    m-th derivative of an order-``order`` float series, exceeds double range."""
+    try:
+        float(math.perm(order, m))
+    except OverflowError:
+        raise ValueError(
+            f"derivative {m} of an order-{order} float series needs the factor "
+            f"perm({order}, {m}), which exceeds double range"
+        ) from None
 
 
 def derivative(f, m=1):
@@ -443,13 +485,7 @@ def derivative(f, m=1):
         return zero(exact=f.exact)
     if f.exact:
         return _reweighted(f, [math.perm(k, m) for k in range(m, f.order + 1)], offset=-m)
-    try:
-        float(math.perm(f.order, m))
-    except OverflowError:
-        raise ValueError(
-            f"derivative {m} of an order-{f.order} float series needs the factor "
-            f"perm({f.order}, {m}), which exceeds double range"
-        ) from None
+    _check_derivative_range(f.order, m)
     c = f._c
     return TaylorSeries([c[k + m] * math.perm(k + m, m) for k in range(f.order - m + 1)])
 
@@ -486,7 +522,8 @@ def to_dict(f):
 
 
 def from_dict(data):
-    """Inverse of :func:`to_dict`; malformed input raises ValueError."""
+    """Inverse of :func:`to_dict`; malformed input, including a NaN or
+    infinite coefficient, raises ValueError."""
     if not isinstance(data, dict) or "order" not in data or "coeffs" not in data:
         raise ValueError("series object needs 'order' and 'coeffs' fields")
     pairs = data["coeffs"]
@@ -500,7 +537,10 @@ def from_dict(data):
     for entry in pairs:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValueError("each coefficient must be a [re, im] pair")
-        coeffs.append(complex(float(entry[0]), float(entry[1])))
+        c = complex(float(entry[0]), float(entry[1]))
+        if not cmath.isfinite(c):
+            raise ValueError(f"coefficient {c} is not finite")
+        coeffs.append(c)
     return TaylorSeries(coeffs)
 
 

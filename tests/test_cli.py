@@ -1,6 +1,7 @@
 """Command-line interface: output shape and exit-code contract."""
 
 import json
+import math
 
 import pytest
 
@@ -59,6 +60,37 @@ class TestNormCommand:
         captured = capsys.readouterr()
         assert "exceeds double range" in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    def test_space_norm_rejects_deep_n_instead_of_printing_nan(self, tmp_path, capsys):
+        # each single derivative step stays in double range, but the
+        # coefficients reach inf long before the 200th; sn_norm checks
+        # perm(order, n) up front
+        path = tmp_path / "order300.json"
+        save_series(TaylorSeries([1.0] * 301), path)
+        assert main(["norm", str(path), "--n", "200"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "nan" not in captured.out
+        assert "space-norm" not in captured.out
+
+    def test_space_norm_near_double_range_is_finite(self, tmp_path, capsys):
+        # perm(300, 120) ~ 1e284 fits a double but its square does not
+        path = tmp_path / "order300.json"
+        save_series(TaylorSeries([1.0] * 301), path)
+        assert main(["norm", str(path), "--n", "120"]) == 0
+        values = [float(line.split()[-1]) for line in capsys.readouterr().out.splitlines()
+                  if not line.startswith("#")]
+        assert len(values) == 4 and all(math.isfinite(v) for v in values)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_coefficient_is_usage_error(self, tmp_path, capsys, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"order": 1, "coeffs": [[1.0, 0.0], [{bad}, 0.0]]}}',
+                        encoding="utf-8")
+        assert main(["norm", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "not finite" in captured.err
+        assert "nan" not in captured.out and "inf" not in captured.out
 
 
 class TestApplyCommand:
@@ -145,3 +177,34 @@ class TestMembershipCommand:
         missing = str(tmp_path / "ghost.json")
         assert main(["membership", series_file, missing]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def _run_with_spec(self, tmp_path, series_file, spec, *flags):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        return main(["membership", series_file, str(path), *flags])
+
+    def test_string_zero_mode_is_usage_error(self, tmp_path, series_file, capsys):
+        # bool("false") is True: the string must not be read as a flag
+        spec = spec_to_dict(NESTED)
+        spec["zero_mode"] = "false"
+        assert self._run_with_spec(tmp_path, series_file, spec) == 2
+        assert "zero_mode" in capsys.readouterr().err
+
+    def test_non_integral_depth_is_usage_error(self, tmp_path, series_file, capsys):
+        spec = spec_to_dict(NESTED)
+        spec["n"] = 1.7
+        assert self._run_with_spec(tmp_path, series_file, spec) == 2
+        assert "1.7" in capsys.readouterr().err
+
+    def test_non_integral_multiplicity_is_usage_error(self, tmp_path, series_file, capsys):
+        spec = spec_to_dict(NESTED)
+        spec["inner"]["zeros"] = [[0.5, 0.0, 1.7]]
+        assert self._run_with_spec(tmp_path, series_file, spec) == 2
+        assert "multiplicity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])
+    def test_bad_tolerance_is_usage_error(self, series_file, spec_file, capsys, tol):
+        assert main(["membership", series_file, spec_file, f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert "tolerance" in captured.err
+        assert "member:" not in captured.out

@@ -21,6 +21,8 @@ from hardylab import (
     sup_sum_norm,
     zero,
 )
+from hardylab import norms
+from hardylab.series import _smooth_size
 
 ONE_PLUS_Z = TaylorSeries([1.0, 1.0])
 
@@ -165,3 +167,115 @@ class TestSpaceNorms:
         for _ in range(10):
             f = TaylorSeries(rng.uniform(-1, 1, 17) + 1j * rng.uniform(-1, 1, 17))
             assert hp_norm(f, 3.0) <= sup_norm(f) + 1e-9
+
+
+def _random_series(rng, order):
+    return TaylorSeries(
+        rng.uniform(-1, 1, order + 1) + 1j * rng.uniform(-1, 1, order + 1)
+    )
+
+
+def _rel(a, b):
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+class TestFastPaths:
+    def test_smooth_size_is_least_235_smooth_at_or_above(self):
+        def smooth(k):
+            for q in (2, 3, 5):
+                while k % q == 0:
+                    k //= q
+            return k == 1
+
+        expected, nxt = [], 2000 * 2
+        for n in range(2000, 0, -1):
+            if smooth(n):
+                nxt = n
+            expected.append(nxt)
+        expected.reverse()
+        assert [_smooth_size(n) for n in range(1, 2001)] == expected
+
+    def test_auto_resolves_large_even_p_to_trapezoid(self):
+        top = norms._AUTO_TRAPEZOID_ORDER
+        for p in (4.0, 6.0):
+            assert norms._resolve_mode(p, "auto", top) == "power-trick"
+            assert norms._resolve_mode(p, "auto", top + 1) == "trapezoid"
+            assert norms._resolve_mode(p, "power-trick", top + 1) == "power-trick"
+        assert norms._resolve_mode(2.0, "auto", top + 1) == "parseval"
+
+    @pytest.mark.parametrize("p", [4.0, 6.0])
+    def test_auto_above_crossover_matches_power_trick(self, p):
+        rng = np.random.default_rng(21)
+        f = _random_series(rng, norms._AUTO_TRAPEZOID_ORDER + 37)
+        auto = hp_norm(f, p)
+        direct = hp_norm(f, p, QuadratureConfig(mode="power-trick"))
+        assert _rel(auto, direct) <= 1e-12
+
+    def test_power_trick_convolves_once_per_call_and_auto_not_above_crossover(
+        self, monkeypatch
+    ):
+        calls = []
+        convolve = np.convolve
+        monkeypatch.setattr(np, "convolve", lambda a, b: calls.append(1) or convolve(a, b))
+        rng = np.random.default_rng(25)
+        f = _random_series(rng, norms._AUTO_TRAPEZOID_ORDER + 1)
+        hp_norm(f, 4.0, QuadratureConfig(mode="power-trick"))
+        assert len(calls) == 1
+        hp_norm(f, 4.0)
+        assert len(calls) == 1
+
+    def test_node_count_rounds_a_raised_floor_to_a_smooth_size(self):
+        # floor 4 * 4097 = 16388 = 2^2 * 17 * 241 is not 2*3*5-smooth
+        assert norms._node_count(4096, 3.0, 4096) == _smooth_size(16388) == 16875
+        # a request at or above the floor is used as given
+        assert norms._node_count(4096, 3.0, 16389) == 16389
+        # even p needs more than (p/2) * order nodes to stay exact
+        assert norms._node_count(100, 10.0, 4) == _smooth_size(501)
+
+    def test_smooth_trapezoid_stays_exact_for_even_p(self):
+        rng = np.random.default_rng(22)
+        for order, p in ((300, 2.0), (300, 4.0), (200, 10.0)):
+            f = _random_series(rng, order)
+            cfg = QuadratureConfig(num_points=4, mode="trapezoid")
+            exact = "parseval" if p == 2 else "power-trick"
+            assert _rel(hp_norm(f, p, cfg), hp_norm(f, p, QuadratureConfig(mode=exact))) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["parseval", "power-trick", "trapezoid", "auto"])
+    def test_integral_mean_equals_per_radius_mean_of_hp_norm(self, mode):
+        rng = np.random.default_rng(23)
+        p = 2.0 if mode == "parseval" else 4.0
+        for order in (0, 7, 60):
+            f = _random_series(rng, order)
+            cfg = QuadratureConfig(num_points=64, mode=mode)
+            resolved = norms._resolve_mode(p, mode, f.order)
+            means = norms._means(f, p, norms._SANITY_RADII, resolved, cfg.num_points)
+            assert means == [integral_mean(f, p, r, cfg) for r in norms._SANITY_RADII]
+            assert hp_norm(f, p, cfg) == means[-1]
+
+    def test_decreasing_means_still_raise(self, monkeypatch):
+        monkeypatch.setattr(norms, "_means", lambda *args: [1.0, 0.5, 0.25])
+        with pytest.raises(RuntimeError, match="nondecreasing"):
+            hp_norm(ONE_PLUS_Z, 3.0)
+
+    def test_sn_norm_rejects_derivative_factor_beyond_double_range(self):
+        f = TaylorSeries([1.0] * 301)
+        with pytest.raises(ValueError, match="exceeds double range"):
+            sn_norm(f, SpaceParams(200, 2.0))
+
+    @pytest.mark.parametrize("mode", ["parseval", "power-trick", "trapezoid"])
+    def test_means_beyond_double_range_of_the_power_stay_finite(self, mode):
+        # |c|^4 leaves double range at |c| ~ 1e77 and 1e-78; the norm itself
+        # is representable and scales with the coefficients
+        rng = np.random.default_rng(24)
+        c = rng.uniform(-1, 1, 50) + 1j * rng.uniform(-1, 1, 50)
+        p = 2.0 if mode == "parseval" else 4.0
+        cfg = QuadratureConfig(mode=mode)
+        unit = hp_norm(TaylorSeries(c), p, cfg)
+        for scale in (1e200, 1e-200):
+            assert _rel(hp_norm(TaylorSeries(c * scale), p, cfg), unit * scale) <= 1e-12
+
+    def test_mean_beyond_double_range_is_a_value_error(self):
+        with pytest.raises(ValueError, match="not finite"):
+            hp_norm(TaylorSeries([1e308] * 4), 3.0)
+        with pytest.raises(ValueError, match="not finite"):
+            hp_norm(TaylorSeries([1.0, math.inf]), 2.0)

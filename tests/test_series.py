@@ -5,6 +5,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,11 +22,15 @@ from hardylab import (
     zero,
     monomial,
 )
-from hardylab.series import dumps, loads, from_dict, to_dict
+from hardylab.series import _FFT_PRODUCT_LEN, dumps, loads, from_dict, to_dict
 
 import exact_reference as ref
 
-rationals = st.fractions(min_value=-4, max_value=4, max_denominator=16)
+# every k/d in [-4, 4] with d <= 16, the values st.fractions(min_value=-4,
+# max_value=4, max_denominator=16) draws, at a fraction of its generation cost
+rationals = st.integers(1, 16).flatmap(
+    lambda d: st.integers(-4 * d, 4 * d).map(lambda k: Fraction(k, d))
+)
 rc_scalars = st.builds(RationalComplex, rationals, rationals)
 exact_series = st.lists(rc_scalars, min_size=1, max_size=8).map(TaylorSeries)
 float_scalars = st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False)
@@ -193,6 +198,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             from_dict({"order": 0, "coeffs": []})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            from_dict({"order": 1, "coeffs": [[1.0, 0.0], [0.0, bad]]})
+        with pytest.raises(ValueError, match="not finite"):
+            loads(json.dumps({"order": 0, "coeffs": [[bad, 0.0]]}))
+
     def test_json_is_plain(self):
         payload = json.loads(dumps(TaylorSeries([1.5, -2.25j])))
         assert payload["coeffs"] == [[1.5, 0.0], [0.0, -2.25]]
@@ -276,3 +288,23 @@ class TestDeepDerivative:
         # the exact mode has no such limit
         d = derivative(TaylorSeries([0] * 300 + [1]), 200)
         assert d.exact and d.coeffs[-1] == math.perm(300, 200)
+
+
+class TestFloatProduct:
+    @pytest.mark.parametrize("lengths", [
+        (_FFT_PRODUCT_LEN, _FFT_PRODUCT_LEN + 200),      # np.convolve
+        (_FFT_PRODUCT_LEN + 1, _FFT_PRODUCT_LEN + 1),    # FFT
+        (_FFT_PRODUCT_LEN + 50, 3 * _FFT_PRODUCT_LEN),   # FFT, unequal
+    ])
+    def test_matches_convolve_with_truncation_and_padding(self, lengths):
+        rng = np.random.default_rng(sum(lengths))
+        a, b = (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n) for n in lengths)
+        f, g = TaylorSeries(a), TaylorSeries(b)
+        full = np.convolve(a, b)
+        for out_order in (None, 0, lengths[0] // 2, full.size - 1, full.size + 40):
+            size = full.size if out_order is None else out_order + 1
+            want = np.zeros(size, dtype=complex)
+            want[: min(size, full.size)] = full[:size]
+            got = np.asarray(multiply(f, g, out_order).coeffs)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
