@@ -122,13 +122,17 @@ def cmd_norm(args):
     f = _load_series(args.series)
     params = SpaceParams(args.order_n, args.p)
     cfg = QuadratureConfig(num_points=args.points)
-    print(f"# series: {args.series} (order {f.order})")
-    print(f"# quadrature: points={cfg.num_points} radius={cfg.radius} mode={cfg.mode}")
-    print(f"hp-norm (p={args.p:g}):            {hp_norm(f, args.p, cfg):.15g}")
-    print(f"space-norm (n={params.n}, p={args.p:g}):    "
-          f"{sn_norm(f, params, cfg):.15g}")
-    print(f"derivative-sum norm:         {derivative_sum_norm(f, params, cfg):.15g}")
-    print(f"sup-sum norm:                {sup_sum_norm(f, params, cfg):.15g}")
+    # every norm is computed before anything is printed, so a norm that
+    # fails leaves no partial report on stdout
+    lines = [
+        f"# series: {args.series} (order {f.order})",
+        f"# quadrature: points={cfg.num_points} mode={cfg.mode}",
+        f"hp-norm (p={args.p:g}):            {hp_norm(f, args.p, cfg):.15g}",
+        f"space-norm (n={params.n}, p={args.p:g}):    {sn_norm(f, params, cfg):.15g}",
+        f"derivative-sum norm:         {derivative_sum_norm(f, params, cfg):.15g}",
+        f"sup-sum norm:                {sup_sum_norm(f, params, cfg):.15g}",
+    ]
+    print("\n".join(lines))
     return 0
 
 
@@ -200,10 +204,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # _UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

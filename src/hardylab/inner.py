@@ -17,8 +17,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .norms import _is_integral, boundary_scale
-from .series import derivative, evaluate
+from .norms import boundary_scale
+from .series import _is_integral, derivative, evaluate
 
 __all__ = [
     "InnerFunction",
@@ -40,8 +40,9 @@ class InnerFunction:
     """``const * Blaschke(zeros) * atomic_singular(atoms)``.
 
     ``zeros`` holds ``(a, multiplicity)`` pairs with |a| < 1, ``atoms``
-    holds ``(theta, mass)`` pairs with mass > 0 (theta is reduced mod 2pi).
-    The defaults give the constant inner function 1.
+    holds ``(theta, mass)`` pairs with finite theta and finite mass > 0
+    (theta is reduced mod 2pi).  The defaults give the constant inner
+    function 1.  A NaN or infinite number anywhere raises ValueError.
     """
 
     zeros: tuple = ()
@@ -49,21 +50,23 @@ class InnerFunction:
     atoms: tuple = ()
 
     def __post_init__(self):
+        # the negated comparisons reject NaN as well
         for a, m in self.zeros:
-            if abs(complex(a)) >= 1:
+            if not abs(complex(a)) < 1:
                 raise ValueError(f"Blaschke zeros must lie inside the disk, got {a}")
             if not _is_integral(m) or m < 1:
                 raise ValueError(f"zero multiplicity must be an integer >= 1, got {m!r}")
         zs = tuple((complex(a), int(m)) for a, m in self.zeros)
         object.__setattr__(self, "zeros", zs)
         c = complex(self.const)
-        if abs(abs(c) - 1.0) > 1e-12:
+        if not abs(abs(c) - 1.0) <= 1e-12:
             raise ValueError(f"leading constant must be unimodular, got |c| = {abs(c)}")
         object.__setattr__(self, "const", c)
         ats = tuple((float(t) % _TWO_PI, float(mass)) for t, mass in self.atoms)
-        for _, mass in ats:
-            if mass <= 0:
-                raise ValueError(f"atom mass must be positive, got {mass}")
+        for t, mass in ats:
+            # a NaN or infinite angle is NaN once reduced
+            if not (math.isfinite(t) and 0 < mass < math.inf):
+                raise ValueError(f"atom needs a finite angle and mass > 0, got ({t}, {mass})")
         object.__setattr__(self, "atoms", ats)
 
     @property

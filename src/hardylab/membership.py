@@ -60,9 +60,9 @@ class SubspaceSpec:
 
     ``boundary_sets`` is an ordered tuple (K_0, ..., K_{n-1}) of tuples of
     boundary points; ordering is fixed so that downstream reports are
-    deterministic.  Construction only enforces shape; the structural
-    properties are checked by :func:`validate_spec` and reported, not
-    raised.
+    deterministic.  Construction only enforces shape and rejects a NaN or
+    infinite boundary point; the structural properties are checked by
+    :func:`validate_spec` and reported, not raised.
     """
 
     boundary_sets: tuple
@@ -72,6 +72,8 @@ class SubspaceSpec:
 
     def __post_init__(self):
         sets = tuple(tuple(complex(z) for z in ks) for ks in self.boundary_sets)
+        if not all(cmath.isfinite(z) for ks in sets for z in ks):
+            raise ValueError(f"boundary points must be finite, got {sets}")
         object.__setattr__(self, "boundary_sets", sets)
         if self.space.n < 1:
             raise ValueError("a subspace spec needs derivative depth n >= 1")
@@ -334,6 +336,15 @@ def _coeff_repr(f, head=4):
     return "[" + ", ".join(parts) + "]"
 
 
+def _witness(**fields):
+    """Witness text: ``key=value`` in call order, a series through
+    :func:`_coeff_repr` and any other value through ``str``."""
+    return " ".join(
+        f"{key}={_coeff_repr(v) if isinstance(v, TaylorSeries) else v}"
+        for key, v in fields.items()
+    )
+
+
 def _perturbed(f):
     """Adversarial mutation: add a constant big enough to break vanishing."""
     bump = 1e-3 * max(boundary_scale(f), 1.0)
@@ -373,10 +384,7 @@ def shift_invariance_check(
             if not res.member and witness is None:
                 ok = False
                 failing = [c.condition for c in res.conditions if not c.passed]
-                witness = (
-                    f"sample={idx} stage={stage} failing={failing} "
-                    f"coeffs={_coeff_repr(f)}"
-                )
+                witness = _witness(sample=idx, stage=stage, failing=failing, coeffs=f)
             elif not res.member:
                 ok = False
     config = (
@@ -420,9 +428,8 @@ def combined_invariance_check(
             ok = False
             if witness is None:
                 failing = [c.condition for c in res.conditions if not c.passed]
-                witness = (
-                    f"sample={idx} multiple={multiple} failing={failing} "
-                    f"coeffs={_coeff_repr(f)}"
+                witness = _witness(
+                    sample=idx, multiple=multiple, failing=failing, coeffs=f
                 )
     config = (
         f"samples={samples} tol={tol} seed={seed} multiple={multiple} "

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +41,7 @@ from .series import (
     TaylorSeries,
     _check_derivative_range,
     _complex_coeffs,
+    _is_integral,
     _smooth_size,
     derivative,
     evaluate,
@@ -97,14 +97,11 @@ class QuadratureConfig:
     """
 
     num_points: int = 4096
-    radius: float = 1.0
     mode: str = "auto"
 
     def __post_init__(self):
         if self.num_points < 4:
             raise ValueError(f"num_points must be at least 4, got {self.num_points}")
-        if not 0 < self.radius <= 1:
-            raise ValueError(f"radius must lie in (0, 1], got {self.radius}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
 
@@ -141,13 +138,6 @@ def boundary_scale(f, num_points=None):
         return 0.0
     m = int(num_points) if num_points else max(256, 4 * (f.order + 1))
     return float(np.max(np.abs(boundary_values(f, m))))
-
-
-def _is_integral(value):
-    """True for an integer-valued number (2 or 2.0), False for 1.7 or "2"."""
-    if isinstance(value, numbers.Integral):
-        return True
-    return isinstance(value, numbers.Real) and float(value).is_integer()
 
 
 def _check_exponent(p):
@@ -234,7 +224,7 @@ def _means(f, p, radii, mode, num_points):
     return means
 
 
-def integral_mean(f, p, r=None, cfg=None):
+def integral_mean(f, p, r=1.0, cfg=None):
     """The p-th integral mean of f on the circle of radius r.
 
     Parameters
@@ -243,7 +233,7 @@ def integral_mean(f, p, r=None, cfg=None):
     p : float
         Exponent, 1 <= p < inf.
     r : float, optional
-        Radius in (0, 1]; defaults to ``cfg.radius``.
+        Radius in (0, 1]; defaults to the boundary circle, 1.
     cfg : QuadratureConfig, optional
 
     Returns
@@ -252,8 +242,6 @@ def integral_mean(f, p, r=None, cfg=None):
         ``( (1/2pi) * integral |f(r e^{i t})|^p dt )^(1/p)``.
     """
     cfg = cfg if cfg is not None else QuadratureConfig()
-    if r is None:
-        r = cfg.radius
     _check_exponent(p)
     if not 0 < r <= 1:
         raise ValueError(f"radius must lie in (0, 1], got {r}")
@@ -288,8 +276,7 @@ def sn_norm(f, params, cfg=None):
     exceeds double range is rejected up front with ValueError, as
     :func:`derivative` rejects it.
     """
-    if not f.exact:
-        _check_derivative_range(f.order, params.n)
+    _check_derivative_range(f, params.n)
     heads = []
     for _ in range(params.n):
         heads.append(abs(complex(f.coeffs[0])))

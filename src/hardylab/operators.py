@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .series import (
     TaylorSeries,
+    _is_integral,
     _reweighted,
     add,
     derivative,
@@ -40,25 +41,21 @@ __all__ = [
 
 
 def _check_multiple(n):
-    if n != int(n) or n < 1:
-        raise ValueError(f"operator parameter n must be a positive integer, got {n}")
+    if not _is_integral(n) or n < 1:
+        raise ValueError(f"operator parameter n must be a positive integer, got {n!r}")
     return int(n)
 
 
 def shift(f):
     """Multiplication by the coordinate: ``(c_0, ..., c_N) -> (0, c_0, ..., c_N)``."""
-    if f.exact:
-        return _reweighted(f, [1] * (f.order + 1), offset=1)
-    return TaylorSeries((0j,) + f.coeffs)
+    return _reweighted(f, offset=1)
 
 
 def _antiderivative(f):
     """Term-by-term antiderivative with value 0 at the origin."""
     if f.is_zero:
         return zero(exact=f.exact)
-    if f.exact:
-        return _reweighted(f, [1] * (f.order + 1), range(1, f.order + 2), offset=1)
-    return TaylorSeries([0j] + [c / (k + 1) for k, c in enumerate(f.coeffs)])
+    return _reweighted(f, divisors=range(1, f.order + 2), offset=1)
 
 
 def volterra(f, g):
@@ -80,12 +77,8 @@ def shift_plus_volterra(f, n):
     ``c_k * (k + 1 + n) / (k + 1)`` and the constant term is 0.
     """
     n = _check_multiple(n)
-    if f.exact:
-        weights = range(n + 1, f.order + n + 2)
-        return _reweighted(f, weights, range(1, f.order + 2), offset=1)
-    out = [0j]
-    out += [c * ((k + 1 + n) / (k + 1)) for k, c in enumerate(f.coeffs)]
-    return TaylorSeries(out)
+    weights = range(n + 1, f.order + n + 2)
+    return _reweighted(f, weights, range(1, f.order + 2), offset=1)
 
 
 def shift_plus_volterra_composed(f, n):
@@ -110,11 +103,8 @@ def nth_antiderivative(f, n):
     kernel integral ``(1/(n-1)!) * integral_0^z (z - w)^(n-1) f(w) dw``.
     """
     n = _check_multiple(n)
-    if f.exact:
-        divisors = [math.perm(k + n, n) for k in range(f.order + 1)]
-        return _reweighted(f, [1] * (f.order + 1), divisors, offset=n)
-    out = [0j] * n + [c / math.perm(k + n, n) for k, c in enumerate(f.coeffs)]
-    return TaylorSeries(out)
+    divisors = [math.perm(k + n, n) for k in range(f.order + 1)]
+    return _reweighted(f, divisors=divisors, offset=n)
 
 
 def lift_approximant(f, pm, n):
@@ -128,8 +118,7 @@ def lift_approximant(f, pm, n):
     density from H^p up to the derivative spaces.
     """
     n = _check_multiple(n)
-    head = _reweighted(f, [1] * n) if f.exact else TaylorSeries(f.coeffs[:n])
-    return add(head, nth_antiderivative(pm, n))
+    return add(_reweighted(f, stop=n), nth_antiderivative(pm, n))
 
 
 _KINDS = ("shift", "volterra", "combined", "diff", "integrate")

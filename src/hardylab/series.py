@@ -11,7 +11,16 @@ stored as a tuple of Python ``complex``.  If every coefficient passed in is
 an ``int``, a ``Fraction``, or a ``RationalComplex``, the series is kept in
 exact form instead, which makes the coefficient-level operator identities
 testable with zero tolerance.  Any operation that mixes the two modes
-promotes to float.
+promotes to float.  The storage of both modes is private to this module:
+other modules read ``coeffs``, ``order`` and ``exact`` and build series
+through the functions here, so a change of storage stays inside it.
+
+Every operator that moves and reweights coefficients (derivative, shift,
+antiderivatives, the combined operator, heads) goes through one map,
+:func:`_reweighted`, which puts ``c_k * w / d`` at degree ``k + offset``.
+In float mode its rounding is fixed per call: ``c * w`` without divisors,
+``c / d`` without weights, ``c * (w / d)`` with both, and a plain copy with
+neither.
 
 Exact storage follows FLINT's ``fmpq_poly`` layout: a tuple of Python-int
 real numerators, a tuple of imaginary numerators, and one positive int
@@ -32,8 +41,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +66,21 @@ __all__ = [
     "save_series",
     "load_series",
 ]
+
+
+def _is_integral(value):
+    """True for an integer-valued number (2 or 2.0), False for 1.7, inf,
+    None or "2"."""
+    if isinstance(value, numbers.Integral):
+        return True
+    return isinstance(value, numbers.Real) and float(value).is_integer()
+
+
+def _check_count(value, what):
+    """``value`` as an int; ValueError unless it is a non-negative integer."""
+    if not _is_integral(value) or value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def _as_rational(value):
@@ -266,24 +291,50 @@ def _exact_series(re, im, den):
     return f
 
 
-def _reweighted(f, weights, divisors=None, offset=0):
-    """Exact series with ``c_k * weights[i] / divisors[i]`` at degree
-    ``k + offset``, all over one ``lcm`` of the divisors.
+def _float_series(c):
+    """Float series over the tuple ``c`` of Python ``complex``, without the
+    constructor's re-scan."""
+    f = object.__new__(TaylorSeries)
+    f.exact = False
+    f._c = c
+    return f
 
-    ``weights[i]`` belongs to source degree ``k = i + max(0, -offset)``: a
-    negative offset drops the lowest coefficients, a positive one prepends
-    zeros, and the source is cut at ``len(weights)`` coefficients.
+
+def _reweighted(f, weights=None, divisors=None, offset=0, start=None, stop=None):
+    """The series with ``c_k * weights[i] / divisors[i]`` at degree
+    ``k + offset`` for the source degrees ``start <= k < stop``, where
+    ``i = k - start``, and zeros below degree ``start + offset``.
+
+    A list left out counts as all ones.  ``start`` defaults to
+    ``max(0, -offset)`` and ``stop`` to the end of f; ``start + offset``
+    must not be negative.  Exact mode puts the divisors over one ``lcm``;
+    float mode rounds as the module docstring states.
     """
+    if start is None:
+        start = max(0, -offset)
+    pad = start + offset
+    if not f.exact:
+        c = f._c[start:stop]
+        if divisors is None:
+            if weights is not None:
+                c = tuple([x * w for x, w in zip(c, weights)])
+        elif weights is None:
+            c = tuple([x / d for x, d in zip(c, divisors)])
+        else:
+            c = tuple([x * (w / d) for x, w, d in zip(c, weights, divisors)])
+        return _float_series((0j,) * pad + c)
     re, im, den = f._c
+    re, im = re[start:stop], im[start:stop]
     if divisors is not None:
         common = math.lcm(*divisors)
-        weights = [w * (common // d) for w, d in zip(weights, divisors)]
+        ones = repeat(1) if weights is None else weights
+        weights = [w * (common // d) for w, d in zip(ones, divisors)]
         den *= common
-    start = max(0, -offset)
-    pad = (0,) * max(0, offset)
-    re = pad + tuple(x * w for x, w in zip(re[start:], weights))
-    im = pad + tuple(x * w for x, w in zip(im[start:], weights))
-    return _exact_series(re, im, den)
+    if weights is not None:
+        re = tuple([x * w for x, w in zip(re, weights)])
+        im = tuple([x * w for x, w in zip(im, weights)])
+    pad = (0,) * pad
+    return _exact_series(pad + re, pad + im, den)
 
 
 def _trimmed(f):
@@ -305,16 +356,12 @@ def _complex_coeffs(f):
 
 def zero(exact=False):
     """The canonical zero series in the requested coefficient mode."""
-    return _exact_series((0,), (0,), 1) if exact else TaylorSeries([0j])
+    return _exact_series((0,), (0,), 1) if exact else _float_series((0j,))
 
 
 def monomial(degree, coeff=1):
     """The series ``coeff * z**degree``; coefficient mode follows ``coeff``."""
-    if degree < 0 or degree != int(degree):
-        raise ValueError(f"degree must be a non-negative integer, got {degree}")
-    if _gaussian(coeff) is not None:
-        return TaylorSeries([0] * int(degree) + [coeff])
-    return TaylorSeries([0j] * int(degree) + [complex(coeff)])
+    return TaylorSeries([0] * _check_count(degree, "degree") + [coeff])
 
 
 def _aligned(f, g):
@@ -342,7 +389,7 @@ def add(f, g):
     if f.exact and g.exact:
         return _exact_sum(f, g, 1)
     fa, ga = _aligned(f, g)
-    return TaylorSeries([a + b for a, b in zip(fa, ga)])
+    return _float_series(tuple([a + b for a, b in zip(fa, ga)]))
 
 
 def subtract(f, g):
@@ -350,7 +397,7 @@ def subtract(f, g):
     if f.exact and g.exact:
         return _exact_sum(f, g, -1)
     fa, ga = _aligned(f, g)
-    return TaylorSeries([a - b for a, b in zip(fa, ga)])
+    return _float_series(tuple([a - b for a, b in zip(fa, ga)]))
 
 
 def scale(f, factor):
@@ -434,9 +481,7 @@ def multiply(f, g, out_order=None):
     """
     if out_order is None:
         out_order = f.order + g.order
-    if out_order < 0 or out_order != int(out_order):
-        raise ValueError(f"out_order must be a non-negative integer, got {out_order}")
-    size = int(out_order) + 1
+    size = _check_count(out_order, "out_order") + 1
     if f.exact and g.exact:
         (fr, fi, fd), (gr, gi, gd) = f._c, g._c
         re, im = _kronecker_product(fr[:size], fi[:size], gr[:size], gi[:size])
@@ -457,15 +502,17 @@ def multiply(f, g, out_order=None):
     return TaylorSeries(out)
 
 
-def _check_derivative_range(order, m):
-    """Raise ValueError when ``perm(order, m)``, the largest factor of the
-    m-th derivative of an order-``order`` float series, exceeds double range."""
+def _check_derivative_range(f, m):
+    """Raise ValueError when f is a float series and ``perm(order, m)``, the
+    largest factor of its m-th derivative, exceeds double range."""
+    if f.exact:
+        return
     try:
-        float(math.perm(order, m))
+        float(math.perm(f.order, m))
     except OverflowError:
         raise ValueError(
-            f"derivative {m} of an order-{order} float series needs the factor "
-            f"perm({order}, {m}), which exceeds double range"
+            f"derivative {m} of an order-{f.order} float series needs the factor "
+            f"perm({f.order}, {m}), which exceeds double range"
         ) from None
 
 
@@ -476,18 +523,17 @@ def derivative(f, m=1):
     mode a factor beyond double range raises ValueError rather than
     overflowing.
     """
-    if m < 0 or m != int(m):
-        raise ValueError(f"derivative count must be a non-negative integer, got {m}")
-    m = int(m)
+    m = _check_count(m, "derivative count")
     if m == 0:
         return f
     if m > f.order:
         return zero(exact=f.exact)
-    if f.exact:
-        return _reweighted(f, [math.perm(k, m) for k in range(m, f.order + 1)], offset=-m)
-    _check_derivative_range(f.order, m)
-    c = f._c
-    return TaylorSeries([c[k + m] * math.perm(k + m, m) for k in range(f.order - m + 1)])
+    _check_derivative_range(f, m)
+    top = f.order + 1
+    # perm(k, 1) == k; the range spares sn_norm's many first derivatives
+    # one math.perm call per coefficient
+    weights = range(1, top) if m == 1 else [math.perm(k, m) for k in range(m, top)]
+    return _reweighted(f, weights, offset=-m)
 
 
 def evaluate(f, z):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .membership import (
     SubspaceSpec,
-    _coeff_repr,
+    _witness,
     combined_invariance_check,
     log_distance_integral,
     membership,
@@ -109,12 +109,7 @@ def random_rational_series(rng, max_degree):
 
 def zero_head(f, n):
     """Project into zero initial data: blank the first n coefficients."""
-    if f.exact:
-        return _reweighted(f, [0] * n + [1] * (f.order + 1 - n))
-    coeffs = list(f.coeffs)
-    for k in range(min(n, len(coeffs))):
-        coeffs[k] = 0j
-    return TaylorSeries(coeffs)
+    return _reweighted(f, start=min(n, f.order + 1))
 
 
 def max_rel_coeff_error(f, g):
@@ -136,12 +131,14 @@ class _Tracker:
         self.slack = math.inf
         self.witness = None
 
-    def record(self, margin, witness):
+    def record(self, margin, **fields):
+        """Fold in one margin; the first negative one keeps ``fields`` as the
+        witness."""
         if margin < self.slack:
             self.slack = margin
         if margin < 0:
             if self.ok:
-                self.witness = witness()
+                self.witness = _witness(**fields)
             self.ok = False
 
     def claim(self, claim_id, config):
@@ -161,7 +158,7 @@ def suite_hardy_sum(cfg, samples=1000):
     for idx in range(samples):
         f = random_series(rng, cfg.order)
         margin = const * hp_norm(f, 1.0, qcfg) + cfg.tol - hardy_sum(f)
-        t.record(margin, lambda f=f, idx=idx: f"sample={idx} coeffs={_coeff_repr(f)}")
+        t.record(margin, sample=idx, coeffs=f)
     claims = [
         t.claim(
             "hardy-sum.random",
@@ -173,7 +170,7 @@ def suite_hardy_sum(cfg, samples=1000):
     for d in range(33):
         f = TaylorSeries([float(math.comb(d, k)) for k in range(d + 1)])
         ratio = hardy_sum(f) / hp_norm(f, 1.0, qcfg)
-        t.record(const - ratio, lambda d=d, ratio=ratio: f"d={d} ratio={ratio!r}")
+        t.record(const - ratio, d=d, ratio=ratio)
     claims.append(
         t.claim(
             "hardy-sum.binomial-family",
@@ -193,14 +190,12 @@ def suite_sup_chain(cfg, samples=500):
         f = random_series(rng, cfg.order)
         n = 1 + idx % 4
         p = _P_GRID[idx % len(_P_GRID)]
-        witness = lambda f=f, idx=idx, n=n, p=p: (
-            f"sample={idx} n={n} p={p} coeffs={_coeff_repr(f)}"
-        )
+        witness = dict(sample=idx, n=n, p=p, coeffs=f)
         sup_est = sup_norm(f, qcfg)
-        t_sup.record(const * sn_norm(f, SpaceParams(1, p), qcfg) + cfg.tol - sup_est, witness)
+        t_sup.record(const * sn_norm(f, SpaceParams(1, p), qcfg) + cfg.tol - sup_est, **witness)
         lower = sn_norm(f, SpaceParams(n - 1, p), qcfg)
         upper = sn_norm(f, SpaceParams(n, p), qcfg)
-        t_chain.record(const * upper + cfg.tol - lower, witness)
+        t_chain.record(const * upper + cfg.tol - lower, **witness)
     shared = (
         f"samples={samples} degree<={cfg.order} points={cfg.points} "
         f"tol={cfg.tol} seed={cfg.seed} const={const!r}"
@@ -225,16 +220,14 @@ def suite_norm_equivalence(cfg, samples=200):
         n = 1 + idx % 3
         p = _P_GRID[idx % len(_P_GRID)]
         params = SpaceParams(n, p)
-        witness = lambda f=f, idx=idx, n=n, p=p: (
-            f"sample={idx} n={n} p={p} coeffs={_coeff_repr(f)}"
-        )
+        witness = dict(sample=idx, n=n, p=p, coeffs=f)
         base = sn_norm(f, params, qcfg)
         dsum = derivative_sum_norm(f, params, qcfg)
         ssum = sup_sum_norm(f, params, qcfg)
         chain_const = 1.0 + math.fsum(math.pi**k for k in range(1, n + 1))
-        t_a.record(factor * dsum + cfg.tol - base, witness)
-        t_b.record(factor * ssum + cfg.tol - dsum, witness)
-        t_c.record(factor * chain_const * base + cfg.tol - ssum, witness)
+        t_a.record(factor * dsum + cfg.tol - base, **witness)
+        t_b.record(factor * ssum + cfg.tol - dsum, **witness)
+        t_c.record(factor * chain_const * base + cfg.tol - ssum, **witness)
         if base > 1e-300:
             ratio1[0] = min(ratio1[0], dsum / base)
             ratio1[1] = max(ratio1[1], dsum / base)
@@ -272,12 +265,7 @@ def suite_algebra(cfg, pairs=300, density_samples=100):
         params = SpaceParams(n, p)
         bound = (2.0**n * (1.0 + math.pi**n) - 1.0) * sn_norm(f, params, qcfg) * sn_norm(g, params, qcfg)
         margin = factor * bound + cfg.tol - sn_norm(multiply(f, g), params, qcfg)
-        t_alg.record(
-            margin,
-            lambda f=f, g=g, idx=idx, n=n, p=p: (
-                f"pair={idx} n={n} p={p} f={_coeff_repr(f)} g={_coeff_repr(g)}"
-            ),
-        )
+        t_alg.record(margin, pair=idx, n=n, p=p, f=f, g=g)
     claims = [
         t_alg.claim(
             "algebra.product-bound",
@@ -304,21 +292,14 @@ def suite_algebra(cfg, pairs=300, density_samples=100):
             lifted = lift_approximant(f, pm, n)
         lhs = sn_norm(subtract(lifted, f), SpaceParams(n, p), qcfg)
         rhs = hp_norm(subtract(pm, nth_derivative(f, n)), p, qcfg)
-        t_den.record(
-            density_tol - abs(lhs - rhs),
-            lambda f=f, pm=pm, idx=idx, n=n, p=p: (
-                f"sample={idx} n={n} p={p} f={_coeff_repr(f)} pm={_coeff_repr(pm)}"
-            ),
-        )
+        t_den.record(density_tol - abs(lhs - rhs), sample=idx, n=n, p=p, f=f, pm=pm)
         # exact arithmetic collapses the identity at the coefficient level
         fr = random_rational_series(rng, 32)
         pr = random_rational_series(rng, 32)
         diff = subtract(lift_approximant(fr, pr, n), fr)
         t_dex.record(
             _exact_eq_margin(nth_derivative(diff, n), subtract(pr, nth_derivative(fr, n))),
-            lambda fr=fr, pr=pr, idx=idx, n=n: (
-                f"sample={idx} n={n} f={_coeff_repr(fr)} pm={_coeff_repr(pr)}"
-            ),
+            sample=idx, n=n, f=fr, pm=pr,
         )
     claims.append(
         t_den.claim(
@@ -339,16 +320,10 @@ def suite_algebra(cfg, pairs=300, density_samples=100):
         n = 1 + idx % 3
         fr = zero_head(random_rational_series(rng, 32), 0)
         rebuilt = lift_approximant(fr, nth_derivative(fr, n), n)
-        t_rec.record(
-            _exact_eq_margin(rebuilt, fr),
-            lambda fr=fr, idx=idx, n=n: f"sample={idx} n={n} f={_coeff_repr(fr)}",
-        )
+        t_rec.record(_exact_eq_margin(rebuilt, fr), sample=idx, n=n, f=fr)
         ff = random_series(rng, cfg.order)
         rebuilt = lift_approximant(ff, nth_derivative(ff, n), n)
-        t_recf.record(
-            1e-13 - max_rel_coeff_error(rebuilt, ff),
-            lambda ff=ff, idx=idx, n=n: f"sample={idx} n={n} f={_coeff_repr(ff)}",
-        )
+        t_recf.record(1e-13 - max_rel_coeff_error(rebuilt, ff), sample=idx, n=n, f=ff)
     claims.append(
         t_rec.claim(
             "algebra.reconstruction.rational",
@@ -374,15 +349,15 @@ def suite_parseval(cfg, samples=500):
     t_two, t_even = _Tracker(), _Tracker()
     for idx in range(samples):
         f = random_series(rng, cfg.order)
-        witness = lambda f=f, idx=idx: f"sample={idx} coeffs={_coeff_repr(f)}"
+        witness = dict(sample=idx, coeffs=f)
         a = hp_norm(f, 2.0, trap)
         b = hp_norm(f, 2.0, pars) * bias
-        t_two.record(rel_tol - abs(a - b) / max(a, b, 1e-300), witness)
+        t_two.record(rel_tol - abs(a - b) / max(a, b, 1e-300), **witness)
         p = (4.0, 6.0, 8.0)[idx % 3]
         pts = max(cfg.points, int(p) * f.order + 1)
         a = hp_norm(f, p, QuadratureConfig(num_points=pts, mode="trapezoid"))
         b = hp_norm(f, p, QuadratureConfig(num_points=pts, mode="power-trick")) * bias
-        t_even.record(rel_tol - abs(a - b) / max(a, b, 1e-300), witness)
+        t_even.record(rel_tol - abs(a - b) / max(a, b, 1e-300), **witness)
     shared = (
         f"samples={samples} degree<={cfg.order} points>={cfg.points} "
         f"rel-tol={rel_tol} seed={cfg.seed} bias={bias!r}"
@@ -410,42 +385,42 @@ def suite_intertwine(cfg, intertwine_samples=500, isometry_samples=200):
         fr = random_rational_series(rng, rational_degree)
         ff = random_series(rng, cfg.order)
         for n in range(1, 6):
-            wit_r = lambda fr=fr, idx=idx, n=n: f"sample={idx} n={n} f={_coeff_repr(fr)}"
-            wit_f = lambda ff=ff, idx=idx, n=n: f"sample={idx} n={n} f={_coeff_repr(ff)}"
+            wit_r = dict(sample=idx, n=n, f=fr)
+            wit_f = dict(sample=idx, n=n, f=ff)
             # intertwining lives on the zero-initial-data subspace
             g = zero_head(fr, n)
             lhs = nth_derivative(shift(g), n)
             rhs = shift_plus_volterra(nth_derivative(g, n), n + wrong)
-            t_rat.record(_exact_eq_margin(lhs, rhs), wit_r)
+            t_rat.record(_exact_eq_margin(lhs, rhs), **wit_r)
             gf = zero_head(ff, n)
             lhs = nth_derivative(shift(gf), n)
             rhs = shift_plus_volterra(nth_derivative(gf, n), n + wrong)
-            t_flt.record(rel_tol - max_rel_coeff_error(lhs, rhs), wit_f)
+            t_flt.record(rel_tol - max_rel_coeff_error(lhs, rhs), **wit_f)
             # Leibniz form holds for every polynomial, no projection
             lhs = nth_derivative(shift(fr), n)
             rhs = add(
                 shift(nth_derivative(fr, n)),
                 scale(derivative(fr, n - 1), n + wrong),
             )
-            t_leib.record(_exact_eq_margin(lhs, rhs), wit_r)
+            t_leib.record(_exact_eq_margin(lhs, rhs), **wit_r)
             t_closed.record(
                 _exact_eq_margin(
                     shift_plus_volterra(fr, n), shift_plus_volterra_composed(fr, n)
                 ),
-                wit_r,
+                **wit_r,
             )
             t_rt.record(
                 _exact_eq_margin(nth_derivative(nth_antiderivative(fr, n), n), fr),
-                wit_r,
+                **wit_r,
             )
             t_rt.record(
                 _exact_eq_margin(nth_antiderivative(nth_derivative(g, n), n), g),
-                wit_r,
+                **wit_r,
             )
             t_rtf.record(
                 rel_tol
                 - max_rel_coeff_error(nth_derivative(nth_antiderivative(ff, n), n), ff),
-                wit_f,
+                **wit_f,
             )
     shared = (
         f"samples={intertwine_samples} n=1..5 rational-degree<={rational_degree} "
@@ -469,12 +444,7 @@ def suite_intertwine(cfg, intertwine_samples=500, isometry_samples=200):
             for n in (1, 2, 3, 4):
                 lifted = nth_antiderivative(f, n + wrong)
                 lhs = sn_norm(lifted, SpaceParams(n, p), qcfg)
-                t_iso.record(
-                    iso_tol - abs(lhs - rhs),
-                    lambda f=f, idx=idx, n=n, p=p: (
-                        f"sample={idx} n={n} p={p} coeffs={_coeff_repr(f)}"
-                    ),
-                )
+                t_iso.record(iso_tol - abs(lhs - rhs), sample=idx, n=n, p=p, coeffs=f)
     claims.append(
         t_iso.claim(
             "intertwine.antiderivative-isometry",
@@ -562,9 +532,8 @@ def suite_scale(cfg):
                 if len(set(verdicts)) != 1:
                     ok = False
                     if witness is None:
-                        witness = (
-                            f"sample={idx} stage={stage} verdicts={verdicts} "
-                            f"coeffs={_coeff_repr(f)}"
+                        witness = _witness(
+                            sample=idx, stage=stage, verdicts=verdicts, coeffs=f
                         )
         claims.append(
             ClaimResult(
@@ -592,12 +561,7 @@ def suite_norms_consistency(cfg, samples=200):
         params = SpaceParams(n, p)
         a = sn_norm(f, params, qcfg)
         b = sn_norm_unrolled(f, params, qcfg) * bias
-        t.record(
-            rel_tol - abs(a - b) / max(a, b, 1e-300),
-            lambda f=f, idx=idx, n=n, p=p: (
-                f"sample={idx} n={n} p={p} coeffs={_coeff_repr(f)}"
-            ),
-        )
+        t.record(rel_tol - abs(a - b) / max(a, b, 1e-300), sample=idx, n=n, p=p, coeffs=f)
     return [
         t.claim(
             "norms.recursive-vs-unrolled",

@@ -1,5 +1,6 @@
 """Command-line interface: output shape and exit-code contract."""
 
+import hashlib
 import json
 import math
 
@@ -73,6 +74,13 @@ class TestNormCommand:
         assert "nan" not in captured.out
         assert "space-norm" not in captured.out
 
+    def test_failing_norm_prints_no_partial_report(self, tmp_path, capsys):
+        # hp-norm succeeds on this series and sn_norm fails after it
+        path = tmp_path / "order300.json"
+        save_series(TaylorSeries([1.0] * 301), path)
+        assert main(["norm", str(path), "--n", "200"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_space_norm_near_double_range_is_finite(self, tmp_path, capsys):
         # perm(300, 120) ~ 1e284 fits a double but its square does not
         path = tmp_path / "order300.json"
@@ -144,6 +152,18 @@ class TestVerifyCommand:
         assert "# result: FAIL" in text
         assert "witness=" in text
 
+    def test_negative_control_report_is_pinned(self, tmp_path):
+        # 25 failing claims: a witness in every format the battery writes
+        dest = tmp_path / "report.txt"
+        code = main([
+            "verify", "--suite", "all", "--seed", "7", "--negative-control",
+            "--order", "8", "--points", "256", "--samples", "20", "--out", str(dest),
+        ])
+        assert code == 1
+        assert hashlib.sha256(dest.read_bytes()).hexdigest() == (
+            "2f0c4994d58d41599aa5bef8446b820c7183fe837a466246d92675962d352ed6"
+        )
+
 
 class TestMembershipCommand:
     def test_member_exits_zero(self, tmp_path, spec_file, capsys):
@@ -207,4 +227,26 @@ class TestMembershipCommand:
         assert main(["membership", series_file, spec_file, f"--tol={tol}"]) == 2
         captured = capsys.readouterr()
         assert "tolerance" in captured.err
+        assert "member:" not in captured.out
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda spec: spec["inner"].update(const=[math.nan, 0.0]),
+                     id="const-nan"),
+        pytest.param(lambda spec: spec["inner"].update(atoms=[[math.nan, 1.0]]),
+                     id="atom-angle-nan"),
+        pytest.param(lambda spec: spec["inner"].update(atoms=[[0.0, math.inf]]),
+                     id="atom-mass-inf"),
+        pytest.param(lambda spec: spec["inner"].update(zeros=[[math.nan, 0.0, 1]]),
+                     id="zero-nan"),
+        pytest.param(lambda spec: spec["K"][0].append([math.nan, 0.0]),
+                     id="boundary-point-nan"),
+    ])
+    def test_non_finite_spec_number_is_usage_error(self, tmp_path, series_file,
+                                                   capsys, edit):
+        spec = spec_to_dict(NESTED)
+        edit(spec)
+        assert self._run_with_spec(tmp_path, series_file, spec) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err
         assert "member:" not in captured.out

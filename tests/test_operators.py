@@ -1,7 +1,9 @@
 """Operator identities: closed forms, intertwining, round trips."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from hardylab import (
     volterra,
     zero,
 )
+from hardylab.operators import _antiderivative
 from hardylab.verify import max_rel_coeff_error, zero_head
 
 import exact_reference as ref
@@ -211,3 +214,27 @@ class TestExactAgainstFractions:
             assert shift_plus_volterra(f, n) != shift_plus_volterra_composed(f, n + 1)
             leibniz = add(shift(nth_derivative(f, n)), scale(derivative(f, n - 1), n + 1))
             assert (nth_derivative(shift(f), n) == leibniz) == derivative(f, n - 1).is_zero
+
+
+class TestFloatFormulas:
+    """Each float operator equals its per-coefficient formula under float
+    ``==``: the shared coefficient map must not change a rounding."""
+
+    def test_operators_match_their_formulas(self):
+        rng = np.random.default_rng(4)
+        for order in range(301):
+            c = tuple(complex(x, y) for x, y in rng.uniform(-1, 1, (order + 1, 2)))
+            f = TaylorSeries(c)
+            assert shift(f).coeffs == (0j,) + c
+            assert _antiderivative(f).coeffs == (0j,) + tuple(
+                x / (k + 1) for k, x in enumerate(c)
+            )
+            for n in range(1, 6):
+                want = tuple(c[k + n] * math.perm(k + n, n) for k in range(order + 1 - n))
+                assert derivative(f, n).coeffs == (want or (0j,))
+                assert shift_plus_volterra(f, n).coeffs == (0j,) + tuple(
+                    x * ((k + 1 + n) / (k + 1)) for k, x in enumerate(c)
+                )
+                assert nth_antiderivative(f, n).coeffs == (0j,) * n + tuple(
+                    x / math.perm(k + n, n) for k, x in enumerate(c)
+                )

@@ -21,6 +21,7 @@ from hardylab import (
     evaluate,
     zero,
     monomial,
+    shift_plus_volterra,
 )
 from hardylab.series import _FFT_PRODUCT_LEN, dumps, loads, from_dict, to_dict
 
@@ -148,6 +149,22 @@ class TestDerivativeEvaluate:
     def test_derivative_rejects_negative(self):
         with pytest.raises(ValueError):
             derivative(TaylorSeries([1]), -1)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda f: derivative(f, math.inf), id="derivative-inf"),
+        pytest.param(lambda f: derivative(f, None), id="derivative-None"),
+        pytest.param(lambda f: monomial(math.inf), id="monomial-inf"),
+        pytest.param(lambda f: multiply(f, f, out_order=math.inf), id="multiply-inf"),
+        pytest.param(lambda f: multiply(f, f, out_order="3"), id="multiply-str"),
+        pytest.param(lambda f: shift_plus_volterra(f, math.inf), id="combined-inf"),
+        pytest.param(lambda f: shift_plus_volterra(f, None), id="combined-None"),
+    ])
+    def test_bad_integer_argument_is_value_error(self, call):
+        # int(inf) overflows and None does not compare with 0: both must
+        # surface as ValueError, which the command line reports with exit 2
+        for f in (TaylorSeries([1.0, 2.0]), TaylorSeries([1, 2])):
+            with pytest.raises(ValueError, match="integer"):
+                call(f)
 
     @given(exact_series, st.integers(0, 3), st.integers(0, 3))
     def test_derivative_composes_exact(self, f, a, b):
