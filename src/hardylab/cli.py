@@ -6,7 +6,7 @@ battery), and ``membership`` (test a series against a subspace spec file).
 
 Exit codes: 0 on success / pass, 1 on a verification or membership failure,
 2 on usage or configuration errors (bad flags, malformed files, invalid
-specs).
+specs) and on inputs whose values leave double range (OverflowError).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .norms import (
     sup_sum_norm,
 )
 from .operators import OperatorDescriptor, apply_operator
-from .series import dumps, load_series
+from .series import dumps, from_dict
 from .verify import SUITES, RunConfig, run_suites
 
 # factorial-ratio coefficients stay inside double range up to here
@@ -100,26 +100,19 @@ def build_parser():
     return parser
 
 
-def _load_json(path):
+def _load(path, from_json):
+    """``from_json`` of the JSON in file ``path``; an unreadable file, bad JSON
+    (too deep nesting raises RecursionError) or a rejected document is a usage error."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return from_json(json.loads(Path(path).read_text(encoding="utf-8")))
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _load_series(path):
-    try:
-        return load_series(path)
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise _UsageError(f"{path}: {exc}") from exc
 
 
 def cmd_norm(args):
-    f = _load_series(args.series)
+    f = _load(args.series, from_dict)
     params = SpaceParams(args.order_n, args.p)
     cfg = QuadratureConfig(num_points=args.points)
     # every norm is computed before anything is printed, so a norm that
@@ -137,13 +130,13 @@ def cmd_norm(args):
 
 
 def cmd_apply(args):
-    f = _load_series(args.series)
+    f = _load(args.series, from_dict)
     if args.order_n > _MAX_CLI_ORDER_PARAM:
         raise _UsageError(
             f"operator parameter n is capped at {_MAX_CLI_ORDER_PARAM} on the "
             "command line to keep factorial ratios inside double range"
         )
-    g = _load_series(args.g) if args.g else None
+    g = _load(args.g, from_dict) if args.g else None
     descriptor = OperatorDescriptor(kind=args.operator, n=args.order_n, g=g)
     result = apply_operator(f, descriptor)
     text = dumps(result)
@@ -181,12 +174,9 @@ def cmd_verify(args):
 
 
 def cmd_membership(args):
-    f = _load_series(args.series)
-    try:
-        spec = spec_from_dict(_load_json(args.spec))
-        result = membership(f, spec, args.tol)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    f = _load(args.series, from_dict)
+    spec = _load(args.spec, spec_from_dict)
+    result = membership(f, spec, args.tol)
     print(f"member: {'yes' if result.member else 'no'} "
           f"(truncation order {result.truncation_order})")
     for cond in result.conditions:
@@ -204,7 +194,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # _UsageError included
+    except (ValueError, OverflowError) as exc:  # _UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

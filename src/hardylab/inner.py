@@ -144,12 +144,12 @@ def boundary_unimodularity_defect(G, num_samples=4096):
 
 
 def zero_residuals(f, G):
-    """``(a, i, |f^(i)(a)|)`` for every Blaschke zero a and order i below
-    its multiplicity."""
+    """``(a, i, |f^(i)(a)|)`` for every Blaschke zero a and order i below its
+    multiplicity, up to the order of f (higher derivatives vanish)."""
     out = []
     for a, m in G.zeros:
         d = f
-        for i in range(m):
+        for i in range(min(m, f.order + 1)):
             out.append((a, i, abs(complex(evaluate(d, a)))))
             d = derivative(d, 1)
     return out
@@ -242,6 +242,6 @@ def inner_from_dict(data):
         cpair = data.get("const", [1.0, 0.0])
         const = complex(float(cpair[0]), float(cpair[1]))
         atoms = tuple((float(e[0]), float(e[1])) for e in data.get("atoms", []))
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed inner-function object: {exc}") from exc
     return InnerFunction(zeros=zeros, const=const, atoms=atoms)

@@ -30,7 +30,7 @@ from .inner import (
 )
 from .norms import SpaceParams, boundary_scale
 from .operators import nth_antiderivative, nth_derivative, shift, shift_plus_volterra
-from .report import ClaimResult, VerificationReport
+from .report import VerificationReport, _Tracker
 from .series import TaylorSeries, add, derivative, evaluate, monomial, multiply
 
 __all__ = [
@@ -327,24 +327,6 @@ def log_distance_integral(spec, num_points=4096):
     return float(np.sum(np.log(dist)) * (2.0 * math.pi / m))
 
 
-def _coeff_repr(f, head=4):
-    """Compact, deterministic witness form; seed and sample index make the
-    full input reproducible."""
-    parts = [repr(complex(c)) for c in f.coeffs[:head]]
-    if f.order + 1 > head:
-        parts.append(f"...<order {f.order}>")
-    return "[" + ", ".join(parts) + "]"
-
-
-def _witness(**fields):
-    """Witness text: ``key=value`` in call order, a series through
-    :func:`_coeff_repr` and any other value through ``str``."""
-    return " ".join(
-        f"{key}={_coeff_repr(v) if isinstance(v, TaylorSeries) else v}"
-        for key, v in fields.items()
-    )
-
-
 def _perturbed(f):
     """Adversarial mutation: add a constant big enough to break vanishing."""
     bump = 1e-3 * max(boundary_scale(f), 1.0)
@@ -356,6 +338,20 @@ def _membership_margin(result):
         (c.threshold - c.residual for c in result.conditions),
         default=0.0,
     )
+
+
+def _invariance_claim(spec, samples, tol, seed, claim, config, probes):
+    """One claim over the sampled members of spec: ``probes(f)`` gives
+    ``(g, fields)`` pairs, and each g must be a member.  The slack is the
+    least membership margin, the witness the first non-member."""
+    t = _Tracker()
+    for idx, f in enumerate(sampled_members(spec, samples, seed, tol)):
+        for g, fields in probes(f):
+            res = membership(g, spec, tol)
+            failing = [c.condition for c in res.conditions if not c.passed]
+            t.record(_membership_margin(res), res.member,
+                     sample=idx, **fields, failing=failing, coeffs=f)
+    return VerificationReport(claims=[t.claim(claim, config)])
 
 
 def shift_invariance_check(
@@ -373,26 +369,16 @@ def shift_invariance_check(
     before testing; the resulting claim is expected to fail, and the report
     records that failure with its witness.
     """
-    report = VerificationReport()
-    members = sampled_members(spec, samples, seed, tol)
-    ok, worst, witness = True, math.inf, None
-    for idx, f in enumerate(members):
-        probe = _perturbed(f) if negative_control else f
-        for stage, g in (("element", probe), ("shifted", shift(probe))):
-            res = membership(g, spec, tol)
-            worst = min(worst, _membership_margin(res))
-            if not res.member and witness is None:
-                ok = False
-                failing = [c.condition for c in res.conditions if not c.passed]
-                witness = _witness(sample=idx, stage=stage, failing=failing, coeffs=f)
-            elif not res.member:
-                ok = False
+
+    def probes(f):
+        g = _perturbed(f) if negative_control else f
+        return (g, {"stage": "element"}), (shift(g), {"stage": "shifted"})
+
     config = (
         f"samples={samples} tol={tol} seed={seed} "
         f"negative-control={'on' if negative_control else 'off'}"
     )
-    report.add(claim, ok, worst, config, witness)
-    return report
+    return _invariance_claim(spec, samples, tol, seed, claim, config, probes)
 
 
 def combined_invariance_check(
@@ -415,28 +401,18 @@ def combined_invariance_check(
             "the pullback harness needs the zero-initial-data subspace "
             "(zero_mode=True)"
         )
-    report = VerificationReport()
-    members = sampled_members(spec, samples, seed, tol)
     multiple = spec.n + (1 if negative_control else 0)
-    ok, worst, witness = True, math.inf, None
-    for idx, f in enumerate(members):
+
+    def probes(f):
         downstairs = nth_derivative(f, spec.n)
         pulled = nth_antiderivative(shift_plus_volterra(downstairs, multiple), spec.n)
-        res = membership(pulled, spec, tol)
-        worst = min(worst, _membership_margin(res))
-        if not res.member:
-            ok = False
-            if witness is None:
-                failing = [c.condition for c in res.conditions if not c.passed]
-                witness = _witness(
-                    sample=idx, multiple=multiple, failing=failing, coeffs=f
-                )
+        return ((pulled, {"multiple": multiple}),)
+
     config = (
         f"samples={samples} tol={tol} seed={seed} multiple={multiple} "
         f"negative-control={'on' if negative_control else 'off'}"
     )
-    report.add(claim, ok, worst, config, witness)
-    return report
+    return _invariance_claim(spec, samples, tol, seed, claim, config, probes)
 
 
 def spec_to_dict(spec):
@@ -464,6 +440,6 @@ def spec_from_dict(data):
             tuple(complex(float(e[0]), float(e[1])) for e in ks) for ks in data["K"]
         )
         inner = inner_from_dict(data["inner"])
-    except (TypeError, KeyError, ValueError, IndexError) as exc:
+    except (TypeError, KeyError, ValueError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed subspace spec: {exc}") from exc
     return SubspaceSpec(ksets, inner, SpaceParams(n, p), zero_mode)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .series import (
     TaylorSeries,
-    _check_derivative_range,
+    _check_perm_range,
     _complex_coeffs,
     _is_integral,
     _smooth_size,
@@ -276,7 +276,7 @@ def sn_norm(f, params, cfg=None):
     exceeds double range is rejected up front with ValueError, as
     :func:`derivative` rejects it.
     """
-    _check_derivative_range(f, params.n)
+    _check_perm_range(f, f"derivative {params.n}", f.order, params.n)
     heads = []
     for _ in range(params.n):
         heads.append(abs(complex(f.coeffs[0])))
@@ -284,7 +284,7 @@ def sn_norm(f, params, cfg=None):
     total = hp_norm(f, params.p, cfg)
     for head in reversed(heads):
         total = head + total
-    return total
+    return _finite_sum([total])
 
 
 def sn_norm_unrolled(f, params, cfg=None):
@@ -292,15 +292,13 @@ def sn_norm_unrolled(f, params, cfg=None):
 
     Agrees with :func:`sn_norm` up to float summation order.
     """
-    heads = math.fsum(
-        abs(complex(derivative(f, k).coeffs[0])) for k in range(params.n)
-    )
-    return heads + hp_norm(derivative(f, params.n), params.p, cfg)
+    heads = _finite_sum(abs(complex(derivative(f, k).coeffs[0])) for k in range(params.n))
+    return _finite_sum([heads + hp_norm(derivative(f, params.n), params.p, cfg)])
 
 
 def derivative_sum_norm(f, params, cfg=None):
     """Equivalent norm: sum of the H^p norms of the first n+1 derivatives."""
-    return math.fsum(
+    return _finite_sum(
         hp_norm(derivative(f, k), params.p, cfg) for k in range(params.n + 1)
     )
 
@@ -308,8 +306,20 @@ def derivative_sum_norm(f, params, cfg=None):
 def sup_sum_norm(f, params, cfg=None):
     """Equivalent norm: boundary sups of the first n derivatives plus the
     H^p norm of the n-th."""
-    total = math.fsum(sup_norm(derivative(f, k), cfg) for k in range(params.n))
-    return total + hp_norm(derivative(f, params.n), params.p, cfg)
+    total = _finite_sum(sup_norm(derivative(f, k), cfg) for k in range(params.n))
+    return _finite_sum([total + hp_norm(derivative(f, params.n), params.p, cfg)])
+
+
+def _finite_sum(terms):
+    """``math.fsum(terms)``; ValueError when a norm sum leaves double range
+    (a NaN sum comes from an infinite term)."""
+    try:
+        total = math.fsum(terms)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"a norm of the series is {total} in double precision")
+    return total
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -357,4 +367,4 @@ def sup_norm(f, cfg=None):
 def hardy_sum(f):
     """``sum |c_k| / (k+1)``: the coefficient side of the classical H^1
     coefficient inequality (bounded by pi times the H^1 norm)."""
-    return math.fsum(abs(c) / (k + 1) for k, c in enumerate(f.coeffs))
+    return _finite_sum(abs(c) / (k + 1) for k, c in enumerate(f.coeffs))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .series import (
     TaylorSeries,
+    _check_perm_range,
     _is_integral,
     _reweighted,
     add,
@@ -101,8 +102,10 @@ def nth_antiderivative(f, n):
     inverts :func:`nth_derivative` exactly on series whose first n
     coefficients vanish, and it is the coefficient form of the iterated
     kernel integral ``(1/(n-1)!) * integral_0^z (z - w)^(n-1) f(w) dw``.
+    In float mode a divisor beyond double range raises ValueError.
     """
     n = _check_multiple(n)
+    _check_perm_range(f, f"antiderivative {n}", f.order + n, n)
     divisors = [math.perm(k + n, n) for k in range(f.order + 1)]
     return _reweighted(f, divisors=divisors, offset=n)
 

@@ -8,7 +8,10 @@ digest, so two runs with the same inputs produce byte-identical text.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
+
+from .series import TaylorSeries
 
 __all__ = ["ClaimResult", "VerificationReport"]
 
@@ -72,3 +75,47 @@ class VerificationReport:
         verdict = "PASS" if failed == 0 else "FAIL"
         lines.append(f"# result: {verdict} ({len(self.claims)} claims, {failed} failed)")
         return "\n".join(lines) + "\n"
+
+
+def _coeff_repr(f, head=4):
+    """Compact, deterministic witness form; seed and sample index make the
+    full input reproducible."""
+    parts = [repr(complex(c)) for c in f.coeffs[:head]]
+    if f.order + 1 > head:
+        parts.append(f"...<order {f.order}>")
+    return "[" + ", ".join(parts) + "]"
+
+
+def _witness(**fields):
+    """Witness text: ``key=value`` in call order, a series through
+    :func:`_coeff_repr` and any other value through ``str``."""
+    return " ".join(
+        f"{key}={_coeff_repr(v) if isinstance(v, TaylorSeries) else v}"
+        for key, v in fields.items()
+    )
+
+
+class _Tracker:
+    """Builds one claim from many checks: the least margin is its slack, the
+    first failing check its witness."""
+
+    def __init__(self):
+        self.ok = True
+        self.slack = math.inf
+        self.witness = None
+
+    def record(self, margin, passed=None, **fields):
+        """Fold in one check.  It fails when ``passed`` is false or, left
+        out, when ``margin < 0``; the first failure keeps ``fields`` as the
+        witness."""
+        if margin < self.slack:
+            self.slack = margin
+        if passed is None:
+            passed = not margin < 0
+        if not passed:
+            if self.ok:
+                self.witness = _witness(**fields)
+            self.ok = False
+
+    def claim(self, claim_id, config):
+        return ClaimResult(claim_id, self.ok, self.slack, config, self.witness)

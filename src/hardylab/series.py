@@ -30,10 +30,11 @@ is canonical, ``gcd(den, *re, *im) == 1``: the zero series has denominator
 and their numerator tuples agree once trailing zeros are trimmed.  Sums go
 through one ``lcm`` of the two denominators, the product through Kronecker
 substitution (each numerator vector packed into one big int), and every
-result is reduced back to canonical form.  ``RationalComplex`` remains the
-scalar type of exact mode: ``coeffs`` of an exact series is a tuple of them,
-built on each access, and exact ``evaluate`` returns one; no arithmetic in
-the package goes through it.
+result is reduced back to canonical form.  ``RationalComplex`` is the value
+type of exact mode, with no arithmetic of its own: ``coeffs`` of an exact
+series is a tuple of them, built on each access, and exact ``evaluate``
+returns one.  A RationalComplex meeting a float series (as a ``scale``
+factor or an ``evaluate`` point) promotes through ``complex()``.
 """
 
 from __future__ import annotations
@@ -83,22 +84,10 @@ def _check_count(value, what):
     return int(value)
 
 
-def _as_rational(value):
-    """Coerce to RationalComplex, or None when the value is inexact."""
-    if isinstance(value, RationalComplex):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return RationalComplex(value)
-    return None
-
-
 class RationalComplex:
-    """Complex scalar with exact ``Fraction`` real and imaginary parts.
-
-    Arithmetic with RationalComplex, int, or Fraction operands stays exact;
-    mixing with float or complex degrades to complex, the same promotion
-    rule Fraction itself follows.
-    """
+    """Exact complex value with ``Fraction`` parts and no arithmetic (that
+    runs on exact series); ``==`` is exact against int, Fraction and
+    RationalComplex, and goes through ``complex()`` against float and complex."""
 
     __slots__ = ("re", "im")
 
@@ -115,65 +104,13 @@ class RationalComplex:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def conjugate(self):
-        return RationalComplex(self.re, -self.im)
-
     def __eq__(self, other):
-        o = _as_rational(other)
+        o = _gaussian(other)
         if o is not None:
-            return self.re == o.re and self.im == o.im
+            return _gaussian(self) == o
         if isinstance(other, (float, complex)):
             return complex(self) == other
         return NotImplemented
-
-    def __add__(self, other):
-        o = _as_rational(other)
-        if o is None:
-            return complex(self) + other
-        return RationalComplex(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalComplex(-self.re, -self.im)
-
-    def __sub__(self, other):
-        o = _as_rational(other)
-        if o is None:
-            return complex(self) - other
-        return RationalComplex(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = _as_rational(other)
-        if o is None:
-            return complex(self) * other
-        return RationalComplex(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _as_rational(other)
-        if o is None:
-            return complex(self) / other
-        den = o.re * o.re + o.im * o.im
-        if den == 0:
-            raise ZeroDivisionError("division by zero")
-        return RationalComplex(
-            (self.re * o.re + self.im * o.im) / den,
-            (self.im * o.re - self.re * o.im) / den,
-        )
-
-    def __rtruediv__(self, other):
-        o = _as_rational(other)
-        if o is None:
-            return other / complex(self)
-        return o / self
 
     def __repr__(self):
         return f"RationalComplex({self.re!r}, {self.im!r})"
@@ -181,7 +118,8 @@ class RationalComplex:
 
 def _gaussian(value):
     """An exact scalar as ``(re, im, den)`` Gaussian-integer numerators over
-    a positive denominator; None when the value is inexact."""
+    a positive denominator, in lowest terms, so equal scalars give equal
+    triples; None when the value is inexact."""
     if isinstance(value, RationalComplex):
         re, im = value.re, value.im
         den = math.lcm(re.denominator, im.denominator)
@@ -404,6 +342,8 @@ def scale(f, factor):
     """Multiply every coefficient by a scalar."""
     s = _gaussian(factor) if f.exact else None
     if s is None:
+        if isinstance(factor, RationalComplex):
+            factor = complex(factor)
         return TaylorSeries([c * factor for c in _complex_coeffs(f)])
     (sr, si, sd), (fr, fi, fd) = s, f._c
     re = [x * sr - y * si for x, y in zip(fr, fi)]
@@ -502,17 +442,17 @@ def multiply(f, g, out_order=None):
     return TaylorSeries(out)
 
 
-def _check_derivative_range(f, m):
-    """Raise ValueError when f is a float series and ``perm(order, m)``, the
-    largest factor of its m-th derivative, exceeds double range."""
+def _check_perm_range(f, what, top, m):
+    """Raise ValueError when f is a float series and ``perm(top, m)``, the
+    largest factor of ``what`` applied to f, exceeds double range."""
     if f.exact:
         return
     try:
-        float(math.perm(f.order, m))
+        float(math.perm(top, m))
     except OverflowError:
         raise ValueError(
-            f"derivative {m} of an order-{f.order} float series needs the factor "
-            f"perm({f.order}, {m}), which exceeds double range"
+            f"{what} of an order-{f.order} float series needs the factor "
+            f"perm({top}, {m}), which exceeds double range"
         ) from None
 
 
@@ -528,7 +468,7 @@ def derivative(f, m=1):
         return f
     if m > f.order:
         return zero(exact=f.exact)
-    _check_derivative_range(f, m)
+    _check_perm_range(f, f"derivative {m}", f.order, m)
     top = f.order + 1
     # perm(k, 1) == k; the range spares sn_norm's many first derivatives
     # one math.perm call per coefficient
@@ -545,6 +485,8 @@ def evaluate(f, z):
     """
     w = _gaussian(z) if f.exact else None
     if w is None:
+        if isinstance(z, RationalComplex):
+            z = complex(z)
         cs = _complex_coeffs(f)
         acc = cs[-1]
         for c in reversed(cs[:-1]):
@@ -569,7 +511,7 @@ def to_dict(f):
 
 def from_dict(data):
     """Inverse of :func:`to_dict`; malformed input, including a NaN or
-    infinite coefficient, raises ValueError."""
+    infinite coefficient or a part that is not a number, raises ValueError."""
     if not isinstance(data, dict) or "order" not in data or "coeffs" not in data:
         raise ValueError("series object needs 'order' and 'coeffs' fields")
     pairs = data["coeffs"]
@@ -583,7 +525,10 @@ def from_dict(data):
     for entry in pairs:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValueError("each coefficient must be a [re, im] pair")
-        c = complex(float(entry[0]), float(entry[1]))
+        try:
+            c = complex(float(entry[0]), float(entry[1]))
+        except (TypeError, OverflowError):
+            raise ValueError("coefficient parts must be finite real numbers") from None
         if not cmath.isfinite(c):
             raise ValueError(f"coefficient {c} is not finite")
         coeffs.append(c)

@@ -12,14 +12,13 @@ battery's own falsifiability check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import zip_longest
 
 import numpy as np
 
 from .membership import (
     SubspaceSpec,
-    _witness,
     combined_invariance_check,
     log_distance_integral,
     membership,
@@ -49,7 +48,7 @@ from .operators import (
     shift_plus_volterra,
     shift_plus_volterra_composed,
 )
-from .report import ClaimResult, VerificationReport
+from .report import ClaimResult, VerificationReport, _Tracker
 from .series import (
     TaylorSeries,
     _exact_series,
@@ -123,34 +122,13 @@ def max_rel_coeff_error(f, g):
     return worst
 
 
-class _Tracker:
-    """Min-slack aggregator that keeps the first failing witness."""
-
-    def __init__(self):
-        self.ok = True
-        self.slack = math.inf
-        self.witness = None
-
-    def record(self, margin, **fields):
-        """Fold in one margin; the first negative one keeps ``fields`` as the
-        witness."""
-        if margin < self.slack:
-            self.slack = margin
-        if margin < 0:
-            if self.ok:
-                self.witness = _witness(**fields)
-            self.ok = False
-
-    def claim(self, claim_id, config):
-        return ClaimResult(claim_id, self.ok, self.slack, config, self.witness)
-
-
 def _exact_eq_margin(a, b):
     return 0.0 if a == b else -1.0
 
 
-def suite_hardy_sum(cfg, samples=1000):
+def suite_hardy_sum(cfg):
     """Coefficient-sum inequality: sum |c_k|/(k+1) <= pi * H^1 norm."""
+    samples = 1000
     rng = np.random.default_rng([cfg.seed, 1])
     qcfg = QuadratureConfig(num_points=cfg.points)
     const = 1.0 if cfg.negative_control else math.pi
@@ -180,8 +158,9 @@ def suite_hardy_sum(cfg, samples=1000):
     return claims
 
 
-def suite_sup_chain(cfg, samples=500):
+def suite_sup_chain(cfg):
     """Sup-norm bound and the one-step chain between derivative-space norms."""
+    samples = 500
     rng = np.random.default_rng([cfg.seed, 2])
     qcfg = QuadratureConfig(num_points=cfg.points)
     const = 1.0 / math.pi if cfg.negative_control else math.pi
@@ -206,9 +185,10 @@ def suite_sup_chain(cfg, samples=500):
     ]
 
 
-def suite_norm_equivalence(cfg, samples=200):
+def suite_norm_equivalence(cfg):
     """Equivalent-norm comparisons, with the two-sided empirical ratio
     recorded (only the pi-power side is proved one-sided)."""
+    samples = 200
     rng = np.random.default_rng([cfg.seed, 3])
     qcfg = QuadratureConfig(num_points=cfg.points)
     factor = 0.1 if cfg.negative_control else 1.0
@@ -251,8 +231,9 @@ def suite_norm_equivalence(cfg, samples=200):
     return claims
 
 
-def suite_algebra(cfg, pairs=300, density_samples=100):
+def suite_algebra(cfg):
     """Algebra bound for products and the exact approximant norm transfer."""
+    pairs, density_samples = 300, 100
     rng = np.random.default_rng([cfg.seed, 4])
     qcfg = QuadratureConfig(num_points=cfg.points)
     factor = 0.1 if cfg.negative_control else 1.0
@@ -339,8 +320,9 @@ def suite_algebra(cfg, pairs=300, density_samples=100):
     return claims
 
 
-def suite_parseval(cfg, samples=500):
+def suite_parseval(cfg):
     """Quadrature cross-validation: trapezoid vs coefficient-sum branches."""
+    samples = 500
     rng = np.random.default_rng([cfg.seed, 5])
     bias = 1.0 + 1e-6 if cfg.negative_control else 1.0
     rel_tol = 1e-12
@@ -368,10 +350,11 @@ def suite_parseval(cfg, samples=500):
     ]
 
 
-def suite_intertwine(cfg, intertwine_samples=500, isometry_samples=200):
+def suite_intertwine(cfg):
     """The derivative intertwining, its Leibniz form, round trips, the
     closed-form cross-check, and the norm isometry of the n-fold
     antiderivative."""
+    intertwine_samples, isometry_samples = 500, 200
     rng = np.random.default_rng([cfg.seed, 6])
     qcfg = QuadratureConfig(num_points=cfg.points)
     wrong = 1 if cfg.negative_control else 0
@@ -485,11 +468,7 @@ def suite_invariance(cfg):
     claims = []
     for name, spec in fixed_specs():
         for c in validate_spec(spec).claims:
-            claims.append(
-                ClaimResult(
-                    f"invariance.{name}.{c.claim}", c.passed, c.slack, c.config, c.witness
-                )
-            )
+            claims.append(replace(c, claim=f"invariance.{name}.{c.claim}"))
         rho = log_distance_integral(spec)
         claims.append(
             ClaimResult(
@@ -520,7 +499,7 @@ def suite_scale(cfg):
     """Membership verdicts must not move under rescaling by 1e6 or 1e-6."""
     claims = []
     for spec_index, (name, spec) in enumerate(fixed_specs()):
-        ok, witness = True, None
+        t = _Tracker()
         members = sampled_members(spec, cfg.samples, cfg.seed, cfg.tol)
         for idx, f in enumerate(members):
             for stage, g in (("element", f), ("shifted", shift(f))):
@@ -529,26 +508,22 @@ def suite_scale(cfg):
                     bump = 1e-3 * max(boundary_scale(g), 1.0)
                     variants[1] = add(scale(g, 1e6), TaylorSeries([bump * 1e6]))
                 verdicts = [membership(v, spec, cfg.tol).member for v in variants]
-                if len(set(verdicts)) != 1:
-                    ok = False
-                    if witness is None:
-                        witness = _witness(
-                            sample=idx, stage=stage, verdicts=verdicts, coeffs=f
-                        )
+                t.record(0.0, len(set(verdicts)) == 1,
+                         sample=idx, stage=stage, verdicts=verdicts, coeffs=f)
         claims.append(
-            ClaimResult(
-                f"scale.{name}.verdict-invariance", ok, 0.0,
+            t.claim(
+                f"scale.{name}.verdict-invariance",
                 f"samples={cfg.samples} factors=(1e6,1e-6) tol={cfg.tol} "
                 f"seed={cfg.seed} spec-index={spec_index} "
                 f"negative-control={'on' if cfg.negative_control else 'off'}",
-                witness,
             )
         )
     return claims
 
 
-def suite_norms_consistency(cfg, samples=200):
+def suite_norms_consistency(cfg):
     """Recursive vs unrolled derivative-space norm agreement."""
+    samples = 200
     rng = np.random.default_rng([cfg.seed, 9])
     qcfg = QuadratureConfig(num_points=cfg.points)
     bias = 1.0 + 1e-6 if cfg.negative_control else 1.0

@@ -1,10 +1,14 @@
 """Command-line interface: output shape and exit-code contract."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardylab import (
     InnerFunction,
@@ -13,7 +17,9 @@ from hardylab import (
     TaylorSeries,
     loads,
     multiply,
+    from_dict,
     save_series,
+    spec_from_dict,
     spec_to_dict,
 )
 from hardylab.cli import main
@@ -99,6 +105,31 @@ class TestNormCommand:
         captured = capsys.readouterr()
         assert "not finite" in captured.err
         assert "nan" not in captured.out and "inf" not in captured.out
+
+
+    @pytest.mark.parametrize("part", ["null", "[1.0]", '{"re": 1.0}', "1" + "0" * 400],
+                             ids=["null", "list", "object", "int-beyond-double"])
+    def test_non_number_coefficient_part_is_usage_error(self, tmp_path, capsys, part):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"order": 0, "coeffs": [[{part}, 0.0]]}}', encoding="utf-8")
+        assert main(["norm", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "finite real numbers" in captured.err
+        assert captured.out == ""
+
+    def test_norm_sum_beyond_double_range_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        save_series(TaylorSeries([1e308, 1e308]), path)
+        assert main(["norm", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "double precision" in captured.err
+        assert captured.out == ""
+
+    def test_deeply_nested_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000, encoding="utf-8")
+        assert main(["norm", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestApplyCommand:
@@ -193,6 +224,28 @@ class TestMembershipCommand:
         assert main(["membership", series_file, str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_deeply_nested_spec_file_is_usage_error(self, series_file, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": ' + "[" * 100000, encoding="utf-8")
+        assert main(["membership", series_file, str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_value_beyond_double_range_is_usage_error(self, tmp_path, spec_file, capsys):
+        # both parts are finite, the modulus of the value at 1 is not
+        path = tmp_path / "huge.json"
+        save_series(TaylorSeries([1.3e308 + 1.3e308j]), path)
+        assert main(["membership", str(path), spec_file]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+
+    def test_huge_multiplicity_is_decided_promptly(self, tmp_path, series_file, capsys):
+        # 1 + z has no derivative of order above 1 left to test, so only two
+        # of the 10**5 residuals can fail
+        spec = spec_to_dict(NESTED)
+        spec["inner"]["zeros"] = [[0.5, 0.0, 10**5]]
+        assert self._run_with_spec(tmp_path, series_file, spec) == 1
+        assert capsys.readouterr().out.count("blaschke-zero") == 2
+
     def test_missing_spec_file_is_usage_error(self, series_file, tmp_path, capsys):
         missing = str(tmp_path / "ghost.json")
         assert main(["membership", series_file, missing]) == 2
@@ -240,6 +293,11 @@ class TestMembershipCommand:
                      id="zero-nan"),
         pytest.param(lambda spec: spec["K"][0].append([math.nan, 0.0]),
                      id="boundary-point-nan"),
+        pytest.param(lambda spec: spec.update(p=10**400), id="p-beyond-double"),
+        pytest.param(lambda spec: spec["inner"].update(zeros=[[10**400, 0.0, 1]]),
+                     id="zero-beyond-double"),
+        pytest.param(lambda spec: spec["K"][0].append([0.0, 10**400]),
+                     id="boundary-point-beyond-double"),
     ])
     def test_non_finite_spec_number_is_usage_error(self, tmp_path, series_file,
                                                    capsys, edit):
@@ -250,3 +308,71 @@ class TestMembershipCommand:
         assert "error:" in captured.err
         assert "Traceback" not in captured.err
         assert "member:" not in captured.out
+
+
+# JSON-shaped values; the keys include the field names of both file formats,
+# and the slots of the two formats mostly hold numbers, so many documents get
+# past the shape checks
+_KEYS = st.sampled_from(
+    ["order", "coeffs", "n", "p", "zero_mode", "K", "inner", "zeros", "const", "atoms"]
+) | st.text(max_size=3)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_KEYS, kids, max_size=5),
+    max_leaves=8,
+)
+_SLOT = st.integers() | st.floats() | _JSON
+
+
+def _tuples(length, max_size):
+    return st.lists(st.lists(_SLOT, min_size=length, max_size=length), max_size=max_size)
+
+
+_SERIES_DOCS = _JSON | _tuples(2, 3).filter(len).map(
+    lambda pairs: {"order": len(pairs) - 1, "coeffs": pairs}
+)
+_SPEC_DOCS = _JSON | st.fixed_dictionaries({
+    "n": st.just(1) | _JSON,
+    "p": st.just(2.0) | _SLOT,
+    "zero_mode": st.booleans() | _JSON,
+    "K": st.just([[[1.0, 0.0]]]) | _tuples(2, 2).map(lambda points: [points]) | _JSON,
+    "inner": _JSON | st.fixed_dictionaries({}, optional={
+        "zeros": _tuples(3, 2), "const": st.lists(_SLOT, min_size=2, max_size=2),
+        "atoms": _tuples(2, 2),
+    }),
+})
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory holding a valid series and spec file, to pair with the
+    fuzzed ones."""
+    path = tmp_path_factory.mktemp("fuzz")
+    save_series(TaylorSeries([1.0, 1.0]), path / "valid-series.json")
+    (path / "valid-spec.json").write_text(json.dumps(spec_to_dict(NESTED)), encoding="utf-8")
+    return path
+
+
+class TestFuzzedFiles:
+    @given(series=_SERIES_DOCS, spec=_SPEC_DOCS)
+    @settings(max_examples=150, deadline=None)
+    def test_any_json_gives_an_exit_code_and_no_traceback(self, fuzz_dir, series, spec):
+        for parse, doc in ((from_dict, series), (spec_from_dict, spec)):
+            try:
+                parse(doc)
+            except ValueError:
+                pass
+        series_path, spec_path = fuzz_dir / "series.json", fuzz_dir / "spec.json"
+        series_path.write_text(json.dumps(series), encoding="utf-8")
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        for argv in (
+            ["norm", series_path],
+            ["apply", series_path, "combined", "--n", "2"],
+            ["membership", series_path, fuzz_dir / "valid-spec.json"],
+            ["membership", fuzz_dir / "valid-series.json", spec_path],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([str(arg) for arg in argv])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()

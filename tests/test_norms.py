@@ -274,6 +274,21 @@ class TestFastPaths:
         for scale in (1e200, 1e-200):
             assert _rel(hp_norm(TaylorSeries(c * scale), p, cfg), unit * scale) <= 1e-12
 
+    @pytest.mark.parametrize("norm, top", [
+        pytest.param(lambda f: sn_norm(f, SpaceParams(1, 2.0)), 1e308, id="sn_norm"),
+        pytest.param(lambda f: sn_norm_unrolled(f, SpaceParams(1, 2.0)), 1e308,
+                     id="sn_norm_unrolled"),
+        pytest.param(lambda f: derivative_sum_norm(f, SpaceParams(1, 2.0)), 1e308,
+                     id="derivative_sum_norm"),
+        pytest.param(lambda f: sup_sum_norm(f, SpaceParams(1, 2.0)), 1e308, id="sup_sum_norm"),
+        pytest.param(hardy_sum, 1.7e308, id="hardy_sum"),
+    ])
+    def test_sum_beyond_double_range_is_a_value_error(self, norm, top):
+        # each H^p norm is finite, their sum is not: it must neither come
+        # back as inf nor raise OverflowError
+        with pytest.raises(ValueError, match="double precision"):
+            norm(TaylorSeries([top, top]))
+
     def test_mean_beyond_double_range_is_a_value_error(self):
         with pytest.raises(ValueError, match="not finite"):
             hp_norm(TaylorSeries([1e308] * 4), 3.0)

@@ -216,6 +216,18 @@ class TestExactAgainstFractions:
             assert (nth_derivative(shift(f), n) == leibniz) == derivative(f, n - 1).is_zero
 
 
+class TestDeepAntiderivative:
+    def test_float_divisor_beyond_double_range_is_value_error(self):
+        # perm(300 + 200, 200) leaves double range
+        f = TaylorSeries([1.0] * 301)
+        for call in (lambda: nth_antiderivative(f, 200), lambda: lift_approximant(f, f, 200)):
+            with pytest.raises(ValueError, match=r"perm\(500, 200\), which exceeds double range"):
+                call()
+        # the exact mode has no such limit
+        g = nth_antiderivative(TaylorSeries([1] * 301), 200)
+        assert g.exact and g.coeffs[-1] == RationalComplex(Fraction(1, math.perm(500, 200)))
+
+
 class TestFloatFormulas:
     """Each float operator equals its per-coefficient formula under float
     ``==``: the shared coefficient map must not change a rounding."""

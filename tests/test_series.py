@@ -39,30 +39,64 @@ float_series = st.lists(float_scalars, min_size=1, max_size=12).map(TaylorSeries
 
 
 class TestRationalComplex:
-    def test_exact_division_round_trip(self):
-        c = RationalComplex(1)
-        assert (c / 49) * 49 == RationalComplex(1)
+    """The exact value type; exact arithmetic runs on exact series."""
+
+    def test_scale_round_trip_is_exact(self):
+        f = TaylorSeries([1, RationalComplex(Fraction(1, 3), -2)])
+        assert scale(scale(f, Fraction(1, 49)), 49) == f
         # the float analogue is not exact, which is why exact mode exists
         assert (1.0 / 49.0) * 49.0 != 1.0
 
-    def test_promotion_to_complex(self):
-        c = RationalComplex(Fraction(1, 2), Fraction(1, 3))
-        assert isinstance(c * 0.5, complex)
-        assert isinstance(0.5 + c, complex)
-        assert c * 2 == RationalComplex(1, Fraction(2, 3))
+    def test_scale_by_minus_i_divides_by_i(self):
+        f = TaylorSeries([RationalComplex(1, 1), 3])
+        out = scale(f, RationalComplex(0, -1))
+        assert out.exact and out == TaylorSeries([RationalComplex(1, -1), RationalComplex(0, -3)])
+
+    def test_scale_by_float_promotes(self):
+        f = TaylorSeries([RationalComplex(Fraction(1, 2), Fraction(1, 3))])
+        out = scale(f, 0.5)
+        assert not out.exact and out == TaylorSeries([complex(0.25, 1 / 6)])
+        assert scale(f, 2) == TaylorSeries([RationalComplex(1, Fraction(2, 3))])
+
+    def test_equality(self):
+        half = RationalComplex(Fraction(1, 2))
+        assert half == Fraction(2, 4) and half == RationalComplex(Fraction(2, 4), 0)
+        assert half == 0.5 and 0.5 == half
+        assert RationalComplex(3) == 3 and 3 == RationalComplex(3)
+        assert RationalComplex(0, 1) != 1 and RationalComplex(3, 1) != 3
+        # float and complex compare after rounding through complex(); the
+        # exact types compare exactly
+        third = RationalComplex(Fraction(1, 3))
+        assert third == 1 / 3 and third != Fraction(1 / 3)
+        assert RationalComplex(1) != "1"
 
     def test_complex_equality(self):
         assert RationalComplex(Fraction(1, 2)) == 0.5 + 0j
         assert RationalComplex(0, 1) == 1j
 
-    def test_division(self):
-        c = RationalComplex(1, 1) / RationalComplex(0, 1)
-        assert c == RationalComplex(1, -1)
-        with pytest.raises(ZeroDivisionError):
-            RationalComplex(1) / RationalComplex(0)
+    def test_bool(self):
+        assert not RationalComplex() and not RationalComplex(0, Fraction(0, 5))
+        assert RationalComplex(0, Fraction(1, 10**30))
 
     def test_abs(self):
         assert abs(RationalComplex(3, 4)) == pytest.approx(5.0)
+
+    def test_complex_and_repr(self):
+        c = RationalComplex(Fraction(1, 4), -3)
+        assert complex(c) == complex(0.25, -3.0) and type(complex(c)) is complex
+        assert repr(c) == "RationalComplex(Fraction(1, 4), Fraction(-3, 1))"
+
+    def test_no_arithmetic(self):
+        with pytest.raises(TypeError):
+            RationalComplex(1) + 1
+        with pytest.raises(TypeError):
+            2 * RationalComplex(1)
+
+    @given(float_series, rc_scalars)
+    def test_float_series_takes_exact_scalar_through_complex(self, f, s):
+        # repr tells signed zeros apart, so this is bit for bit
+        assert repr(scale(f, s)) == repr(scale(f, complex(s)))
+        assert repr(evaluate(f, s)) == repr(evaluate(f, complex(s)))
 
 
 class TestConstruction:
