@@ -12,6 +12,7 @@ specs) and on inputs whose values leave double range (OverflowError).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -39,7 +40,9 @@ class _UsageError(ValueError):
     pass
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="hardylab",
         description=(

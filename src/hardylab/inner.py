@@ -17,8 +17,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .norms import boundary_scale
-from .series import _is_integral, derivative, evaluate
+from .series import _is_integral, _json_numbers, derivative, evaluate
 
 __all__ = [
     "InnerFunction",
@@ -92,6 +94,11 @@ def eval_inner(G, z):
     for theta, _ in G.atoms:
         if abs(z - cmath.exp(1j * theta)) < 1e-12:
             raise ValueError("evaluation at a singular atom is undefined")
+    return _inner_values(G, z)
+
+
+def _inner_values(G, z, exp=cmath.exp):
+    """G at z unchecked; z may be an array of points when ``exp`` is np.exp."""
     val = G.const
     for a, m in G.zeros:
         val *= _blaschke_factor(a, z) ** m
@@ -100,7 +107,7 @@ def eval_inner(G, z):
         for theta, mass in G.atoms:
             w = cmath.exp(1j * theta)
             expo -= mass * (w + z) / (w - z)
-        val *= cmath.exp(expo)
+        val *= exp(expo)
     return val
 
 
@@ -134,13 +141,12 @@ def boundary_unimodularity_defect(G, num_samples=4096):
     """
     if num_samples < 16:
         raise ValueError(f"need at least 16 samples, got {num_samples}")
-    worst = 0.0
-    for j in range(int(num_samples)):
-        theta = _TWO_PI * j / int(num_samples)
-        if any(_angle_gap(theta, tk) < _ATOM_EXCLUSION for tk, _ in G.atoms):
-            continue
-        worst = max(worst, abs(abs(eval_inner(G, cmath.exp(1j * theta))) - 1.0))
-    return worst
+    m = int(num_samples)
+    theta = _TWO_PI * np.arange(m) / m
+    for tk, _ in G.atoms:
+        theta = theta[_angle_gap(theta, tk) >= _ATOM_EXCLUSION]
+    values = _inner_values(G, np.exp(1j * theta), np.exp)
+    return float(np.abs(np.abs(values) - 1.0).max(initial=0.0))
 
 
 def zero_residuals(f, G):
@@ -235,13 +241,12 @@ def inner_from_dict(data):
     if not isinstance(data, dict):
         raise ValueError("inner-function object must be a JSON object")
     try:
-        zeros = tuple(
-            (complex(float(e[0]), float(e[1])), e[2])
-            for e in data.get("zeros", [])
-        )
-        cpair = data.get("const", [1.0, 0.0])
-        const = complex(float(cpair[0]), float(cpair[1]))
-        atoms = tuple((float(e[0]), float(e[1])) for e in data.get("atoms", []))
-    except (TypeError, ValueError, IndexError, OverflowError) as exc:
+        zeros = data.get("zeros", [])
+        parts = _json_numbers(zeros, 3, "a zero").tolist()
+        # the multiplicity is read as given, so a large int stays exact
+        zeros = [(complex(re, im), e[2]) for (re, im, _), e in zip(parts, zeros)]
+        const = _json_numbers([data.get("const", [1.0, 0.0])], 2, "'const'")
+        atoms = _json_numbers(data.get("atoms", []), 2, "an atom")
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed inner-function object: {exc}") from exc
-    return InnerFunction(zeros=zeros, const=const, atoms=atoms)
+    return InnerFunction(zeros=zeros, const=const.view(complex)[0, 0], atoms=atoms)

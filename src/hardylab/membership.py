@@ -31,7 +31,8 @@ from .inner import (
 from .norms import SpaceParams, boundary_scale
 from .operators import nth_antiderivative, nth_derivative, shift, shift_plus_volterra
 from .report import VerificationReport, _Tracker
-from .series import TaylorSeries, add, derivative, evaluate, monomial, multiply
+from .series import (TaylorSeries, _json_numbers, add, derivative, evaluate, monomial,
+                     multiply)
 
 __all__ = [
     "SubspaceSpec",
@@ -432,14 +433,13 @@ def spec_from_dict(data):
         raise ValueError("subspace spec must be a JSON object")
     try:
         n = data["n"]
-        p = float(data["p"])
+        p = _json_numbers([[data["p"]]], 1, "'p'").item()
         zero_mode = data["zero_mode"]
         if not isinstance(zero_mode, bool):
             raise ValueError(f"'zero_mode' must be true or false, got {zero_mode!r}")
-        ksets = tuple(
-            tuple(complex(float(e[0]), float(e[1])) for e in ks) for ks in data["K"]
-        )
+        ksets = [_json_numbers(ks, 2, "a boundary point").view(complex).ravel()
+                 for ks in data["K"]]
         inner = inner_from_dict(data["inner"])
-    except (TypeError, KeyError, ValueError, IndexError, OverflowError) as exc:
+    except (TypeError, KeyError, ValueError) as exc:
         raise ValueError(f"malformed subspace spec: {exc}") from exc
     return SubspaceSpec(ksets, inner, SpaceParams(n, p), zero_mode)

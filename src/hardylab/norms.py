@@ -32,6 +32,7 @@ Quadrature modes:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,10 +42,10 @@ from .series import (
     TaylorSeries,
     _check_perm_range,
     _complex_coeffs,
+    _horner,
     _is_integral,
     _smooth_size,
     derivative,
-    evaluate,
 )
 
 __all__ = [
@@ -137,7 +138,7 @@ def boundary_scale(f, num_points=None):
     if f.is_zero:
         return 0.0
     m = int(num_points) if num_points else max(256, 4 * (f.order + 1))
-    return float(np.max(np.abs(boundary_values(f, m))))
+    return float(np.abs(boundary_values(f, m)).max())
 
 
 def _check_exponent(p):
@@ -172,6 +173,23 @@ def _node_count(order, p, requested):
     return int(requested) if requested >= floor else _smooth_size(floor)
 
 
+@functools.cache
+def _power_row(r, step):
+    """``r ** (step * k)`` for k up to past its underflow to 0.0: <= 2651 entries."""
+    row = r ** (step * np.arange(math.ceil(1100 / (step * -math.log2(r)))))
+    row.flags.writeable = False  # callers share it
+    return row
+
+
+def _radius_powers(r, size, step):
+    """``r ** (step * np.arange(size))``, bit for bit: the power is taken
+    elementwise, so the sanity radii below 1 read their cached row."""
+    if r not in _SANITY_RADII[:-1]:
+        return r ** (step * np.arange(size))
+    row = _power_row(r, step)
+    return row[:size] if size <= row.size else np.append(row, np.zeros(size - row.size))
+
+
 def _means(f, p, radii, mode, num_points):
     """The p-th integral means of f on the circles |z| = r, r in ``radii``,
     in a resolved ``mode``, from one coefficient transform.
@@ -182,7 +200,7 @@ def _means(f, p, radii, mode, num_points):
     that is still not finite raises ValueError.
     """
     c = np.asarray(_complex_coeffs(f), dtype=complex)
-    e = math.frexp(float(np.max(np.abs(c))))[1]
+    e = math.frexp(float(np.abs(c).max()))[1]
     if p * max(e + c.size.bit_length(), -e) > 1000:
         c = np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e)
     else:
@@ -191,7 +209,7 @@ def _means(f, p, radii, mode, num_points):
         m = _node_count(f.order, p, num_points)
         buf = np.zeros((len(radii), m), dtype=complex)
         for row, r in zip(buf, radii):
-            row[: c.size] = c if r == 1.0 else c * r ** np.arange(c.size)
+            row[: c.size] = c if r == 1.0 else c * _radius_powers(r, c.size, 1)
         np.fft.ifft(buf, out=buf)
         buf *= m
         means = []
@@ -199,7 +217,7 @@ def _means(f, p, radii, mode, num_points):
             # one row at a time keeps the float temporaries at M entries
             mag = np.abs(row)
             mag **= p
-            means.append(float(np.mean(mag)) ** (1.0 / p))
+            means.append(float(mag.sum() / m) ** (1.0 / p))
     else:
         g = c
         for _ in range(int(p) // 2 - 1):
@@ -207,7 +225,7 @@ def _means(f, p, radii, mode, num_points):
         mag = np.abs(g)
         sq = mag * mag
         sums = [
-            float(np.sum(sq if r == 1.0 else sq * r ** (2.0 * np.arange(sq.size))))
+            float((sq if r == 1.0 else sq * _radius_powers(r, sq.size, 2.0)).sum())
             for r in radii
         ]
         root = math.sqrt if mode == "parseval" else lambda s: s ** (1.0 / p)
@@ -356,11 +374,9 @@ def sup_norm(f, cfg=None):
     j = int(np.argmax(vals))
     theta = _TWO_PI * j / m
     delta = _TWO_PI / m
-    polished = _golden_max(
-        lambda t: abs(complex(evaluate(f, cmath.exp(1j * t)))),
-        theta - delta,
-        theta + delta,
-    )
+    cs = _complex_coeffs(f)
+    polished = _golden_max(lambda t: abs(_horner(cs, cmath.exp(1j * t))),
+                           theta - delta, theta + delta)
     return max(float(vals[j]), polished)
 
 

@@ -44,7 +44,7 @@ import json
 import math
 import numbers
 from fractions import Fraction
-from itertools import repeat, zip_longest
+from itertools import chain, repeat, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +72,7 @@ __all__ = [
 def _is_integral(value):
     """True for an integer-valued number (2 or 2.0), False for 1.7, inf,
     None or "2"."""
-    if isinstance(value, numbers.Integral):
+    if type(value) is int or isinstance(value, numbers.Integral):
         return True
     return isinstance(value, numbers.Real) and float(value).is_integer()
 
@@ -144,13 +144,15 @@ class TaylorSeries:
     __slots__ = ("exact", "_c")
 
     def __init__(self, coeffs):
-        items = list(coeffs)
+        # a float or complex array converts in one call, without the scan
+        arr = type(coeffs) is np.ndarray and coeffs.ndim == 1 and coeffs.dtype.kind in "fc"
+        items = coeffs.astype(complex).tolist() if arr else list(coeffs)
         if not items:
             raise ValueError("a series needs at least the degree-0 coefficient")
-        exact = all(isinstance(c, (RationalComplex, int, Fraction)) for c in items)
-        self.exact = exact
-        if not exact:
-            self._c = tuple(complex(c) for c in items)
+        self.exact = not arr and all(
+            isinstance(c, (RationalComplex, int, Fraction)) for c in items)
+        if not self.exact:
+            self._c = tuple(items) if arr else tuple(complex(c) for c in items)
             return
         parts = [c.re if isinstance(c, RationalComplex) else c for c in items]
         parts += [c.im if isinstance(c, RationalComplex) else 0 for c in items]
@@ -187,8 +189,7 @@ class TaylorSeries:
             return NotImplemented
         if self.exact and other.exact:
             return self._c[2] == other._c[2] and _trimmed(self) == _trimmed(other)
-        a, b = _complex_coeffs(self), _complex_coeffs(other)
-        return all(x == y for x, y in zip_longest(a, b, fillvalue=0j))
+        return all(x == y for x, y in _pairs(self, other))
 
     def __add__(self, other):
         if isinstance(other, TaylorSeries):
@@ -302,14 +303,9 @@ def monomial(degree, coeff=1):
     return TaylorSeries([0] * _check_count(degree, "degree") + [coeff])
 
 
-def _aligned(f, g):
-    """Complex coefficient lists of f and g, padded to equal length."""
-    top = max(f.order, g.order)
-
-    def widen(s):
-        return list(_complex_coeffs(s)) + [0j] * (top - s.order)
-
-    return widen(f), widen(g)
+def _pairs(f, g):
+    """Pairs of the complex coefficients of f and g, the shorter padded with 0j."""
+    return zip_longest(_complex_coeffs(f), _complex_coeffs(g), fillvalue=0j)
 
 
 def _exact_sum(f, g, sign):
@@ -326,16 +322,14 @@ def add(f, g):
     """Coefficient-wise sum; output order is max(order(f), order(g))."""
     if f.exact and g.exact:
         return _exact_sum(f, g, 1)
-    fa, ga = _aligned(f, g)
-    return _float_series(tuple([a + b for a, b in zip(fa, ga)]))
+    return _float_series(tuple([a + b for a, b in _pairs(f, g)]))
 
 
 def subtract(f, g):
     """Coefficient-wise difference; output order is max(order(f), order(g))."""
     if f.exact and g.exact:
         return _exact_sum(f, g, -1)
-    fa, ga = _aligned(f, g)
-    return _float_series(tuple([a - b for a, b in zip(fa, ga)]))
+    return _float_series(tuple([a - b for a, b in _pairs(f, g)]))
 
 
 def scale(f, factor):
@@ -476,6 +470,15 @@ def derivative(f, m=1):
     return _reweighted(f, weights, offset=-m)
 
 
+def _horner(cs, z):
+    """``sum cs[k] * z**k`` by Horner's rule, from the top coefficient down."""
+    it = reversed(cs)
+    acc = next(it)
+    for c in it:
+        acc = acc * z + c
+    return acc
+
+
 def evaluate(f, z):
     """Horner evaluation of the stored polynomial at z.
 
@@ -484,14 +487,9 @@ def evaluate(f, z):
     or complex operand degrades the result to complex.
     """
     w = _gaussian(z) if f.exact else None
-    if w is None:
-        if isinstance(z, RationalComplex):
-            z = complex(z)
-        cs = _complex_coeffs(f)
-        acc = cs[-1]
-        for c in reversed(cs[:-1]):
-            acc = acc * z + c
-        return acc
+    if w is None:  # an exact point meets float coefficients as complex()
+        z = complex(z) if isinstance(z, RationalComplex) else z
+        return _horner(_complex_coeffs(f), z)
     (zr, zi, zd), (re, im, fd) = w, f._c
     ar, ai, power = re[-1], im[-1], 1
     for k in range(len(re) - 2, -1, -1):
@@ -501,12 +499,31 @@ def evaluate(f, z):
     return RationalComplex(Fraction(ar, den), Fraction(ai, den))
 
 
+def _json_numbers(rows, width, what):
+    """``rows``, a JSON array of ``width``-number arrays, as a float array of
+    shape ``(len(rows), width)``: the one number reader of every input file.
+    Each number must be an int or a float, not a bool or a string, finite and
+    in double range; types are checked once per distinct type, not per row."""
+    ok = isinstance(rows, (list, tuple)) and set(map(type, rows)) <= {list, tuple}
+    ok = ok and set(map(len, rows)) <= {width}
+    kinds = set(map(type, chain.from_iterable(rows))) if ok else {str}
+    if bool in kinds or not all(issubclass(t, (int, float)) for t in kinds):
+        raise ValueError(f"{what} must be {width} finite real numbers: {rows!r:.80}")
+    try:
+        out = np.fromiter(chain.from_iterable(rows), float, width * len(rows))
+    except OverflowError:  # an int beyond double range
+        out = np.array([math.inf])
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} is not finite real numbers in double range")
+    return out.reshape(-1, width)
+
+
 def to_dict(f):
-    """JSON-ready form: ``{"order": N, "coeffs": [[re, im], ...]}``."""
-    return {
-        "order": f.order,
-        "coeffs": [[c.real, c.imag] for c in _complex_coeffs(f)],
-    }
+    """JSON-ready form ``{"order": N, "coeffs": [[re, im], ...]}``, finite only."""
+    cs = _complex_coeffs(f)
+    if not all(map(cmath.isfinite, cs)):
+        raise ValueError(f"a coefficient of the order-{f.order} series is not finite")
+    return {"order": f.order, "coeffs": [[c.real, c.imag] for c in cs]}
 
 
 def from_dict(data):
@@ -521,18 +538,7 @@ def from_dict(data):
         raise ValueError(
             f"order {data['order']} does not match {len(pairs)} coefficients"
         )
-    coeffs = []
-    for entry in pairs:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValueError("each coefficient must be a [re, im] pair")
-        try:
-            c = complex(float(entry[0]), float(entry[1]))
-        except (TypeError, OverflowError):
-            raise ValueError("coefficient parts must be finite real numbers") from None
-        if not cmath.isfinite(c):
-            raise ValueError(f"coefficient {c} is not finite")
-        coeffs.append(c)
-    return TaylorSeries(coeffs)
+    return TaylorSeries(_json_numbers(pairs, 2, "a coefficient").view(complex).ravel())
 
 
 def dumps(f):

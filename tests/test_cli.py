@@ -5,6 +5,10 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +26,7 @@ from hardylab import (
     spec_from_dict,
     spec_to_dict,
 )
+from hardylab import cli
 from hardylab.cli import main
 
 NESTED = SubspaceSpec(
@@ -107,8 +112,10 @@ class TestNormCommand:
         assert "nan" not in captured.out and "inf" not in captured.out
 
 
-    @pytest.mark.parametrize("part", ["null", "[1.0]", '{"re": 1.0}', "1" + "0" * 400],
-                             ids=["null", "list", "object", "int-beyond-double"])
+    @pytest.mark.parametrize("part", ["null", "[1.0]", '{"re": 1.0}', "1" + "0" * 400, '"12"',
+                                      "true"],
+                             ids=["null", "list", "object", "int-beyond-double",
+                                  "numeric-string", "bool"])
     def test_non_number_coefficient_part_is_usage_error(self, tmp_path, capsys, part):
         path = tmp_path / "bad.json"
         path.write_text(f'{{"order": 0, "coeffs": [[{part}, 0.0]]}}', encoding="utf-8")
@@ -150,6 +157,15 @@ class TestApplyCommand:
     def test_order_parameter_capped(self, series_file, capsys):
         assert main(["apply", series_file, "combined", "--n", "17"]) == 2
         assert "capped" in capsys.readouterr().err
+
+    def test_non_finite_result_is_usage_error(self, tmp_path, capsys):
+        # the coefficients are finite, the combined operator's weights overflow them
+        path = tmp_path / "big.json"
+        path.write_text('{"order": 1, "coeffs": [[1e308, 0], [1e308, 0]]}', encoding="utf-8")
+        assert main(["apply", str(path), "combined", "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "not finite" in captured.err
+        assert captured.out == ""
 
     def test_unknown_operator_rejected_by_parser(self, series_file):
         with pytest.raises(SystemExit) as exc:
@@ -194,6 +210,31 @@ class TestVerifyCommand:
         assert hashlib.sha256(dest.read_bytes()).hexdigest() == (
             "2f0c4994d58d41599aa5bef8446b820c7183fe837a466246d92675962d352ed6"
         )
+
+
+class TestRepeatedCalls:
+    def test_in_process_calls_match_fresh_processes(self, series_file):
+        # the parser is built once per process; no call may leave state in it
+        argvs = [
+            ["verify", "--suite", "norms", "--order", "6", "--points", "64",
+             "--negative-control"],
+            ["verify", "--suite", "norms", "--order", "6", "--points", "64"],
+            ["norm", series_file, "--p", "3"],
+        ]
+        in_process = []
+        for argv in argvs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                in_process.append((main(argv), out.getvalue()))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        for argv, (code, text) in zip(argvs, in_process):
+            fresh = subprocess.run([sys.executable, "-m", "hardylab", *argv],
+                                   capture_output=True, text=True, env=env, check=False)
+            assert (code, text) == (fresh.returncode, fresh.stdout)
+        assert in_process[0][0] == 1 and in_process[1][0] == 0
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestMembershipCommand:
@@ -321,21 +362,25 @@ _JSON = st.recursive(
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_KEYS, kids, max_size=5),
     max_leaves=8,
 )
-_SLOT = st.integers() | st.floats() | _JSON
+_NUMERIC_TEXT = st.from_regex(r"-?[0-9]{1,3}(\.[0-9])?", fullmatch=True)
+_SLOT = st.integers() | st.floats() | st.booleans() | _NUMERIC_TEXT | _JSON
 
 
 def _tuples(length, max_size):
-    return st.lists(st.lists(_SLOT, min_size=length, max_size=length), max_size=max_size)
+    # mostly the stated length, sometimes one entry short or long
+    sizes = st.just(length) | st.sampled_from([length - 1, length + 1])
+    return st.lists(sizes.flatmap(lambda k: st.lists(_SLOT, min_size=k, max_size=k)),
+                    max_size=max_size)
 
 
-_SERIES_DOCS = _JSON | _tuples(2, 3).filter(len).map(
-    lambda pairs: {"order": len(pairs) - 1, "coeffs": pairs}
-)
+_SERIES_DOCS = _JSON | st.just({"order": 0, "coeffs": [["12", "3"]]}) | _tuples(2, 3).filter(
+    len).map(lambda pairs: {"order": len(pairs) - 1, "coeffs": pairs})
 _SPEC_DOCS = _JSON | st.fixed_dictionaries({
     "n": st.just(1) | _JSON,
     "p": st.just(2.0) | _SLOT,
     "zero_mode": st.booleans() | _JSON,
-    "K": st.just([[[1.0, 0.0]]]) | _tuples(2, 2).map(lambda points: [points]) | _JSON,
+    "K": st.just([[[1.0, 0.0]]]) | st.just([["10"]]) | _tuples(2, 2).map(lambda points: [points])
+    | _JSON,
     "inner": _JSON | st.fixed_dictionaries({}, optional={
         "zeros": _tuples(3, 2), "const": st.lists(_SLOT, min_size=2, max_size=2),
         "atoms": _tuples(2, 2),
@@ -361,7 +406,11 @@ class TestFuzzedFiles:
             try:
                 parse(doc)
             except ValueError:
-                pass
+                continue
+            # whatever is accepted holds only pairs of JSON numbers
+            rows = doc["coeffs"] if parse is from_dict else [z for ks in doc["K"] for z in ks]
+            assert all(type(row) is list and len(row) == 2 for row in rows)
+            assert all(type(x) in (int, float) for row in rows for x in row)
         series_path, spec_path = fuzz_dir / "series.json", fuzz_dir / "spec.json"
         series_path.write_text(json.dumps(series), encoding="utf-8")
         spec_path.write_text(json.dumps(spec), encoding="utf-8")
@@ -376,3 +425,31 @@ class TestFuzzedFiles:
                 code = main([str(arg) for arg in argv])
             assert code in (0, 1, 2)
             assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda spec: spec.update(K=[["10"]]), id="point-as-string"),
+        pytest.param(lambda spec: spec.update(K=[[["1", "0"]]]), id="numeric-strings"),
+        pytest.param(lambda spec: spec.update(K=[[[True, False]]]), id="bools"),
+        pytest.param(lambda spec: spec.update(K=[[[1.0, 0.0, 5.0]]]), id="point-too-long"),
+        pytest.param(lambda spec: spec.update(p="2"), id="p-string"),
+        pytest.param(lambda spec: spec.update(p=True), id="p-bool"),
+        pytest.param(lambda spec: spec["inner"].update(zeros=[[0.5, 0.0, 1, 7]]),
+                     id="zero-too-long"),
+        pytest.param(lambda spec: spec["inner"].update(atoms=[[1.0, "0.5"]]),
+                     id="atom-mass-string"),
+    ])
+    def test_spec_numbers_must_be_json_numbers(self, fuzz_dir, tmp_path, capsys, edit):
+        # z - 1 vanishes at the point 1 that "10" was once read as
+        series_path = tmp_path / "z-minus-1.json"
+        save_series(TaylorSeries([-1.0, 1.0]), series_path)
+        spec = {"n": 1, "p": 2.0, "zero_mode": False, "K": [[[1.0, 0.0]]],
+                "inner": {"zeros": [], "const": [1.0, 0.0], "atoms": []}}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["membership", str(series_path), str(spec_path)]) == 0
+        edit(spec)
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["membership", str(series_path), str(spec_path)]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "member:" not in captured.out

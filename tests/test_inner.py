@@ -19,6 +19,7 @@ from hardylab import (
     scale,
     singular_division_heuristic,
 )
+from hardylab.verify import fixed_specs
 
 BLASCHKE_HALF = InnerFunction(zeros=((0.5 + 0j, 1),))
 ATOMIC_ONE = InnerFunction(atoms=((0.0, 1.0),))
@@ -97,6 +98,30 @@ class TestUnimodularity:
     def test_product_with_atom_defect(self):
         G = InnerFunction(zeros=((0.3 + 0.2j, 1),), atoms=((math.pi / 3, 0.7),))
         assert boundary_unimodularity_defect(G, 1024) < 1e-9
+
+    @staticmethod
+    def _scalar_defect(G, num_samples=4096):
+        """The defect by one eval_inner call per boundary sample."""
+        worst = 0.0
+        for j in range(num_samples):
+            theta = 2.0 * math.pi * j / num_samples
+            gaps = [abs((theta - tk + math.pi) % (2.0 * math.pi) - math.pi) for tk, _ in G.atoms]
+            if any(gap < 1e-3 for gap in gaps):
+                continue
+            worst = max(worst, abs(abs(eval_inner(G, cmath.exp(1j * theta))) - 1.0))
+        return worst
+
+    @pytest.mark.parametrize("G", [
+        *(spec.inner for _, spec in fixed_specs()),
+        InnerFunction(zeros=((0.3 + 0.2j, 2), (0j, 1)), const=cmath.exp(0.4j),
+                      atoms=((math.pi / 3, 0.7), (0.0, 2.0))),
+    ])
+    def test_vectorized_defect_matches_the_scalar_loop(self, G):
+        assert abs(boundary_unimodularity_defect(G) - self._scalar_defect(G)) <= 1e-15
+
+    def test_all_samples_near_atoms_give_zero(self):
+        atoms = tuple((2.0 * math.pi * j / 16, 1.0) for j in range(16))
+        assert boundary_unimodularity_defect(InnerFunction(atoms=atoms), 16) == 0.0
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
@@ -184,6 +209,19 @@ class TestSerialization:
         assert H.zeros == G.zeros
         assert H.const == G.const
         assert H.atoms == G.atoms
+
+    @pytest.mark.parametrize("data", [
+        {"zeros": [["0.5", 0.0, 1]]}, {"zeros": [[0.5, 0.0, True]]},
+        {"zeros": [[0.5, 0.0, 1, 7]]}, {"const": ["1", 0]}, {"const": [1.0, 0.0, 0.0]},
+        {"atoms": [[0.0, "1"]]}, {"atoms": [[0.0, 1.0, 9.0]]}, {"atoms": ["01"]},
+    ])
+    def test_only_json_numbers_are_read(self, data):
+        with pytest.raises(ValueError, match="malformed"):
+            inner_from_dict(data)
+
+    def test_large_multiplicity_is_read_exactly(self):
+        G = inner_from_dict({"zeros": [[0.5, 0.0, 10**17 + 1]]})
+        assert G.zeros == ((0.5 + 0j, 10**17 + 1),)
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):

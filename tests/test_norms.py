@@ -294,3 +294,96 @@ class TestFastPaths:
             hp_norm(TaylorSeries([1e308] * 4), 3.0)
         with pytest.raises(ValueError, match="not finite"):
             hp_norm(TaylorSeries([1.0, math.inf]), 2.0)
+
+
+def _reference_means(f, p, radii, mode, num_points):
+    """The integral means by the formulas the fixed-cost cuts replaced:
+    ``np.mean``, ``np.sum`` and a fresh ``r ** arange`` row on every call."""
+    c = np.asarray([complex(x) for x in f.coeffs], dtype=complex)
+    e = math.frexp(float(np.max(np.abs(c))))[1]
+    if p * max(e + c.size.bit_length(), -e) > 1000:
+        c = np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e)
+    else:
+        e = 0
+    if mode == "trapezoid":
+        m = norms._node_count(f.order, p, num_points)
+        buf = np.zeros((len(radii), m), dtype=complex)
+        for row, r in zip(buf, radii):
+            row[: c.size] = c if r == 1.0 else c * r ** np.arange(c.size)
+        np.fft.ifft(buf, out=buf)
+        buf *= m
+        means = []
+        for row in buf:
+            mag = np.abs(row)
+            mag **= p
+            means.append(float(np.mean(mag)) ** (1.0 / p))
+    else:
+        g = c
+        for _ in range(int(p) // 2 - 1):
+            g = np.convolve(g, c)
+        mag = np.abs(g)
+        sq = mag * mag
+        sums = [
+            float(np.sum(sq if r == 1.0 else sq * r ** (2.0 * np.arange(sq.size))))
+            for r in radii
+        ]
+        root = math.sqrt if mode == "parseval" else lambda s: s ** (1.0 / p)
+        means = [root(s) for s in sums]
+    return [math.ldexp(x, e) for x in means]
+
+
+def _modes(p):
+    """Every quadrature mode valid at exponent p."""
+    return ["auto", "trapezoid"] + ["parseval"] * (p == 2) + ["power-trick"] * (p in (2, 4))
+
+
+class TestBitIdentity:
+    """hp_norm and integral_mean are bit-identical to the reference formulas."""
+
+    RADII = (0.3, 0.5, 0.75, 1.0)
+
+    def _check(self, f, p, mode, points=64):
+        cfg = QuadratureConfig(num_points=points, mode=mode)
+        resolved = norms._resolve_mode(p, mode, f.order)
+        ref = _reference_means(f, p, norms._SANITY_RADII, resolved, points)
+        assert hp_norm(f, p, cfg) == ref[-1]
+        for r in self.RADII:
+            assert integral_mean(f, p, r, cfg) == _reference_means(f, p, (r,), resolved, points)[0]
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+    def test_orders_0_to_300_every_mode(self, p):
+        rng = np.random.default_rng([31, int(2 * p)])
+        for order in range(301):
+            f = _random_series(rng, order)
+            for mode in _modes(p):
+                self._check(f, p, mode)
+
+    @pytest.mark.parametrize("p, mode", [(2.0, "parseval"), (4.0, "power-trick"),
+                                         (3.0, "trapezoid"), (1.0, "auto")])
+    def test_orders_past_the_cached_rows(self, p, mode):
+        # the longest cached row has 2651 entries; above it the powers are 0.0
+        rng = np.random.default_rng(32)
+        for order in (538, 1074, 1075, 1296, 2590, 2651, 3000):
+            self._check(_random_series(rng, order), p, mode)
+
+    def test_rescaled_series_stay_bit_identical(self):
+        rng = np.random.default_rng(33)
+        c = rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40)
+        for scale in (1e200, 1e-200):
+            for p, mode in ((2.0, "parseval"), (4.0, "power-trick"), (3.0, "trapezoid")):
+                self._check(TaylorSeries(c * scale), p, mode)
+
+    def test_power_rows_stay_bounded(self):
+        rng = np.random.default_rng(34)
+        for order in (8, 4096, 16384):
+            f = _random_series(rng, order)
+            for p in (1.5, 2.0, 3.0, 4.0):
+                hp_norm(f, p)
+        assert norms._power_row.cache_info().currsize <= 4
+        for r in (0.5, 0.75):
+            for step in (1, 2.0):
+                row = norms._power_row(r, step)
+                assert row.size <= 2651 and row[-1] == 0.0
+                for size in (0, 1, 40, 301, row.size, row.size + 1, 16385):
+                    expected = r ** (step * np.arange(size))
+                    assert np.array_equal(norms._radius_powers(r, size, step), expected)

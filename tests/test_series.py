@@ -23,7 +23,7 @@ from hardylab import (
     monomial,
     shift_plus_volterra,
 )
-from hardylab.series import _FFT_PRODUCT_LEN, dumps, loads, from_dict, to_dict
+from hardylab.series import _FFT_PRODUCT_LEN, _is_integral, dumps, loads, from_dict, to_dict
 
 import exact_reference as ref
 
@@ -120,6 +120,28 @@ class TestConstruction:
         m = monomial(3)
         assert m.exact and m.coeffs[3] == 1 and m.order == 3
         assert not monomial(2, 1.0).exact
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex64, np.complex128])
+    def test_array_input_matches_list_input_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(9)
+        values = rng.uniform(-1, 1, 12) + 1j * rng.uniform(-1, 1, 12)
+        values[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j]
+        arr = (values.real if dtype is np.float64 else values).astype(dtype)
+        a, b = TaylorSeries(arr), TaylorSeries(list(arr))
+        assert not a.exact and all(type(c) is complex for c in a.coeffs)
+        # repr tells the signed zeros apart, == does not
+        assert repr(a.coeffs) == repr(b.coeffs)
+
+    def test_int_and_object_arrays_keep_the_scanning_path(self):
+        assert not TaylorSeries(np.array([1, 2])).exact
+        assert TaylorSeries(np.array([1, 2])) == TaylorSeries([1.0, 2.0])
+        assert TaylorSeries(np.array([1, Fraction(1, 2)], dtype=object)).exact
+        with pytest.raises(ValueError):
+            TaylorSeries(np.zeros(0))
+
+    def test_integral_check_takes_ints_bools_and_integral_floats(self):
+        assert all(map(_is_integral, (2, True, 2.0, np.int64(3), Fraction(4))))
+        assert not any(map(_is_integral, (1.7, math.inf, None, "2", Fraction(1, 2))))
 
     def test_polynomial_equality_ignores_trailing_zeros(self):
         assert TaylorSeries([1, 2]) == TaylorSeries([1, 2, 0, 0])
@@ -255,6 +277,19 @@ class TestSerialization:
             from_dict({"order": 1, "coeffs": [[1.0, 0.0], [0.0, bad]]})
         with pytest.raises(ValueError, match="not finite"):
             loads(json.dumps({"order": 0, "coeffs": [[bad, 0.0]]}))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_series_is_not_written(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            to_dict(TaylorSeries([1.0, complex(0.0, bad)]))
+
+    @pytest.mark.parametrize("coeffs", [
+        [["12", "3"]], [[True, 0.0]], [[1.0, False]], [[1.0]], [[1.0, 2.0, 3.0]], ["12"],
+        [[None, 0.0]], [[[1.0], 0.0]], [[10**400, 0.0]],
+    ])
+    def test_only_json_numbers_in_pairs_are_read(self, coeffs):
+        with pytest.raises(ValueError):
+            from_dict({"order": 0, "coeffs": coeffs})
 
     def test_json_is_plain(self):
         payload = json.loads(dumps(TaylorSeries([1.5, -2.25j])))
