@@ -156,8 +156,9 @@ def zero_residuals(f, G):
     for a, m in G.zeros:
         d = f
         for i in range(min(m, f.order + 1)):
+            if i:
+                d = derivative(d, 1)
             out.append((a, i, abs(complex(evaluate(d, a)))))
-            d = derivative(d, 1)
     return out
 
 

@@ -24,9 +24,9 @@ Quadrature modes:
     integer at or above the floor, a length the FFT handles without
     Bluestein's algorithm.
 ``auto``
-    ``parseval`` at p = 2; ``power-trick`` at even p >= 4 up to order
-    ``_AUTO_TRAPEZOID_ORDER`` (1024), where the O(N log N) ``trapezoid``
-    takes over, exact as well; ``trapezoid`` for every other p.
+    ``parseval`` at p = 2; at even p = 2q >= 4, ``power-trick`` while its
+    ``(N+1)**2 * q(q-1)/2`` multiply-adds are at most 144 per trapezoid
+    node, the exact O(M log M) ``trapezoid`` above; ``trapezoid`` otherwise.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .series import (
     _complex_coeffs,
     _horner,
     _is_integral,
+    _quietly,
     _smooth_size,
     derivative,
 )
@@ -66,8 +67,10 @@ __all__ = [
 _MODES = ("auto", "parseval", "power-trick", "trapezoid")
 _SANITY_RADII = (0.5, 0.75, 1.0)
 _TWO_PI = 2.0 * math.pi
-# auto sends even p >= 4 to the trapezoid above this order
-_AUTO_TRAPEZOID_ORDER = 1024
+# power trick and trapezoid took equal time at (order+1)**2 = 144 M (M nodes)
+# at p = 4, 48 M at p = 6; the blocked polish beat Horner >= 2x above 512
+_POWER_TRICK_PER_NODE = 144
+_BLOCKED_POLISH_LEN = 512
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,7 @@ def boundary_values(f, num_points, radius=1.0):
     FFT-based: the j-th entry is ``f(radius * exp(2j*pi*1j*j/num_points))``.
     Sampling a degree-N polynomial needs ``num_points >= N + 1``.
     """
-    c = np.asarray(_complex_coeffs(f), dtype=complex)
+    c = _complex_coeffs(f)
     if num_points < c.size:
         raise ValueError(
             f"need at least order+1 = {c.size} sample points, got {num_points}"
@@ -138,7 +141,7 @@ def boundary_scale(f, num_points=None):
     if f.is_zero:
         return 0.0
     m = int(num_points) if num_points else max(256, 4 * (f.order + 1))
-    return float(np.abs(boundary_values(f, m)).max())
+    return _finite_sum([_quietly(lambda: np.abs(boundary_values(f, m)).max())])
 
 
 def _check_exponent(p):
@@ -150,11 +153,13 @@ def _is_even(p):
     return float(p).is_integer() and int(p) % 2 == 0
 
 
-def _resolve_mode(p, mode, order):
+def _resolve_mode(p, mode, order, num_points):
     if mode == "auto":
         if p == 2:
             return "parseval"
-        if _is_even(p) and order <= _AUTO_TRAPEZOID_ORDER:
+        q = int(p) // 2
+        work = (order + 1) ** 2 * q * (q - 1) // 2
+        if _is_even(p) and work <= _POWER_TRICK_PER_NODE * _node_count(order, p, num_points):
             return "power-trick"
         return "trapezoid"
     if mode == "parseval" and p != 2:
@@ -199,7 +204,7 @@ def _means(f, p, radii, mode, num_points):
     exact rescaling, and the means are scaled back by ``2**e``.  A mean
     that is still not finite raises ValueError.
     """
-    c = np.asarray(_complex_coeffs(f), dtype=complex)
+    c = _complex_coeffs(f)
     e = math.frexp(float(np.abs(c).max()))[1]
     if p * max(e + c.size.bit_length(), -e) > 1000:
         c = np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e)
@@ -263,7 +268,7 @@ def integral_mean(f, p, r=1.0, cfg=None):
     _check_exponent(p)
     if not 0 < r <= 1:
         raise ValueError(f"radius must lie in (0, 1], got {r}")
-    mode = _resolve_mode(p, cfg.mode, f.order)
+    mode = _resolve_mode(p, cfg.mode, f.order, cfg.num_points)
     return _means(f, p, (r,), mode, cfg.num_points)[0]
 
 
@@ -276,7 +281,7 @@ def hp_norm(f, p, cfg=None):
     """
     cfg = cfg if cfg is not None else QuadratureConfig()
     _check_exponent(p)
-    mode = _resolve_mode(p, cfg.mode, f.order)
+    mode = _resolve_mode(p, cfg.mode, f.order, cfg.num_points)
     means = _means(f, p, _SANITY_RADII, mode, cfg.num_points)
     for lo, hi in zip(means, means[1:]):
         if lo > hi + 1e-12 * max(1.0, hi):
@@ -297,7 +302,7 @@ def sn_norm(f, params, cfg=None):
     _check_perm_range(f, f"derivative {params.n}", f.order, params.n)
     heads = []
     for _ in range(params.n):
-        heads.append(abs(complex(f.coeffs[0])))
+        heads.append(abs(complex(_complex_coeffs(f)[0])))
         f = derivative(f, 1)
     total = hp_norm(f, params.p, cfg)
     for head in reversed(heads):
@@ -360,27 +365,44 @@ def _golden_max(fn, lo, hi, iterations=60):
     return max(fc, fd)
 
 
+def _abs_on_circle(c):
+    """``t -> |f(e^{it})|``: Horner's rule up to ``_BLOCKED_POLISH_LEN``
+    coefficients, else ``sum_i z**(b*i) * (C @ z**j)_i`` with C the
+    coefficients as a ``(ceil(N/b), b)`` matrix, b ~ sqrt(N)."""
+    if c.size <= _BLOCKED_POLISH_LEN:
+        cs = c.tolist()
+        return lambda t: abs(_horner(cs, cmath.exp(1j * t)))
+    b = math.isqrt(c.size - 1) + 1
+    blocks = np.append(c, np.zeros(-c.size % b, complex)).reshape(-1, b)
+    j, i = np.arange(b), np.arange(0, blocks.size, b)
+    # products and sums, not BLAS: a threaded matvec stalled 400x on a busy core
+    return lambda t: float(abs((np.exp(1j * t * i) * (blocks * np.exp(1j * t * j)).sum(1)).sum()))
+
+
 def sup_norm(f, cfg=None):
     """Boundary sup of |f|: dense sampling plus one golden-section polish.
 
     The maximum principle puts the sup of a polynomial over the closed disk
-    on the boundary circle.
+    on the boundary circle.  The polish runs blocked above 512 coefficients
+    (:func:`_abs_on_circle`); boundary values beyond double range raise
+    ValueError.
     """
     cfg = cfg if cfg is not None else QuadratureConfig()
     if f.is_zero:
         return 0.0
     m = _effective_points(f, cfg.num_points)
-    vals = np.abs(boundary_values(f, m))
+    vals = _quietly(lambda: np.abs(boundary_values(f, m)))
     j = int(np.argmax(vals))
+    grid = _finite_sum([vals[j]])
     theta = _TWO_PI * j / m
     delta = _TWO_PI / m
-    cs = _complex_coeffs(f)
-    polished = _golden_max(lambda t: abs(_horner(cs, cmath.exp(1j * t))),
-                           theta - delta, theta + delta)
-    return max(float(vals[j]), polished)
+    polished = _golden_max(_abs_on_circle(_complex_coeffs(f)), theta - delta, theta + delta)
+    return max(grid, polished)
 
 
 def hardy_sum(f):
     """``sum |c_k| / (k+1)``: the coefficient side of the classical H^1
     coefficient inequality (bounded by pi times the H^1 norm)."""
-    return _finite_sum(abs(c) / (k + 1) for k, c in enumerate(f.coeffs))
+    c = _complex_coeffs(f)
+    # np.hypot is the abs of Python complex; np.abs rounds otherwise
+    return _finite_sum((_quietly(np.hypot, c.real, c.imag) / np.arange(1, c.size + 1)).tolist())

@@ -12,7 +12,6 @@ n-fold derivative shrinks it by n (floored at the zero series).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .series import (
@@ -56,7 +55,7 @@ def _antiderivative(f):
     """Term-by-term antiderivative with value 0 at the origin."""
     if f.is_zero:
         return zero(exact=f.exact)
-    return _reweighted(f, divisors=range(1, f.order + 2), offset=1)
+    return _reweighted(f, divisors=(range(1, f.order + 2), 1), offset=1)
 
 
 def volterra(f, g):
@@ -78,8 +77,8 @@ def shift_plus_volterra(f, n):
     ``c_k * (k + 1 + n) / (k + 1)`` and the constant term is 0.
     """
     n = _check_multiple(n)
-    weights = range(n + 1, f.order + n + 2)
-    return _reweighted(f, weights, range(1, f.order + 2), offset=1)
+    weights, divisors = (range(n + 1, f.order + n + 2), 1), (range(1, f.order + 2), 1)
+    return _reweighted(f, weights, divisors, offset=1)
 
 
 def shift_plus_volterra_composed(f, n):
@@ -106,8 +105,7 @@ def nth_antiderivative(f, n):
     """
     n = _check_multiple(n)
     _check_perm_range(f, f"antiderivative {n}", f.order + n, n)
-    divisors = [math.perm(k + n, n) for k in range(f.order + 1)]
-    return _reweighted(f, divisors=divisors, offset=n)
+    return _reweighted(f, divisors=(range(n, f.order + n + 1), n), offset=n)
 
 
 def lift_approximant(f, pm, n):

@@ -7,7 +7,9 @@ decision; the arithmetic here is exact polynomial arithmetic up to the
 requested truncation degree.
 
 Two coefficient modes exist.  The default is double-precision complex,
-stored as a tuple of Python ``complex``.  If every coefficient passed in is
+stored as one read-only, finite ``complex128`` array (a result that
+overflows raises ValueError); ``coeffs`` builds a tuple of Python
+``complex`` from it.  If every coefficient passed in is
 an ``int``, a ``Fraction``, or a ``RationalComplex``, the series is kept in
 exact form instead, which makes the coefficient-level operator identities
 testable with zero tolerance.  Any operation that mixes the two modes
@@ -20,7 +22,9 @@ antiderivatives, the combined operator, heads) goes through one map,
 :func:`_reweighted`, which puts ``c_k * w / d`` at degree ``k + offset``.
 In float mode its rounding is fixed per call: ``c * w`` without divisors,
 ``c / d`` without weights, ``c * (w / d)`` with both, and a plain copy with
-neither.
+neither.  Float results are bit-identical to Python ``complex`` arithmetic,
+signed zeros included: where NumPy rounds otherwise (``complex / real``,
+``complex * complex``) the parts follow Python's formulas.
 
 Exact storage follows FLINT's ``fmpq_poly`` layout: a tuple of Python-int
 real numerators, a tuple of imaginary numerators, and one positive int
@@ -99,7 +103,7 @@ class RationalComplex:
         return complex(float(self.re), float(self.im))
 
     def __abs__(self):
-        return math.hypot(float(self.re), float(self.im))
+        return abs(complex(self))
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -138,21 +142,21 @@ class TaylorSeries:
     Equality is polynomial equality: trailing zero coefficients are ignored.
     """
 
-    # float mode: ``_c`` is the tuple of complex coefficients; exact mode:
-    # ``_c`` is ``(re, im, den)``.  Two slots keep the many short-lived
-    # float series small.
+    # float mode: ``_c`` is a read-only complex128 array; exact mode: ``_c``
+    # is ``(re, im, den)``.  Two slots keep the many short-lived float
+    # series small.
     __slots__ = ("exact", "_c")
 
     def __init__(self, coeffs):
         # a float or complex array converts in one call, without the scan
         arr = type(coeffs) is np.ndarray and coeffs.ndim == 1 and coeffs.dtype.kind in "fc"
-        items = coeffs.astype(complex).tolist() if arr else list(coeffs)
-        if not items:
+        items = coeffs if arr else list(coeffs)
+        if not len(items):
             raise ValueError("a series needs at least the degree-0 coefficient")
         self.exact = not arr and all(
             isinstance(c, (RationalComplex, int, Fraction)) for c in items)
         if not self.exact:
-            self._c = tuple(items) if arr else tuple(complex(c) for c in items)
+            self._c = _finite(np.array(items, complex) if arr else list(map(complex, items)))
             return
         parts = [c.re if isinstance(c, RationalComplex) else c for c in items]
         parts += [c.im if isinstance(c, RationalComplex) else 0 for c in items]
@@ -166,9 +170,9 @@ class TaylorSeries:
     @property
     def coeffs(self):
         """The coefficients: ``complex`` in float mode, ``RationalComplex``
-        in exact mode (built on each access)."""
+        in exact mode (built on each access in both)."""
         if not self.exact:
-            return self._c
+            return tuple(self._c.tolist())
         re, im, d = self._c
         return tuple(
             RationalComplex(Fraction(r, d), Fraction(i, d)) for r, i in zip(re, im)
@@ -182,14 +186,14 @@ class TaylorSeries:
     def is_zero(self):
         if self.exact:
             return not any(self._c[0]) and not any(self._c[1])
-        return all(c == 0 for c in self._c)
+        return not np.count_nonzero(self._c)
 
     def __eq__(self, other):
         if not isinstance(other, TaylorSeries):
             return NotImplemented
         if self.exact and other.exact:
             return self._c[2] == other._c[2] and _trimmed(self) == _trimmed(other)
-        return all(x == y for x, y in _pairs(self, other))
+        return not np.count_nonzero(np.not_equal(*_aligned(self, other)))
 
     def __add__(self, other):
         if isinstance(other, TaylorSeries):
@@ -230,22 +234,64 @@ def _exact_series(re, im, den):
     return f
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _quietly(fn, *args):
+    """``fn(*args)`` without NumPy's overflow warnings: a float result that
+    overflowed then fails the finite check of its series with ValueError."""
+    return fn(*args)
+
+
+def _finite(c):
+    """c, a fresh complex128 array or a list of Python complex, as a
+    read-only array; ValueError unless every entry is finite.  Every float
+    series passes this one check (on a short list, cmath's is cheaper)."""
+    if type(c) is list:
+        finite, c = all(map(cmath.isfinite, c)), np.array(c, dtype=complex)
+    else:
+        finite = np.count_nonzero(np.isfinite(c)) == c.size
+    if not finite:
+        raise ValueError(f"a coefficient of the order-{c.size - 1} series is not finite")
+    c.setflags(write=False)
+    return c
+
+
 def _float_series(c):
-    """Float series over the tuple ``c`` of Python ``complex``, without the
-    constructor's re-scan."""
+    """Float series over ``c`` as :func:`_finite` takes it."""
     f = object.__new__(TaylorSeries)
     f.exact = False
-    f._c = c
+    f._c = _finite(c)
     return f
 
 
-def _reweighted(f, weights=None, divisors=None, offset=0, start=None, stop=None):
-    """The series with ``c_k * weights[i] / divisors[i]`` at degree
-    ``k + offset`` for the source degrees ``start <= k < stop``, where
-    ``i = k - start``, and zeros below degree ``start + offset``.
+def _perm_ints(ks, m):
+    """``perm(k, m)`` for k in the range ks, as Python ints."""
+    return ks if m == 1 else [math.perm(k, m) for k in ks]
 
-    A list left out counts as all ones.  ``start`` defaults to
-    ``max(0, -offset)`` and ``stop`` to the end of f; ``start + offset``
+
+def _perm_floats(ks, m):
+    """``float(perm(k, m))`` for k in the range ks: a product of m rows of
+    integers, exact below 2**53, else each exact int converted."""
+    if ks and math.perm(ks[-1], m) >= 2**53:
+        return np.array([float(w) for w in _perm_ints(ks, m)])
+    w = k = np.arange(ks.start, ks.stop, dtype=float)
+    for i in range(1, m):
+        w = w * (k - i)
+    return w
+
+
+# up to this many coefficients a loop over Python complex beats the fixed
+# cost of the array kernels: 3 us against 6 us for a reweighting at order 8
+_PY_LOOP_LEN = 48
+
+
+def _reweighted(f, weights=None, divisors=None, offset=0, start=None, stop=None):
+    """The series with ``c_k * w_i / d_i`` at degree ``k + offset`` for the
+    source degrees ``start <= k < stop``, where ``i = k - start``, and zeros
+    below degree ``start + offset``.
+
+    ``weights`` and ``divisors`` are pairs ``(ks, m)`` meaning
+    ``perm(ks[i], m)``; one left out counts as all ones.  ``start`` defaults
+    to ``max(0, -offset)`` and ``stop`` to the end of f; ``start + offset``
     must not be negative.  Exact mode puts the divisors over one ``lcm``;
     float mode rounds as the module docstring states.
     """
@@ -254,14 +300,38 @@ def _reweighted(f, weights=None, divisors=None, offset=0, start=None, stop=None)
     pad = start + offset
     if not f.exact:
         c = f._c[start:stop]
-        if divisors is None:
-            if weights is not None:
-                c = tuple([x * w for x, w in zip(c, weights)])
-        elif weights is None:
-            c = tuple([x / d for x, d in zip(c, divisors)])
-        else:
-            c = tuple([x * (w / d) for x, w, d in zip(c, weights, divisors)])
-        return _float_series((0j,) * pad + c)
+        if c.size <= _PY_LOOP_LEN:
+            # the same rounding on Python complex, which beats the array
+            # kernels' fixed cost on short series and overflows without a warning
+            out, w = c.tolist(), None if weights is None else _perm_ints(*weights)
+            d = None if divisors is None else _perm_ints(*divisors)
+            if w is not None and d is not None:
+                out = [x * (a / b) for x, a, b in zip(out, w, d)]
+            elif w is not None:
+                out = [x * a for x, a in zip(out, w)]
+            elif d is not None:
+                out = [x / b for x, b in zip(out, d)]
+            return _float_series([0j] * pad + out)
+        out = c
+        w = None if weights is None else _perm_floats(*weights)
+        d = None if divisors is None else _perm_floats(*divisors)
+        if w is None and d is not None:
+            # Python's complex / real, which cannot overflow here; NumPy's
+            # multiplies by a reciprocal
+            out = np.empty_like(c)
+            out.real = (c.real + c.imag * 0.0) / d
+            out.imag = (c.imag - c.real * 0.0) / d
+        elif w is not None:
+            if d is not None:
+                # int / int rounds once, as the quotient of exact floats does
+                w = w / d if max(w[-1], d[-1]) < 2**53 else np.array(
+                    [a / b for a, b in zip(_perm_ints(*weights), _perm_ints(*divisors))])
+            out = _quietly(np.multiply, c, w)
+        if pad or out is c:
+            out = np.concatenate((np.zeros(pad, dtype=complex), out))
+        return _float_series(out)
+    weights = None if weights is None else _perm_ints(*weights)
+    divisors = None if divisors is None else _perm_ints(*divisors)
     re, im, den = f._c
     re, im = re[start:stop], im[start:stop]
     if divisors is not None:
@@ -286,16 +356,17 @@ def _trimmed(f):
 
 
 def _complex_coeffs(f):
-    """The coefficients as a tuple of Python ``complex``, in either mode."""
+    """The coefficients as a complex128 array: a float series's own
+    read-only one, or the exact values rounded to double."""
     if not f.exact:
         return f._c
     re, im, d = f._c
-    return tuple(complex(r / d, i / d) for r, i in zip(re, im))
+    return np.array([complex(r / d, i / d) for r, i in zip(re, im)])
 
 
 def zero(exact=False):
     """The canonical zero series in the requested coefficient mode."""
-    return _exact_series((0,), (0,), 1) if exact else _float_series((0j,))
+    return _exact_series((0,), (0,), 1) if exact else _float_series(np.zeros(1, dtype=complex))
 
 
 def monomial(degree, coeff=1):
@@ -303,9 +374,15 @@ def monomial(degree, coeff=1):
     return TaylorSeries([0] * _check_count(degree, "degree") + [coeff])
 
 
-def _pairs(f, g):
-    """Pairs of the complex coefficients of f and g, the shorter padded with 0j."""
-    return zip_longest(_complex_coeffs(f), _complex_coeffs(g), fillvalue=0j)
+def _aligned(f, g):
+    """The complex coefficient arrays of f and g, the shorter padded with
+    +0j (``-0.0 + 0.0`` is ``0.0``: the padding signs a zero sum)."""
+    a, b = _complex_coeffs(f), _complex_coeffs(g)
+    if a.size == b.size:
+        return a, b
+    size = max(a.size, b.size)
+    return [c if c.size == size else np.concatenate((c, np.zeros(size - c.size, complex)))
+            for c in (a, b)]
 
 
 def _exact_sum(f, g, sign):
@@ -322,23 +399,29 @@ def add(f, g):
     """Coefficient-wise sum; output order is max(order(f), order(g))."""
     if f.exact and g.exact:
         return _exact_sum(f, g, 1)
-    return _float_series(tuple([a + b for a, b in _pairs(f, g)]))
+    return _float_series(_quietly(np.add, *_aligned(f, g)))
 
 
 def subtract(f, g):
     """Coefficient-wise difference; output order is max(order(f), order(g))."""
     if f.exact and g.exact:
         return _exact_sum(f, g, -1)
-    return _float_series(tuple([a - b for a, b in _pairs(f, g)]))
+    return _float_series(_quietly(np.subtract, *_aligned(f, g)))
 
 
 def scale(f, factor):
     """Multiply every coefficient by a scalar."""
     s = _gaussian(factor) if f.exact else None
     if s is None:
-        if isinstance(factor, RationalComplex):
-            factor = complex(factor)
-        return TaylorSeries([c * factor for c in _complex_coeffs(f)])
+        if not isinstance(factor, (numbers.Complex, RationalComplex)):
+            raise TypeError(f"cannot scale a series by {factor!r}")
+        z, c = complex(factor), _complex_coeffs(f)
+        # Python's complex product; NumPy's complex multiply rounds differently
+        re, im = _quietly(lambda: (c.real * z.real - c.imag * z.imag,
+                                   c.real * z.imag + c.imag * z.real))
+        out = re.astype(complex)
+        out.imag = im
+        return _float_series(out)
     (sr, si, sd), (fr, fi, fd) = s, f._c
     re = [x * sr - y * si for x, y in zip(fr, fi)]
     im = [x * si + y * sr for x, y in zip(fr, fi)]
@@ -421,19 +504,19 @@ def multiply(f, g, out_order=None):
         re, im = _kronecker_product(fr[:size], fi[:size], gr[:size], gi[:size])
         pad = [0] * (size - len(re))
         return _exact_series(re[:size] + pad, im[:size] + pad, fd * gd)
-    fa = np.asarray(_complex_coeffs(f), dtype=complex)
-    ga = np.asarray(_complex_coeffs(g), dtype=complex)
+    fa, ga = _complex_coeffs(f), _complex_coeffs(g)
     if min(fa.size, ga.size) > _FFT_PRODUCT_LEN:
         # coefficients above out_order cannot reach the kept degrees
         fa, ga = fa[:size], ga[:size]
         full = fa.size + ga.size - 1
         m = _smooth_size(full)
-        conv = np.fft.ifft(np.fft.fft(fa, m) * np.fft.fft(ga, m))[: min(full, size)]
+        conv = _quietly(lambda: np.fft.ifft(np.fft.fft(fa, m) * np.fft.fft(ga, m)))
+        conv = conv[: min(full, size)]
     else:
-        conv = np.convolve(fa, ga)[:size]
+        conv = np.convolve(fa, ga)[:size]  # np.convolve overflows without warning
     out = np.zeros(size, dtype=complex)
     out[: conv.size] = conv
-    return TaylorSeries(out)
+    return _float_series(out)
 
 
 def _check_perm_range(f, what, top, m):
@@ -454,8 +537,8 @@ def derivative(f, m=1):
     """The m-th formal derivative; degree drops by m, floored at the zero series.
 
     Coefficient k of the result is ``c_{k+m} * perm(k+m, m)``.  In float
-    mode a factor beyond double range raises ValueError rather than
-    overflowing.
+    mode a factor beyond double range raises ValueError, and so does a
+    product that overflows.
     """
     m = _check_count(m, "derivative count")
     if m == 0:
@@ -463,11 +546,7 @@ def derivative(f, m=1):
     if m > f.order:
         return zero(exact=f.exact)
     _check_perm_range(f, f"derivative {m}", f.order, m)
-    top = f.order + 1
-    # perm(k, 1) == k; the range spares sn_norm's many first derivatives
-    # one math.perm call per coefficient
-    weights = range(1, top) if m == 1 else [math.perm(k, m) for k in range(m, top)]
-    return _reweighted(f, weights, offset=-m)
+    return _reweighted(f, (range(m, f.order + 1), m), offset=-m)
 
 
 def _horner(cs, z):
@@ -489,7 +568,7 @@ def evaluate(f, z):
     w = _gaussian(z) if f.exact else None
     if w is None:  # an exact point meets float coefficients as complex()
         z = complex(z) if isinstance(z, RationalComplex) else z
-        return _horner(_complex_coeffs(f), z)
+        return _horner(_complex_coeffs(f).tolist(), z)
     (zr, zi, zd), (re, im, fd) = w, f._c
     ar, ai, power = re[-1], im[-1], 1
     for k in range(len(re) - 2, -1, -1):
@@ -519,11 +598,8 @@ def _json_numbers(rows, width, what):
 
 
 def to_dict(f):
-    """JSON-ready form ``{"order": N, "coeffs": [[re, im], ...]}``, finite only."""
-    cs = _complex_coeffs(f)
-    if not all(map(cmath.isfinite, cs)):
-        raise ValueError(f"a coefficient of the order-{f.order} series is not finite")
-    return {"order": f.order, "coeffs": [[c.real, c.imag] for c in cs]}
+    """JSON-ready form ``{"order": N, "coeffs": [[re, im], ...]}``, all finite."""
+    return {"order": f.order, "coeffs": _complex_coeffs(f).view(float).reshape(-1, 2).tolist()}
 
 
 def from_dict(data):
@@ -538,7 +614,7 @@ def from_dict(data):
         raise ValueError(
             f"order {data['order']} does not match {len(pairs)} coefficients"
         )
-    return TaylorSeries(_json_numbers(pairs, 2, "a coefficient").view(complex).ravel())
+    return _float_series(_json_numbers(pairs, 2, "a coefficient").view(complex).ravel())
 
 
 def dumps(f):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import zip_longest
 
 import numpy as np
 
@@ -50,8 +49,11 @@ from .operators import (
 )
 from .report import ClaimResult, VerificationReport, _Tracker
 from .series import (
+    _PY_LOOP_LEN,
     TaylorSeries,
+    _aligned,
     _exact_series,
+    _quietly,
     _reweighted,
     add,
     derivative,
@@ -113,13 +115,16 @@ def zero_head(f, n):
 
 def max_rel_coeff_error(f, g):
     """Worst per-coefficient relative difference between two series."""
-    worst = 0.0
-    for a, b in zip_longest(f.coeffs, g.coeffs, fillvalue=0j):
-        a, b = complex(a), complex(b)
-        denom = max(abs(a), abs(b))
-        if denom > 0:
-            worst = max(worst, abs(a - b) / denom)
-    return worst
+    a, b = _aligned(f, g)
+    if a.size <= _PY_LOOP_LEN:  # a Python loop is cheaper on short series
+        return max((abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a.tolist(), b.tolist())
+                    if x or y), default=0.0)
+    # np.hypot is the abs of Python complex; np.abs rounds otherwise
+    diff, denom = _quietly(lambda: (
+        np.hypot((a - b).real, (a - b).imag),
+        np.maximum(np.hypot(a.real, a.imag), np.hypot(b.real, b.imag))))
+    nonzero = denom > 0
+    return float((diff[nonzero] / denom[nonzero]).max(initial=0.0))
 
 
 def _exact_eq_margin(a, b):

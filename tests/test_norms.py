@@ -1,5 +1,6 @@
 """Boundary-quadrature norms against closed-form values and invariants."""
 
+import cmath
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from hardylab import (
     zero,
 )
 from hardylab import norms
-from hardylab.series import _smooth_size
+from hardylab.series import _horner, _smooth_size
 
 ONE_PLUS_Z = TaylorSeries([1.0, 1.0])
 
@@ -196,17 +197,30 @@ class TestFastPaths:
         assert [_smooth_size(n) for n in range(1, 2001)] == expected
 
     def test_auto_resolves_large_even_p_to_trapezoid(self):
-        top = norms._AUTO_TRAPEZOID_ORDER
-        for p in (4.0, 6.0):
-            assert norms._resolve_mode(p, "auto", top) == "power-trick"
-            assert norms._resolve_mode(p, "auto", top + 1) == "trapezoid"
-            assert norms._resolve_mode(p, "power-trick", top + 1) == "power-trick"
-        assert norms._resolve_mode(2.0, "auto", top + 1) == "parseval"
+        # at the default 4096 nodes, (order+1)**2 * q(q-1)/2 passes
+        # 144 * 4096 after order 767 at p = 4 and after 442 at p = 6
+        for p, top in ((4.0, 767), (6.0, 442)):
+            assert norms._resolve_mode(p, "auto", top, 4096) == "power-trick"
+            assert norms._resolve_mode(p, "auto", top + 1, 4096) == "trapezoid"
+            assert norms._resolve_mode(p, "power-trick", top + 1, 4096) == "power-trick"
+        assert norms._resolve_mode(2.0, "auto", 1025, 4096) == "parseval"
+
+    def test_auto_resolves_on_the_node_count_it_will_use(self, monkeypatch):
+        # order 2048 on 65536 nodes: one convolution took 2.0 ms, the
+        # trapezoid 10.7; order 1000 on 4096 nodes (4050 used): the reverse
+        calls = []
+        convolve = np.convolve
+        monkeypatch.setattr(np, "convolve", lambda a, b: calls.append(1) or convolve(a, b))
+        rng = np.random.default_rng(26)
+        hp_norm(_random_series(rng, 2048), 4.0, QuadratureConfig(num_points=65536))
+        assert len(calls) == 1
+        hp_norm(_random_series(rng, 1000), 4.0)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("p", [4.0, 6.0])
     def test_auto_above_crossover_matches_power_trick(self, p):
         rng = np.random.default_rng(21)
-        f = _random_series(rng, norms._AUTO_TRAPEZOID_ORDER + 37)
+        f = _random_series(rng, 1061)
         auto = hp_norm(f, p)
         direct = hp_norm(f, p, QuadratureConfig(mode="power-trick"))
         assert _rel(auto, direct) <= 1e-12
@@ -218,7 +232,7 @@ class TestFastPaths:
         convolve = np.convolve
         monkeypatch.setattr(np, "convolve", lambda a, b: calls.append(1) or convolve(a, b))
         rng = np.random.default_rng(25)
-        f = _random_series(rng, norms._AUTO_TRAPEZOID_ORDER + 1)
+        f = _random_series(rng, 1025)
         hp_norm(f, 4.0, QuadratureConfig(mode="power-trick"))
         assert len(calls) == 1
         hp_norm(f, 4.0)
@@ -247,7 +261,7 @@ class TestFastPaths:
         for order in (0, 7, 60):
             f = _random_series(rng, order)
             cfg = QuadratureConfig(num_points=64, mode=mode)
-            resolved = norms._resolve_mode(p, mode, f.order)
+            resolved = norms._resolve_mode(p, mode, f.order, cfg.num_points)
             means = norms._means(f, p, norms._SANITY_RADII, resolved, cfg.num_points)
             assert means == [integral_mean(f, p, r, cfg) for r in norms._SANITY_RADII]
             assert hp_norm(f, p, cfg) == means[-1]
@@ -288,6 +302,32 @@ class TestFastPaths:
         # back as inf nor raise OverflowError
         with pytest.raises(ValueError, match="double precision"):
             norm(TaylorSeries([top, top]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("norm", [sup_norm, boundary_scale])
+    def test_boundary_values_beyond_double_range_are_a_value_error(self, norm):
+        # the coefficients are finite, the boundary values 2e308 are not:
+        # no inf and no NumPy warning, as hp_norm for the same series
+        with pytest.raises(ValueError, match="double precision"):
+            norm(TaylorSeries([1e308, 1e308]))
+
+    @pytest.mark.parametrize("size", [513, 2000, 16385])
+    def test_blocked_polish_matches_horner(self, size):
+        rng = np.random.default_rng(size)
+        c = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+        blocked = norms._abs_on_circle(c)
+        # both round at the scale of sum |c_k|, not of |f(t)|
+        scale = float(np.abs(c).sum())
+        for t in rng.uniform(0, 2 * math.pi, 8):
+            horner = abs(_horner(c.tolist(), cmath.exp(1j * t)))
+            assert type(blocked(t)) is float and abs(blocked(t) - horner) <= 1e-13 * scale
+
+    def test_polish_stays_on_horner_up_to_the_threshold(self):
+        rng = np.random.default_rng(27)
+        for size in (1, 8, 257, norms._BLOCKED_POLISH_LEN):
+            c = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+            for t in rng.uniform(0, 2 * math.pi, 4):
+                assert norms._abs_on_circle(c)(t) == abs(_horner(c.tolist(), cmath.exp(1j * t)))
 
     def test_mean_beyond_double_range_is_a_value_error(self):
         with pytest.raises(ValueError, match="not finite"):
@@ -344,7 +384,7 @@ class TestBitIdentity:
 
     def _check(self, f, p, mode, points=64):
         cfg = QuadratureConfig(num_points=points, mode=mode)
-        resolved = norms._resolve_mode(p, mode, f.order)
+        resolved = norms._resolve_mode(p, mode, f.order, points)
         ref = _reference_means(f, p, norms._SANITY_RADII, resolved, points)
         assert hp_norm(f, p, cfg) == ref[-1]
         for r in self.RADII:

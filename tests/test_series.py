@@ -3,7 +3,9 @@
 import cmath
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -22,8 +24,13 @@ from hardylab import (
     zero,
     monomial,
     shift_plus_volterra,
+    hardy_sum,
+    lift_approximant,
+    nth_antiderivative,
+    shift,
 )
 from hardylab.series import _FFT_PRODUCT_LEN, _is_integral, dumps, loads, from_dict, to_dict
+from hardylab.verify import max_rel_coeff_error, random_rational_series, zero_head
 
 import exact_reference as ref
 
@@ -168,6 +175,12 @@ class TestArithmetic:
         assert multiply(f, f, out_order=1) == TaylorSeries([1, 2])
         padded = multiply(f, f, out_order=5)
         assert padded.order == 5 and padded == TaylorSeries([1, 2, 1])
+
+    def test_scale_takes_numbers_only(self):
+        # complex() would read "2" and Decimal("2"); a product with them never could
+        for bad in ("2", Decimal("2"), None):
+            with pytest.raises(TypeError):
+                scale(TaylorSeries([1.0, 2.0]), bad)
 
     def test_scale_modes(self):
         f = TaylorSeries([1, Fraction(1, 3)])
@@ -394,3 +407,157 @@ class TestFloatProduct:
             got = np.asarray(multiply(f, g, out_order).coeffs)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _signed_zero_coeffs(rng, size):
+    """Random unit-box coefficients with about a quarter of the parts
+    replaced by +0.0 or -0.0, as Python complex."""
+    parts = rng.uniform(-1, 1, (size, 2))
+    mask = rng.random((size, 2)) < 0.25
+    parts[mask] = rng.choice([0.0, -0.0], mask.sum())
+    return [complex(x, y) for x, y in parts.tolist()]
+
+
+def _python_reference(a, b):
+    """Every float op on the coefficient lists a and b by the Python-complex
+    formulas the README's rounding rule states, keyed like
+    ``_hardylab_outputs``."""
+    a_head = a[:2]
+    out = {
+        "construct": a,
+        "add": [x + y for x, y in zip_longest(a, b, fillvalue=0j)],
+        "subtract": [x - y for x, y in zip_longest(a, b, fillvalue=0j)],
+        "negate": [x * -1 for x in a],
+        "shift": [0j] + a,
+        "zero_head": [0j] * min(3, len(a)) + a[3:],
+        "multiply": np.convolve(np.array(a), np.array(b)).tolist(),
+        "lift": [x + y for x, y in zip_longest(
+            a_head, [0j] * 2 + [x / math.perm(k + 2, 2) for k, x in enumerate(b)],
+            fillvalue=0j)],
+    }
+    for s in SCALE_FACTORS:
+        out[f"scale {s!r}"] = [x * s for x in a]
+    for m in DERIVATIVE_COUNTS:
+        out[f"derivative {m}"] = (
+            [x * math.perm(k, m) for k, x in enumerate(a) if k >= m] if m < len(a) else [0j])
+    for n in ANTIDERIVATIVE_COUNTS:
+        out[f"antiderivative {n}"] = [0j] * n + [x / math.perm(k + n, n) for k, x in enumerate(a)]
+    for n in COMBINED_MULTIPLES:
+        out[f"combined {n}"] = [0j] + [x * ((k + 1 + n) / (k + 1)) for k, x in enumerate(a)]
+    return out
+
+
+SCALE_FACTORS = (3, -1, 0.3, 2.5 - 1.5j, complex(0.7, -0.0), Fraction(1, 3))
+DERIVATIVE_COUNTS = (1, 2, 3, 6, 7, 10)        # perm(300, 7) and up pass 2**53
+ANTIDERIVATIVE_COUNTS = (1, 2, 3, 10)
+COMBINED_MULTIPLES = (1, 2, 5, 2**60)          # weights from 2**60 pass 2**53
+
+
+def _hardylab_outputs(f, g):
+    out = {
+        "construct": f,
+        "add": add(f, g),
+        "subtract": subtract(f, g),
+        "negate": -f,
+        "shift": shift(f),
+        "zero_head": zero_head(f, 3),
+        "multiply": multiply(f, g),
+        "lift": lift_approximant(f, g, 2),
+    }
+    for s in SCALE_FACTORS:
+        out[f"scale {s!r}"] = scale(f, s)
+    for m in DERIVATIVE_COUNTS:
+        out[f"derivative {m}"] = derivative(f, m)
+    for n in ANTIDERIVATIVE_COUNTS:
+        out[f"antiderivative {n}"] = nth_antiderivative(f, n)
+    for n in COMBINED_MULTIPLES:
+        out[f"combined {n}"] = shift_plus_volterra(f, n)
+    return out
+
+
+def _scalar_max_rel_coeff_error(a, b):
+    worst = 0.0
+    for x, y in zip_longest(a, b, fillvalue=0j):
+        denom = max(abs(x), abs(y))
+        if denom > 0:
+            worst = max(worst, abs(x - y) / denom)
+    return worst
+
+
+def _bits(values):
+    """The bit patterns of complex values: equal exactly when their reprs
+    are, signed zeros included, and much cheaper to compare."""
+    return np.array(values, dtype=complex).view(np.uint64).tolist()
+
+
+def _horner_reference(a, z):
+    acc = a[-1]
+    for x in reversed(a[:-1]):
+        acc = acc * z + x
+    return acc
+
+
+class TestFloatBitIdentity:
+    """Float series on one complex128 array give, bit for bit, what Python
+    complex arithmetic gives on the same coefficients, signed zeros
+    included."""
+
+    def test_every_float_op_matches_python_complex_orders_0_to_300(self):
+        rng = np.random.default_rng(41)
+        for order in range(301):
+            a = _signed_zero_coeffs(rng, order + 1)
+            b = _signed_zero_coeffs(rng, int(rng.integers(1, 302)))
+            f = TaylorSeries(np.array(a)) if order % 2 else TaylorSeries(a)
+            g = TaylorSeries(b)
+            want = _python_reference(a, b)
+            for name, got in _hardylab_outputs(f, g).items():
+                assert _bits(got.coeffs) == _bits(want[name]), (order, name)
+            assert (f == g) == all(x == y for x, y in zip_longest(a, b, fillvalue=0j))
+            assert f.is_zero == all(x == 0 for x in a)
+            z = complex(*rng.uniform(-1, 1, 2))
+            assert repr(evaluate(f, z)) == repr(_horner_reference(a, z))
+            assert to_dict(f)["coeffs"] == [[x.real, x.imag] for x in a]
+            assert _bits(loads(dumps(f)).coeffs) == _bits(a)
+            assert hardy_sum(f) == math.fsum(abs(x) / (k + 1) for k, x in enumerate(a))
+            assert max_rel_coeff_error(f, g) == _scalar_max_rel_coeff_error(a, b)
+
+    def test_vectorized_helpers_match_the_scalar_loops_on_exact_series(self):
+        rng = np.random.default_rng(42)
+        for _ in range(50):
+            f = random_rational_series(rng, 40)
+            g = scale(random_rational_series(rng, 40), Fraction(1, 3))
+            a, b = list(f.coeffs), list(g.coeffs)
+            assert hardy_sum(f) == math.fsum(abs(x) / (k + 1) for k, x in enumerate(a))
+            assert max_rel_coeff_error(f, g) == _scalar_max_rel_coeff_error(
+                [complex(x) for x in a], [complex(x) for x in b])
+        assert max_rel_coeff_error(zero(), zero(exact=True)) == 0.0
+
+    def test_storage_is_one_read_only_array_and_coeffs_a_tuple(self):
+        values = np.array([1.0, 2.0 - 1j, -0.0])
+        f = TaylorSeries(values)
+        values[0] = 7.0  # the constructor copied its input
+        assert f._c.dtype == np.complex128 and not f._c.flags.writeable
+        assert type(f.coeffs) is tuple and f.coeffs == (1 + 0j, 2 - 1j, 0j)
+        assert all(type(c) is complex for c in f.coeffs)
+        assert not derivative(f)._c.flags.writeable
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: derivative(TaylorSeries([0, 0, 1e308]), 2), id="derivative"),
+        pytest.param(lambda: shift_plus_volterra(TaylorSeries([1e308, 1e308]), 2), id="combined"),
+        pytest.param(lambda: add(TaylorSeries([1e308]), TaylorSeries([1e308, 1.0])), id="add"),
+        pytest.param(lambda: subtract(TaylorSeries([1e308]), TaylorSeries([-1e308])),
+                     id="subtract"),
+        pytest.param(lambda: scale(TaylorSeries([1e308]), 1e10j), id="scale"),
+        pytest.param(lambda: multiply(TaylorSeries([1e200]), TaylorSeries([1e200])),
+                     id="multiply"),
+        pytest.param(lambda: multiply(TaylorSeries([1e200] * 400), TaylorSeries([1e200] * 400)),
+                     id="multiply-fft"),
+        pytest.param(lambda: TaylorSeries([1.0, complex(0.0, math.inf)]), id="construct-inf"),
+        pytest.param(lambda: TaylorSeries(np.array([math.nan])), id="construct-nan"),
+    ])
+    def test_a_result_that_is_not_finite_is_a_value_error(self, call):
+        # every float series passes one finite check where it is built, and
+        # the overflow that feeds it raises no NumPy warning first
+        with pytest.raises(ValueError, match="not finite"):
+            call()
