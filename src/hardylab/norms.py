@@ -315,7 +315,8 @@ def sn_norm_unrolled(f, params, cfg=None):
 
     Agrees with :func:`sn_norm` up to float summation order.
     """
-    heads = _finite_sum(abs(complex(derivative(f, k).coeffs[0])) for k in range(params.n))
+    heads = _finite_sum(abs(complex(_complex_coeffs(derivative(f, k))[0]))
+                        for k in range(params.n))
     return _finite_sum([heads + hp_norm(derivative(f, params.n), params.p, cfg)])
 
 

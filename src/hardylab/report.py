@@ -11,7 +11,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .series import TaylorSeries
+from .series import TaylorSeries, _complex_coeffs
 
 __all__ = ["ClaimResult", "VerificationReport"]
 
@@ -80,7 +80,7 @@ class VerificationReport:
 def _coeff_repr(f, head=4):
     """Compact, deterministic witness form; seed and sample index make the
     full input reproducible."""
-    parts = [repr(complex(c)) for c in f.coeffs[:head]]
+    parts = [repr(complex(c)) for c in _complex_coeffs(f)[:head]]
     if f.order + 1 > head:
         parts.append(f"...<order {f.order}>")
     return "[" + ", ".join(parts) + "]"

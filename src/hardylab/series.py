@@ -103,7 +103,7 @@ class RationalComplex:
         return complex(float(self.re), float(self.im))
 
     def __abs__(self):
-        return abs(complex(self))
+        return math.hypot(float(self.re), float(self.im))
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)

@@ -49,7 +49,6 @@ from .operators import (
 )
 from .report import ClaimResult, VerificationReport, _Tracker
 from .series import (
-    _PY_LOOP_LEN,
     TaylorSeries,
     _aligned,
     _exact_series,
@@ -116,15 +115,11 @@ def zero_head(f, n):
 def max_rel_coeff_error(f, g):
     """Worst per-coefficient relative difference between two series."""
     a, b = _aligned(f, g)
-    if a.size <= _PY_LOOP_LEN:  # a Python loop is cheaper on short series
-        return max((abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a.tolist(), b.tolist())
-                    if x or y), default=0.0)
+    d = _quietly(np.subtract, a, b)
     # np.hypot is the abs of Python complex; np.abs rounds otherwise
-    diff, denom = _quietly(lambda: (
-        np.hypot((a - b).real, (a - b).imag),
-        np.maximum(np.hypot(a.real, a.imag), np.hypot(b.real, b.imag))))
+    denom = np.maximum(np.hypot(a.real, a.imag), np.hypot(b.real, b.imag))
     nonzero = denom > 0
-    return float((diff[nonzero] / denom[nonzero]).max(initial=0.0))
+    return float((np.hypot(d.real, d.imag)[nonzero] / denom[nonzero]).max(initial=0.0))
 
 
 def _exact_eq_margin(a, b):
