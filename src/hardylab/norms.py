@@ -31,7 +31,6 @@ Quadrature modes:
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -40,9 +39,9 @@ import numpy as np
 
 from .series import (
     TaylorSeries,
+    _check_count,
     _check_perm_range,
     _complex_coeffs,
-    _horner,
     _is_integral,
     _quietly,
     _smooth_size,
@@ -61,16 +60,15 @@ __all__ = [
     "derivative_sum_norm",
     "sup_sum_norm",
     "sup_norm",
+    "sup_bracket",
     "hardy_sum",
 ]
 
 _MODES = ("auto", "parseval", "power-trick", "trapezoid")
 _SANITY_RADII = (0.5, 0.75, 1.0)
-_TWO_PI = 2.0 * math.pi
 # power trick and trapezoid took equal time at (order+1)**2 = 144 M (M nodes)
-# at p = 4, 48 M at p = 6; the blocked polish beat Horner >= 2x above 512
+# at p = 4, 48 M at p = 6
 _POWER_TRICK_PER_NODE = 144
-_BLOCKED_POLISH_LEN = 512
 
 
 @dataclass(frozen=True)
@@ -95,17 +93,17 @@ class QuadratureConfig:
 
     ``num_points`` is a floor request, not an exact count: quadrature
     oversamples to at least ``4 * (order + 1)`` nodes so the configured
-    count can never undersample the integrand.  ``sup_norm`` samples
-    exactly that floor; the trapezoid rounds a raised count up to a
-    2*3*5-smooth size (see the module docstring).
+    count can never undersample the integrand.  ``sup_bracket`` samples
+    ``max(num_points, 4 * (order + 1))`` nodes; the trapezoid rounds a
+    raised count up to a 2*3*5-smooth size (see the module docstring).
     """
 
     num_points: int = 4096
     mode: str = "auto"
 
     def __post_init__(self):
-        if self.num_points < 4:
-            raise ValueError(f"num_points must be at least 4, got {self.num_points}")
+        if _check_count(self.num_points, "num_points") < 4:
+            raise ValueError(f"num_points must be at least 4, got {self.num_points!r}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
 
@@ -346,59 +344,59 @@ def _finite_sum(terms):
     return total
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+def _sup_slack(f, cfg):
+    """``hi`` over the grid max in :func:`sup_bracket`: 1 / sqrt(cos(pi N / m))."""
+    return 1.0 / math.sqrt(math.cos(math.pi * f.order / _effective_points(f, cfg.num_points)))
 
 
-def _golden_max(fn, lo, hi, iterations=60):
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iterations):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = fn(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = fn(c)
-    return max(fc, fd)
+def _peak_walk(c, t, h):
+    """Largest |f(e^{is})| on a walk from t to the zero of (|f|^2)' in
+    [t - h, t + h]: a Newton step where |f|^2 is concave and the step stays
+    inside the bracket of the signs seen so far, else bisection."""
+    k = np.arange(c.size, dtype=float)
+    lo, hi, best = t - h, t + h, 0.0
+    # bisection alone meets the 1e-9 h stop within 31 steps
+    for _ in range(40):
+        w = c * np.exp(1j * t * k)
+        g, g1, g2 = w.sum(), 1j * (k * w).sum(), -(k * k * w).sum()
+        best = max(best, abs(g))
+        d1, d2 = (g.conjugate() * g1).real, abs(g1) ** 2 + (g.conjugate() * g2).real
+        lo, hi = (t, hi) if d1 > 0 else (lo, t)
+        step = -d1 / d2 if d2 < 0 else math.inf
+        if min(abs(step), hi - lo) <= 1e-9 * h:
+            break
+        t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
+    return float(best)
 
 
-def _abs_on_circle(c):
-    """``t -> |f(e^{it})|``: Horner's rule up to ``_BLOCKED_POLISH_LEN``
-    coefficients, else ``sum_i z**(b*i) * (C @ z**j)_i`` with C the
-    coefficients as a ``(ceil(N/b), b)`` matrix, b ~ sqrt(N)."""
-    if c.size <= _BLOCKED_POLISH_LEN:
-        cs = c.tolist()
-        return lambda t: abs(_horner(cs, cmath.exp(1j * t)))
-    b = math.isqrt(c.size - 1) + 1
-    blocks = np.append(c, np.zeros(-c.size % b, complex)).reshape(-1, b)
-    j, i = np.arange(b), np.arange(0, blocks.size, b)
-    # products and sums, not BLAS: a threaded matvec stalled 400x on a busy core
-    return lambda t: float(abs((np.exp(1j * t * i) * (blocks * np.exp(1j * t * j)).sum(1)).sum()))
+def sup_bracket(f, cfg=None):
+    """Certified bounds ``(lo, hi)`` on the sup of |f| over the closed disk,
+    which the maximum principle puts on the boundary circle.
 
-
-def sup_norm(f, cfg=None):
-    """Boundary sup of |f|: dense sampling plus one golden-section polish.
-
-    The maximum principle puts the sup of a polynomial over the closed disk
-    on the boundary circle.  The polish runs blocked above 512 coefficients
-    (:func:`_abs_on_circle`); boundary values beyond double range raise
-    ValueError.
+    Both come from the max of |f| on m = max(num_points, 4(N + 1)) boundary
+    nodes, N = order.  ``lo`` walks from the best node to its peak
+    (:func:`_peak_walk`), so it is at least that grid max.  T = |f|^2 is a
+    trigonometric polynomial of degree N, so T(t + h) >= max(T) cos(N h)
+    near a peak t (Bernstein-Szego); every angle lies within pi/m of a
+    node, so ``hi = grid max / sqrt(cos(pi N / m))``.  Boundary values
+    beyond double range raise ValueError.
     """
     cfg = cfg if cfg is not None else QuadratureConfig()
     if f.is_zero:
-        return 0.0
+        return 0.0, 0.0
     m = _effective_points(f, cfg.num_points)
     vals = _quietly(lambda: np.abs(boundary_values(f, m)))
     j = int(np.argmax(vals))
     grid = _finite_sum([vals[j]])
-    theta = _TWO_PI * j / m
-    delta = _TWO_PI / m
-    polished = _golden_max(_abs_on_circle(_complex_coeffs(f)), theta - delta, theta + delta)
-    return max(grid, polished)
+    t, h = 2 * math.pi * j / m, 2 * math.pi / m
+    # a constant's grid max is its sup and its hi: no walk to round past it
+    peak = _quietly(_peak_walk, _complex_coeffs(f), t, h) if f.order else grid
+    return max(grid, peak), grid * _sup_slack(f, cfg)
+
+
+def sup_norm(f, cfg=None):
+    """Boundary sup of |f|, from below: the lower end of :func:`sup_bracket`."""
+    return sup_bracket(f, cfg)[0]
 
 
 def hardy_sum(f):

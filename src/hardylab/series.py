@@ -357,11 +357,16 @@ def _trimmed(f):
 
 def _complex_coeffs(f):
     """The coefficients as a complex128 array: a float series's own
-    read-only one, or the exact values rounded to double."""
+    read-only one, or the exact values rounded to double; ValueError when
+    an exact value is beyond double range."""
     if not f.exact:
         return f._c
     re, im, d = f._c
-    return np.array([complex(r / d, i / d) for r, i in zip(re, im)])
+    try:
+        return np.array([complex(r / d, i / d) for r, i in zip(re, im)])
+    except OverflowError:
+        raise ValueError(f"a coefficient of the order-{f.order} exact series is "
+                         "beyond double range") from None
 
 
 def zero(exact=False):

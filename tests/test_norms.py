@@ -1,6 +1,5 @@
 """Boundary-quadrature norms against closed-form values and invariants."""
 
-import cmath
 import math
 
 import numpy as np
@@ -18,12 +17,13 @@ from hardylab import (
     integral_mean,
     sn_norm,
     sn_norm_unrolled,
+    sup_bracket,
     sup_norm,
     sup_sum_norm,
     zero,
 )
 from hardylab import norms
-from hardylab.series import _horner, _smooth_size
+from hardylab.series import _smooth_size
 
 ONE_PLUS_Z = TaylorSeries([1.0, 1.0])
 
@@ -90,6 +90,11 @@ class TestQuadratureMachinery:
         f = TaylorSeries([3.0, 4.0])
         expected = math.sqrt(9.0 + 16.0 * 0.25)
         assert integral_mean(f, 2.0, 0.5) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("points", [4.5, math.inf, math.nan, "8"])
+    def test_num_points_must_be_an_integer(self, points):
+        with pytest.raises(ValueError, match="num_points"):
+            QuadratureConfig(num_points=points)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
@@ -162,6 +167,35 @@ class TestSpaceNorms:
             params = SpaceParams(2, 2.0)
             lhs = sn_norm(f + g, params)
             assert lhs <= sn_norm(f, params) + sn_norm(g, params) + 1e-9
+
+    @pytest.mark.parametrize("points", [4, 4096])
+    @pytest.mark.parametrize("order", [1, 2, 7, 64, 1023])
+    def test_sup_bracket_holds_the_dirichlet_peak(self, order, points):
+        # sum_k (w z)^k, w = exp(-i pi/m), peaks at N + 1 halfway between
+        # two of the m grid nodes, as far from the grid as a peak can be;
+        # the walk from the best node reaches it
+        cfg = QuadratureConfig(num_points=points)
+        m = max(points, 4 * (order + 1))
+        f = TaylorSeries(np.exp(-1j * np.pi * np.arange(order + 1) / m))
+        lo, hi = sup_bracket(f, cfg)
+        assert boundary_scale(f, m) < order + 1 <= hi
+        assert lo == pytest.approx(order + 1, rel=1e-13)
+
+    @pytest.mark.parametrize("points", [4, 4096])
+    def test_sup_bracket_holds_the_dense_max(self, points):
+        rng = np.random.default_rng(27)
+        cfg = QuadratureConfig(num_points=points)
+        for order in (0, 1, 2, 5, 16, 100, 257, 1024):
+            for _ in range(3):
+                f = _random_series(rng, order)
+                lo, hi = sup_bracket(f, cfg)
+                m = max(points, 4 * (order + 1))
+                dense = float(np.abs(boundary_values(f, 64 * m)).max())
+                # the sup lies within dense's own slack of the dense max
+                top = dense / math.sqrt(math.cos(math.pi * order / (64 * m)))
+                assert sup_norm(f, cfg) == lo and boundary_scale(f, m) <= lo <= hi
+                # both FFTs and the walk's sums round
+                assert lo <= top * (1 + 1e-12) and dense <= hi * (1 + 1e-12)
 
     def test_sup_norm_dominates_hp(self):
         rng = np.random.default_rng(9)
@@ -310,24 +344,6 @@ class TestFastPaths:
         # no inf and no NumPy warning, as hp_norm for the same series
         with pytest.raises(ValueError, match="double precision"):
             norm(TaylorSeries([1e308, 1e308]))
-
-    @pytest.mark.parametrize("size", [513, 2000, 16385])
-    def test_blocked_polish_matches_horner(self, size):
-        rng = np.random.default_rng(size)
-        c = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
-        blocked = norms._abs_on_circle(c)
-        # both round at the scale of sum |c_k|, not of |f(t)|
-        scale = float(np.abs(c).sum())
-        for t in rng.uniform(0, 2 * math.pi, 8):
-            horner = abs(_horner(c.tolist(), cmath.exp(1j * t)))
-            assert type(blocked(t)) is float and abs(blocked(t) - horner) <= 1e-13 * scale
-
-    def test_polish_stays_on_horner_up_to_the_threshold(self):
-        rng = np.random.default_rng(27)
-        for size in (1, 8, 257, norms._BLOCKED_POLISH_LEN):
-            c = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
-            for t in rng.uniform(0, 2 * math.pi, 4):
-                assert norms._abs_on_circle(c)(t) == abs(_horner(c.tolist(), cmath.exp(1j * t)))
 
     def test_mean_beyond_double_range_is_a_value_error(self):
         with pytest.raises(ValueError, match="not finite"):

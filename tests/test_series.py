@@ -25,9 +25,11 @@ from hardylab import (
     monomial,
     shift_plus_volterra,
     hardy_sum,
+    hp_norm,
     lift_approximant,
     nth_antiderivative,
     shift,
+    sup_norm,
 )
 from hardylab.series import _FFT_PRODUCT_LEN, _is_integral, dumps, loads, from_dict, to_dict
 from hardylab.verify import max_rel_coeff_error, random_rational_series, zero_head
@@ -387,6 +389,19 @@ class TestDeepDerivative:
         # the exact mode has no such limit
         d = derivative(TaylorSeries([0] * 300 + [1]), 200)
         assert d.exact and d.coeffs[-1] == math.perm(300, 200)
+
+    @pytest.mark.parametrize("read", [
+        pytest.param(to_dict, id="to_dict"),
+        pytest.param(lambda f: hp_norm(f, 2.0), id="hp_norm"),
+        pytest.param(sup_norm, id="sup_norm"),
+        pytest.param(lambda f: add(f, TaylorSeries([1.0])), id="add"),
+        pytest.param(lambda f: scale(f, 0.5), id="scale"),
+        pytest.param(lambda f: multiply(f, TaylorSeries([1.0, 2.0])), id="multiply"),
+        pytest.param(lambda f: evaluate(f, 0.5), id="evaluate"),
+    ])
+    def test_exact_value_beyond_double_range_read_as_floats_is_value_error(self, read):
+        with pytest.raises(ValueError, match="beyond double range"):
+            read(TaylorSeries([10**400, 1]))
 
 
 class TestFloatProduct:
