@@ -21,6 +21,9 @@ from .membership import membership, spec_from_dict
 from .norms import (
     QuadratureConfig,
     SpaceParams,
+    _effective_points,
+    _node_count,
+    _resolve_mode,
     derivative_sum_norm,
     hp_norm,
     sn_norm,
@@ -118,11 +121,16 @@ def cmd_norm(args):
     f = _load(args.series, from_dict)
     params = SpaceParams(args.order_n, args.p)
     cfg = QuadratureConfig(num_points=args.points)
+    mode = _resolve_mode(args.p, cfg.mode, f.order, cfg.num_points)
+    nodes = (f" nodes={_node_count(f.order, args.p, cfg.num_points)}"
+             if mode == "trapezoid" else "")
     # every norm is computed before anything is printed, so a norm that
     # fails leaves no partial report on stdout
     lines = [
         f"# series: {args.series} (order {f.order})",
         f"# quadrature: points={cfg.num_points} mode={cfg.mode}",
+        f"# used on f: hp-norm mode={mode}{nodes}, sup nodes="
+        f"{_effective_points(f, cfg.num_points)}",
         f"hp-norm (p={args.p:g}):            {hp_norm(f, args.p, cfg):.15g}",
         f"space-norm (n={params.n}, p={args.p:g}):    {sn_norm(f, params, cfg):.15g}",
         f"derivative-sum norm:         {derivative_sum_norm(f, params, cfg):.15g}",

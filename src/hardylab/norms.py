@@ -215,24 +215,20 @@ def _means(f, p, radii, mode, num_points):
             row[: c.size] = c if r == 1.0 else c * _radius_powers(r, c.size, 1)
         np.fft.ifft(buf, out=buf)
         buf *= m
-        means = []
-        for row in buf:
-            # one row at a time keeps the float temporaries at M entries
-            mag = np.abs(row)
-            mag **= p
-            means.append(float(mag.sum() / m) ** (1.0 / p))
+        mag = np.abs(buf)
+        mag **= p
+        # a contiguous row sum is the same pairwise sum as the 1-D one
+        means = [s ** (1.0 / p) for s in (mag.sum(axis=1) / m).tolist()]
     else:
         g = c
         for _ in range(int(p) // 2 - 1):
             g = np.convolve(g, c)
         mag = np.abs(g)
         sq = mag * mag
-        sums = [
-            float((sq if r == 1.0 else sq * _radius_powers(r, sq.size, 2.0)).sum())
-            for r in radii
-        ]
+        rows = np.array([sq if r == 1.0 else sq * _radius_powers(r, sq.size, 2.0)
+                         for r in radii])
         root = math.sqrt if mode == "parseval" else lambda s: s ** (1.0 / p)
-        means = [root(s) for s in sums]
+        means = [root(s) for s in rows.sum(axis=1).tolist()]
     try:
         means = [math.ldexp(x, e) for x in means]
     except OverflowError:

@@ -33,7 +33,8 @@ is canonical, ``gcd(den, *re, *im) == 1``: the zero series has denominator
 1, and two exact series are equal exactly when their denominators agree
 and their numerator tuples agree once trailing zeros are trimmed.  Sums go
 through one ``lcm`` of the two denominators, the product through Kronecker
-substitution (each numerator vector packed into one big int), and every
+substitution (each numerator vector packed into one big int; a
+one-coefficient factor takes the scalar product instead), and every
 result is reduced back to canonical form.  ``RationalComplex`` is the value
 type of exact mode, with no arithmetic of its own: ``coeffs`` of an exact
 series is a tuple of them, built on each access, and exact ``evaluate``
@@ -244,7 +245,8 @@ def _quietly(fn, *args):
 def _finite(c):
     """c, a fresh complex128 array or a list of Python complex, as a
     read-only array; ValueError unless every entry is finite.  Every float
-    series passes this one check (on a short list, cmath's is cheaper)."""
+    series that arithmetic could push out of double range passes this one
+    check (on a short list, cmath's is cheaper)."""
     if type(c) is list:
         finite, c = all(map(cmath.isfinite, c)), np.array(c, dtype=complex)
     else:
@@ -255,11 +257,16 @@ def _finite(c):
     return c
 
 
-def _float_series(c):
-    """Float series over ``c`` as :func:`_finite` takes it."""
+def _float_series(c, scan=True):
+    """Float series over ``c`` as :func:`_finite` takes it; ``scan=False``
+    skips the finite check, for a result that cannot overflow."""
     f = object.__new__(TaylorSeries)
     f.exact = False
-    f._c = _finite(c)
+    if scan:
+        f._c = _finite(c)
+    else:
+        f._c = c = np.array(c, dtype=complex) if type(c) is list else c
+        c.setflags(write=False)
     return f
 
 
@@ -293,7 +300,9 @@ def _reweighted(f, weights=None, divisors=None, offset=0, start=None, stop=None)
     ``perm(ks[i], m)``; one left out counts as all ones.  ``start`` defaults
     to ``max(0, -offset)`` and ``stop`` to the end of f; ``start + offset``
     must not be negative.  Exact mode puts the divisors over one ``lcm``;
-    float mode rounds as the module docstring states.
+    float mode rounds as the module docstring states.  Without weights a
+    float result is a copy of finite values or their quotients by integers
+    d >= 1, so it skips the finite check.
     """
     if start is None:
         start = max(0, -offset)
@@ -311,7 +320,7 @@ def _reweighted(f, weights=None, divisors=None, offset=0, start=None, stop=None)
                 out = [x * a for x, a in zip(out, w)]
             elif d is not None:
                 out = [x / b for x, b in zip(out, d)]
-            return _float_series([0j] * pad + out)
+            return _float_series([0j] * pad + out, scan=weights is not None)
         out = c
         w = None if weights is None else _perm_floats(*weights)
         d = None if divisors is None else _perm_floats(*divisors)
@@ -329,7 +338,7 @@ def _reweighted(f, weights=None, divisors=None, offset=0, start=None, stop=None)
             out = _quietly(np.multiply, c, w)
         if pad or out is c:
             out = np.concatenate((np.zeros(pad, dtype=complex), out))
-        return _float_series(out)
+        return _float_series(out, scan=weights is not None)
     weights = None if weights is None else _perm_ints(*weights)
     divisors = None if divisors is None else _perm_ints(*divisors)
     re, im, den = f._c
@@ -428,9 +437,15 @@ def scale(f, factor):
         out.imag = im
         return _float_series(out)
     (sr, si, sd), (fr, fi, fd) = s, f._c
+    return _exact_scaled(fr, fi, sr, si, fd * sd)
+
+
+def _exact_scaled(fr, fi, sr, si, den):
+    """Exact series ``(fr + i fi) * (sr + i si)`` over ``den``: numerators
+    times one Gaussian integer."""
     re = [x * sr - y * si for x, y in zip(fr, fi)]
     im = [x * si + y * sr for x, y in zip(fr, fi)]
-    return _exact_series(re, im, fd * sd)
+    return _exact_series(re, im, den)
 
 
 def _pack(values, width, bias):
@@ -496,16 +511,22 @@ def multiply(f, g, out_order=None):
 
     With the default the product is exact for polynomials; a smaller
     ``out_order`` truncates, a larger one zero-pads.  Exact mode multiplies
-    by Kronecker substitution.  Float mode goes through ``np.convolve``, or,
-    once both factors have more than ``_FFT_PRODUCT_LEN`` coefficients,
-    through an FFT of 2*3*5-smooth length; the FFT's rounding error is
-    relative to the largest output coefficient, not to each one.
+    by Kronecker substitution, or by a one-coefficient factor as ``scale``
+    does.  Float mode goes through ``np.convolve``, or, once both factors
+    have more than ``_FFT_PRODUCT_LEN`` coefficients, through an FFT of
+    2*3*5-smooth length; the FFT's rounding error is relative to the
+    largest output coefficient, not to each one.
     """
     if out_order is None:
         out_order = f.order + g.order
     size = _check_count(out_order, "out_order") + 1
     if f.exact and g.exact:
+        if g.order and not f.order:
+            f, g = g, f
         (fr, fi, fd), (gr, gi, gd) = f._c, g._c
+        if not g.order:  # a constant factor needs no Kronecker packing
+            pad = (0,) * (size - len(fr))
+            return _exact_scaled(fr[:size] + pad, fi[:size] + pad, gr[0], gi[0], fd * gd)
         re, im = _kronecker_product(fr[:size], fi[:size], gr[:size], gi[:size])
         pad = [0] * (size - len(re))
         return _exact_series(re[:size] + pad, im[:size] + pad, fd * gd)

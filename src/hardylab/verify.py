@@ -119,8 +119,9 @@ def max_rel_coeff_error(f, g):
     d = _quietly(np.subtract, a, b)
     # np.hypot is the abs of Python complex; np.abs rounds otherwise
     denom = np.maximum(np.hypot(a.real, a.imag), np.hypot(b.real, b.imag))
-    nonzero = denom > 0
-    return float((np.hypot(d.real, d.imag)[nonzero] / denom[nonzero]).max(initial=0.0))
+    # where denom is 0 so are a, b and their difference: the 0 stays
+    err = np.hypot(d.real, d.imag)
+    return float(np.divide(err, denom, out=err, where=denom > 0).max())
 
 
 def _exact_eq_margin(a, b):

@@ -60,6 +60,21 @@ class TestNormCommand:
         hp_line = next(l for l in out.splitlines() if l.startswith("hp-norm"))
         assert float(hp_line.split()[-1]) == pytest.approx(2.0 ** 0.5, rel=1e-12)
 
+    def test_header_names_the_method_used(self, series_file, tmp_path, capsys):
+        big = tmp_path / "order1100.json"
+        save_series(TaylorSeries([1.0] * 1101), big)
+        cases = [
+            ([series_file, "--p", "2"], "hp-norm mode=parseval, sup nodes=4096"),
+            ([series_file, "--p", "3", "--points", "512"],
+             "hp-norm mode=trapezoid nodes=512, sup nodes=512"),
+            # 4 * 1101 = 4404 nodes is the floor; 4500 = 2**2 * 3**2 * 5**3 the smooth size
+            ([str(big), "--p", "3"], "hp-norm mode=trapezoid nodes=4500, sup nodes=4404"),
+        ]
+        for argv, used in cases:
+            assert main(["norm", *argv]) == 0
+            header = [l for l in capsys.readouterr().out.splitlines() if l.startswith("#")]
+            assert header[-1] == f"# used on f: {used}"
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert main(["norm", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -31,7 +31,18 @@ from hardylab import (
     shift,
     sup_norm,
 )
-from hardylab.series import _FFT_PRODUCT_LEN, _is_integral, dumps, loads, from_dict, to_dict
+from hardylab.operators import _antiderivative
+from hardylab.series import (
+    _FFT_PRODUCT_LEN,
+    _PY_LOOP_LEN,
+    _exact_series,
+    _is_integral,
+    _kronecker_product,
+    dumps,
+    from_dict,
+    loads,
+    to_dict,
+)
 from hardylab.verify import max_rel_coeff_error, random_rational_series, zero_head
 
 import exact_reference as ref
@@ -360,6 +371,26 @@ class TestExactAgainstFractions:
         out = multiply(ref.series(a), ref.series(b), out_order=top)
         assert ref.pairs(out) == full[: top + 1]
 
+    @given(ref.references, ref.scalars, st.none() | st.integers(0, 12), st.booleans())
+    def test_multiply_by_a_constant_is_scale_and_the_kronecker_product(
+            self, a, s, top, constant_first):
+        f, c = ref.series(a), TaylorSeries([s])
+        out = multiply(c, f, top) if constant_first else multiply(f, c, top)
+        size = len(a) if top is None else top + 1
+        kept = a[:size] + [ref.ZERO] * (size - len(a))
+        (fr, fi, fd), (cr, ci, cd) = ref.series(kept)._c, c._c
+        kron = _exact_series(*_kronecker_product(fr, fi, cr, ci), fd * cd)
+        # truncated at out_order, zero-padded up to it, in canonical form
+        assert out._c == kron._c == scale(ref.series(kept), s)._c
+        assert ref.pairs(out) == ref.scale(kept, s)
+        assert math.gcd(out._c[2], *out._c[0], *out._c[1]) == 1
+
+    @given(ref.references, st.none() | st.integers(0, 12))
+    def test_multiply_by_zero_is_the_canonical_zero(self, a, top):
+        out = multiply(ref.series(a), zero(exact=True), top)
+        size = len(a) if top is None else top + 1
+        assert out._c == ((0,) * size, (0,) * size, 1)
+
     @given(ref.references, st.integers(0, 10))
     def test_derivative(self, a, m):
         assert ref.pairs(derivative(ref.series(a), m)) == ref.derivative(a, m)
@@ -576,3 +607,51 @@ class TestFloatBitIdentity:
         # the overflow that feeds it raises no NumPy warning first
         with pytest.raises(ValueError, match="not finite"):
             call()
+
+
+class TestFiniteScanGuardMap:
+    """Only results that arithmetic can push out of double range are scanned
+    for non-finite values: products with weights, sums, scale and products.
+    Copies and quotients by integers d >= 1 skip the scan and stay finite."""
+
+    SIZES = (3, _PY_LOOP_LEN, _PY_LOOP_LEN + 1, 400)  # both sides of the Python path
+
+    @staticmethod
+    def _huge(size):
+        rng = np.random.default_rng(size)
+        parts = 1.7e308 * rng.uniform(-1, 1, (size, 2))
+        parts[0] = (1.7e308, -1.7e308)
+        parts[-1] = (-0.0, 1.7e308)
+        return [complex(x, y) for x, y in parts.tolist()]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda f: derivative(f, 2), id="derivative"),
+        pytest.param(lambda f: shift_plus_volterra(f, 2), id="combined"),
+        pytest.param(lambda f: scale(f, 2), id="scale"),
+        pytest.param(lambda f: add(f, f), id="add"),
+        pytest.param(lambda f: multiply(f, f), id="multiply"),
+    ])
+    def test_ops_that_can_overflow_still_raise(self, size, call):
+        with pytest.raises(ValueError, match="not finite"):
+            call(TaylorSeries(self._huge(size)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("size", SIZES)
+    def test_copies_and_integer_quotients_stay_finite_and_exact(self, size):
+        a, b = self._huge(size), self._huge(size + 1)
+        f, g = TaylorSeries(a), TaylorSeries(b)
+        want = _python_reference(a, b)
+        outputs = {
+            "shift": shift(f),
+            "zero_head": zero_head(f, 3),
+            "antiderivative 1": _antiderivative(f),
+            "antiderivative 3": nth_antiderivative(f, 3),
+            "lift": lift_approximant(f, g, 2),
+        }
+        want["antiderivative 1"] = [0j] + [x / (k + 1) for k, x in enumerate(a)]
+        want["antiderivative 3"] = [0j] * 3 + [x / math.perm(k + 3, 3) for k, x in enumerate(a)]
+        for name, got in outputs.items():
+            assert np.isfinite(got._c).all() and not got._c.flags.writeable, name
+            assert _bits(got.coeffs) == _bits(want[name]), name
