@@ -5,7 +5,7 @@ continuous up to the closed disk, and its integral means are nondecreasing
 in the radius, so the boundary radius r = 1 realises the sup.  Every norm
 call still checks that monotonicity on a three-point radius grid as a
 sanity assertion on the quadrature itself; the three means come from one
-coefficient transform.
+coefficient transform per node count.
 
 Quadrature modes:
 
@@ -15,14 +15,14 @@ Quadrature modes:
     even integer p; reduces to the Parseval sum of ``f**(p/2)``, built by
     direct ``np.convolve`` in O(N^2).
 ``trapezoid``
-    any p >= 1; uniform boundary samples via one batched FFT.  For
+    any p >= 1; uniform boundary samples via one batched FFT per node
+    count, each row ``c_k r^k`` cut where ``r^k`` underflows to 0.0.  For
     trigonometric polynomials the uniform trapezoid rule is exact once the
     node count exceeds the top frequency (Trefethen & Weideman, SIAM Review
-    56 (2014) 385-458), so the node count has the floor ``4 * (order + 1)``,
-    and ``(p/2) * order + 1`` for even integer p.  A request at or above
-    the floor is used as given; below it, the count is the least 2*3*5-smooth
-    integer at or above the floor, a length the FFT handles without
-    Bluestein's algorithm.
+    56 (2014) 385-458), so a row of degree d has the node floor
+    ``4 * (d + 1)``, and ``(p/2) * d + 1`` for even integer p.  A request at
+    or above the floor is used as given; below it, the count is the least
+    2*3*5-smooth integer at or above the floor (no Bluestein FFT).
 ``auto``
     ``parseval`` at p = 2; at even p = 2q >= 4, ``power-trick`` while its
     ``(N+1)**2 * q(q-1)/2`` multiply-adds are at most 144 per trapezoid
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,16 +119,20 @@ def boundary_values(f, num_points, radius=1.0):
     FFT-based: the j-th entry is ``f(radius * exp(2j*pi*1j*j/num_points))``.
     Sampling a degree-N polynomial needs ``num_points >= N + 1``.
     """
+    if type(num_points) is not int:  # an int is checked against the order below
+        num_points = _check_count(num_points, "num_points")
     c = _complex_coeffs(f)
     if num_points < c.size:
         raise ValueError(
             f"need at least order+1 = {c.size} sample points, got {num_points}"
         )
     if radius != 1.0:
+        if not (isinstance(radius, numbers.Real) and 0 < radius < math.inf):
+            raise ValueError(f"radius must be a finite number > 0, got {radius!r}")
         c = c * radius ** np.arange(c.size)
-    buf = np.zeros(int(num_points), dtype=complex)
+    buf = np.zeros(num_points, dtype=complex)
     buf[: c.size] = c
-    return np.fft.ifft(buf) * int(num_points)
+    return np.fft.ifft(buf) * num_points
 
 
 def boundary_scale(f, num_points=None):
@@ -136,14 +141,15 @@ def boundary_scale(f, num_points=None):
     Used as the natural magnitude reference when a residual has to be
     compared scale-free against f itself.
     """
+    m = (max(256, 4 * (f.order + 1)) if num_points is None
+         else _check_count(num_points, "num_points"))
     if f.is_zero:
         return 0.0
-    m = int(num_points) if num_points else max(256, 4 * (f.order + 1))
     return _finite_sum([_quietly(lambda: np.abs(boundary_values(f, m)).max())])
 
 
 def _check_exponent(p):
-    if not (p >= 1 and math.isfinite(p)):
+    if not (isinstance(p, (float, numbers.Real)) and 1 <= p < math.inf):  # float: no ABC lookup
         raise ValueError(f"exponent p must satisfy 1 <= p < inf, got {p}")
 
 
@@ -176,10 +182,15 @@ def _node_count(order, p, requested):
     return int(requested) if requested >= floor else _smooth_size(floor)
 
 
+def _underflow_index(r, step):
+    """A k from which ``r ** (step * k)``, 0 < r < 1, is at most 2**-1100: 0.0."""
+    return math.ceil(1100 / (step * -math.log2(r)))
+
+
 @functools.cache
 def _power_row(r, step):
     """``r ** (step * k)`` for k up to past its underflow to 0.0: <= 2651 entries."""
-    row = r ** (step * np.arange(math.ceil(1100 / (step * -math.log2(r)))))
+    row = r ** (step * np.arange(_underflow_index(r, step)))
     row.flags.writeable = False  # callers share it
     return row
 
@@ -193,9 +204,22 @@ def _radius_powers(r, size, step):
     return row[:size] if size <= row.size else np.append(row, np.zeros(size - row.size))
 
 
+def _row_sums(rows, m, p):
+    """``mean |F|^p`` over the m boundary samples F of each row, in one batched FFT."""
+    buf = np.zeros((len(rows), m), dtype=complex)
+    for out, row in zip(buf, rows):
+        out[: row.size] = row
+    np.fft.ifft(buf, out=buf)
+    buf *= m
+    mag = np.abs(buf)
+    mag **= p
+    # a contiguous row sum is the same pairwise sum as the 1-D one
+    return (mag.sum(axis=1) / m).tolist()
+
+
 def _means(f, p, radii, mode, num_points):
-    """The p-th integral means of f on the circles |z| = r, r in ``radii``,
-    in a resolved ``mode``, from one coefficient transform.
+    """The p-th integral means of f on the circles |z| = r, r in ascending
+    ``radii``, in a resolved ``mode``, from one transform per node count.
 
     The sums form ``|f|^p`` directly.  When that could leave double range,
     they run on ``f / 2**e``, where ``2**(e-1) <= max |c_k| < 2**e``, an
@@ -209,16 +233,17 @@ def _means(f, p, radii, mode, num_points):
     else:
         e = 0
     if mode == "trapezoid":
-        m = _node_count(f.order, p, num_points)
-        buf = np.zeros((len(radii), m), dtype=complex)
-        for row, r in zip(buf, radii):
-            row[: c.size] = c if r == 1.0 else c * _radius_powers(r, c.size, 1)
-        np.fft.ifft(buf, out=buf)
-        buf *= m
-        mag = np.abs(buf)
-        mag **= p
-        # a contiguous row sum is the same pairwise sum as the 1-D one
-        means = [s ** (1.0 / p) for s in (mag.sum(axis=1) / m).tolist()]
+        if radii[0] == 1.0 or c.size <= _underflow_index(radii[0], 1):  # no row is cut
+            rows = [c if r == 1.0 else c * _radius_powers(r, c.size, 1) for r in radii]
+            sums = _row_sums(rows, _node_count(f.order, p, num_points), p)
+        else:
+            ks = [c.size if r == 1.0 else min(c.size, _underflow_index(r, 1)) for r in radii]
+            rows = [c if r == 1.0 else c[:k] * _radius_powers(r, k, 1) for r, k in zip(radii, ks)]
+            counts = [_node_count(k - 1, p, num_points) for k in ks]
+            batches = {m: iter(_row_sums([row for row, n in zip(rows, counts) if n == m], m, p))
+                       for m in set(counts)}
+            sums = [next(batches[m]) for m in counts]
+        means = [s ** (1.0 / p) for s in sums]
     else:
         g = c
         for _ in range(int(p) // 2 - 1):
@@ -260,7 +285,7 @@ def integral_mean(f, p, r=1.0, cfg=None):
     """
     cfg = cfg if cfg is not None else QuadratureConfig()
     _check_exponent(p)
-    if not 0 < r <= 1:
+    if not (isinstance(r, numbers.Real) and 0 < r <= 1):
         raise ValueError(f"radius must lie in (0, 1], got {r}")
     mode = _resolve_mode(p, cfg.mode, f.order, cfg.num_points)
     return _means(f, p, (r,), mode, cfg.num_points)[0]

@@ -96,6 +96,34 @@ class TestQuadratureMachinery:
         with pytest.raises(ValueError, match="num_points"):
             QuadratureConfig(num_points=points)
 
+    @pytest.mark.parametrize("points", [4.5, math.inf, math.nan, "8", -8.0])
+    def test_boundary_sample_count_must_be_an_integer(self, points):
+        # 4.5 used to give 4 samples, "8" a TypeError, inf an OverflowError
+        with pytest.raises(ValueError, match="num_points"):
+            boundary_values(ONE_PLUS_Z, points)
+        for f in (ONE_PLUS_Z, zero()):
+            with pytest.raises(ValueError, match="num_points"):
+                boundary_scale(f, points)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -0.5, "1", 1j])
+    def test_boundary_radius_must_be_a_finite_positive_number(self, radius):
+        # nan used to give an all-nan array
+        with pytest.raises(ValueError, match="radius"):
+            boundary_values(ONE_PLUS_Z, 8, radius)
+
+    def test_integral_boundary_counts_and_radii_stay_accepted(self):
+        assert boundary_values(ONE_PLUS_Z, 8.0).size == 8
+        assert boundary_values(ONE_PLUS_Z, 4, 2).tolist() == pytest.approx([3, 1 + 2j, -1, 1 - 2j])
+        assert boundary_scale(ONE_PLUS_Z, 8.0) == 2.0
+
+    @pytest.mark.parametrize("p", ["3", None, 3j])
+    def test_exponent_that_is_not_a_number_is_a_value_error(self, p):
+        # "3" used to raise TypeError from the comparison
+        with pytest.raises(ValueError, match="exponent"):
+            hp_norm(ONE_PLUS_Z, p)
+        with pytest.raises(ValueError, match="exponent"):
+            SpaceParams(1, p)
+
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             QuadratureConfig(mode="fft")
@@ -111,6 +139,8 @@ class TestQuadratureMachinery:
             integral_mean(ONE_PLUS_Z, math.inf)
         with pytest.raises(ValueError):
             integral_mean(ONE_PLUS_Z, 2.0, 1.5)
+        with pytest.raises(ValueError, match="radius"):
+            integral_mean(ONE_PLUS_Z, 2.0, "0.5")
         with pytest.raises(ValueError):
             SpaceParams(-1, 2.0)
         with pytest.raises(ValueError):
@@ -292,7 +322,8 @@ class TestFastPaths:
     def test_integral_mean_equals_per_radius_mean_of_hp_norm(self, mode):
         rng = np.random.default_rng(23)
         p = 2.0 if mode == "parseval" else 4.0
-        for order in (0, 7, 60):
+        # rows below 1 are cut from order 1100 (r = 0.5) and 2651 (r = 0.75)
+        for order in (0, 7, 60, 1100, 1101, 2651, 2652, 4096, 16384):
             f = _random_series(rng, order)
             cfg = QuadratureConfig(num_points=64, mode=mode)
             resolved = norms._resolve_mode(p, mode, f.order, cfg.num_points)
@@ -352,9 +383,15 @@ class TestFastPaths:
             hp_norm(TaylorSeries([1.0, math.inf]), 2.0)
 
 
-def _reference_means(f, p, radii, mode, num_points):
+def _reference_means(f, p, radii, mode, num_points, cut=True):
     """The integral means by the formulas the fixed-cost cuts replaced:
-    ``np.mean``, ``np.sum`` and a fresh ``r ** arange`` row on every call."""
+    ``np.mean``, ``np.sum`` and a fresh ``r ** arange`` row on every call.
+
+    The trapezoid transforms each row on its own.  With ``cut``, the row
+    ``c_k r^k`` of a radius r < 1 ends before the first k with
+    ``r**k <= 2**-1100`` and takes the node count of its own degree; without
+    it, every row is transformed in full on the node count of f's order,
+    the formula before the rows were cut."""
     c = np.asarray([complex(x) for x in f.coeffs], dtype=complex)
     e = math.frexp(float(np.max(np.abs(c))))[1]
     if p * max(e + c.size.bit_length(), -e) > 1000:
@@ -362,15 +399,15 @@ def _reference_means(f, p, radii, mode, num_points):
     else:
         e = 0
     if mode == "trapezoid":
-        m = norms._node_count(f.order, p, num_points)
-        buf = np.zeros((len(radii), m), dtype=complex)
-        for row, r in zip(buf, radii):
-            row[: c.size] = c if r == 1.0 else c * r ** np.arange(c.size)
-        np.fft.ifft(buf, out=buf)
-        buf *= m
         means = []
-        for row in buf:
-            mag = np.abs(row)
+        for r in radii:
+            row = c if r == 1.0 else c * r ** np.arange(c.size)
+            if cut and r < 1:
+                row = row[: math.ceil(1100 / -math.log2(r))]
+            m = norms._node_count(row.size - 1, p, num_points)
+            buf = np.zeros(m, dtype=complex)
+            buf[: row.size] = row
+            mag = np.abs(np.fft.ifft(buf) * m)
             mag **= p
             means.append(float(np.mean(mag)) ** (1.0 / p))
     else:
@@ -421,6 +458,17 @@ class TestBitIdentity:
         rng = np.random.default_rng(32)
         for order in (538, 1074, 1075, 1296, 2590, 2651, 3000):
             self._check(_random_series(rng, order), p, mode)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0])
+    def test_hp_norm_is_the_uncut_rows_boundary_mean(self, p):
+        # cutting the rows below r = 1 leaves the r = 1 row and its node
+        # count as they were, so the norm is the full-row formula's, bit for bit
+        rng = np.random.default_rng([35, int(2 * p)])
+        for order in (1100, 1101, 2651, 2652, 4096, 16384):
+            f = _random_series(rng, order)
+            full = _reference_means(f, p, norms._SANITY_RADII, "trapezoid", 4096, cut=False)
+            assert hp_norm(f, p, QuadratureConfig(mode="trapezoid")) == full[-1]
+            self._check(f, p, "trapezoid", points=4096)
 
     def test_rescaled_series_stay_bit_identical(self):
         rng = np.random.default_rng(33)
