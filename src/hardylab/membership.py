@@ -4,10 +4,12 @@ A subspace spec bundles nested finite boundary sets K_0 ⊇ ... ⊇ K_{n-1} on
 the unit circle, an inner divisor, the ambient space parameters (n, p), and
 an optional zero-initial-data flag.  Membership of a polynomial means: its
 j-th derivative vanishes on K_j for every j < n, the inner function divides
-it (decided exactly for the Blaschke part, heuristically for atoms), and in
-zero mode the first n Taylor coefficients vanish.  All vanishing thresholds
-are relative to the boundary scale of the derivative being tested, so
-verdicts are invariant under rescaling the function.
+it, and in zero mode the first n Taylor coefficients vanish.  Division is
+decided exactly: by zero multiplicities for the Blaschke part, and as never
+for a singular factor, since the inner factor of a nonzero polynomial is a
+finite Blaschke product.  All vanishing thresholds are relative to the
+boundary scale of the derivative being tested, so verdicts are invariant
+under rescaling the function.
 
 Every verdict is about the truncated coefficient data as given, never about
 an idealised infinite expansion.
@@ -21,18 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inner import (
-    InnerFunction,
-    inner_from_dict,
-    inner_to_dict,
-    singular_division_heuristic,
-    zero_residuals,
-)
+from .inner import InnerFunction, inner_from_dict, inner_to_dict, zero_residuals
 from .norms import SpaceParams, boundary_scale
 from .operators import nth_antiderivative, nth_derivative, shift, shift_plus_volterra
 from .report import VerificationReport, _Tracker
-from .series import (TaylorSeries, _json_numbers, add, derivative, evaluate, monomial,
-                     multiply)
+from .series import (TaylorSeries, _check_count, _json_numbers, add, derivative, evaluate,
+                     monomial, multiply)
 
 __all__ = [
     "SubspaceSpec",
@@ -229,11 +225,11 @@ def membership(f, spec, tol=1e-9):
             )
         )
     if spec.inner.has_atoms:
-        verdict = singular_division_heuristic(f, spec.inner)
         conditions.append(
             ConditionResult(
-                "singular-factor-division", verdict != "not-divisible", 0.0, 0.0,
-                f"heuristic verdict: {verdict} (radial growth probe, not a proof)",
+                "singular-factor-division", False, 0.0, 0.0,
+                "a nonzero polynomial's inner factor is a finite Blaschke "
+                "product, so no singular factor divides it",
             )
         )
 
@@ -300,10 +296,10 @@ def random_series(rng, max_degree):
 def sampled_members(spec, count, seed=0, tol=1e-9, max_degree=8):
     """Deterministic batch of constructed members; the shared sample pool
     for the invariance harnesses and the scale-invariance checks."""
-    rng = np.random.default_rng([int(seed), 77])
+    rng = np.random.default_rng([_check_count(seed, "seed"), 77])
     return [
         sample_element(spec, random_series(rng, max_degree), tol)
-        for _ in range(int(count))
+        for _ in range(_check_count(count, "count"))
     ]
 
 
@@ -317,11 +313,11 @@ def log_distance_integral(spec, num_points=4096):
     converges as the node count grows, at first order rather than
     spectrally.
     """
+    m = _check_count(num_points, "num_points", 1)
     pts = list(spec.boundary_sets[0]) + [a for a, _ in spec.inner.zeros]
     if not pts:
         return math.inf
     pts = np.asarray(pts, dtype=complex)
-    m = int(num_points)
     theta = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
     nodes = np.exp(1j * theta)
     dist = np.min(np.abs(nodes[:, None] - pts[None, :]), axis=1)
@@ -341,10 +337,14 @@ def _membership_margin(result):
     )
 
 
-def _invariance_claim(spec, samples, tol, seed, claim, config, probes):
+def _invariance_claim(spec, samples, tol, seed, negative_control, claim, probes, extra=""):
     """One claim over the sampled members of spec: ``probes(f)`` gives
     ``(g, fields)`` pairs, and each g must be a member.  The slack is the
-    least membership margin, the witness the first non-member."""
+    least membership margin, the witness the first non-member; ``extra``
+    goes into the claim's config before the negative-control flag."""
+    samples, seed = _check_count(samples, "samples", 1), _check_count(seed, "seed")
+    config = (f"samples={samples} tol={tol} seed={seed} {extra}"
+              f"negative-control={'on' if negative_control else 'off'}")
     t = _Tracker()
     for idx, f in enumerate(sampled_members(spec, samples, seed, tol)):
         for g, fields in probes(f):
@@ -375,11 +375,7 @@ def shift_invariance_check(
         g = _perturbed(f) if negative_control else f
         return (g, {"stage": "element"}), (shift(g), {"stage": "shifted"})
 
-    config = (
-        f"samples={samples} tol={tol} seed={seed} "
-        f"negative-control={'on' if negative_control else 'off'}"
-    )
-    return _invariance_claim(spec, samples, tol, seed, claim, config, probes)
+    return _invariance_claim(spec, samples, tol, seed, negative_control, claim, probes)
 
 
 def combined_invariance_check(
@@ -409,11 +405,8 @@ def combined_invariance_check(
         pulled = nth_antiderivative(shift_plus_volterra(downstairs, multiple), spec.n)
         return ((pulled, {"multiple": multiple}),)
 
-    config = (
-        f"samples={samples} tol={tol} seed={seed} multiple={multiple} "
-        f"negative-control={'on' if negative_control else 'off'}"
-    )
-    return _invariance_claim(spec, samples, tol, seed, claim, config, probes)
+    return _invariance_claim(spec, samples, tol, seed, negative_control, claim, probes,
+                             f"multiple={multiple} ")
 
 
 def spec_to_dict(spec):

@@ -103,8 +103,7 @@ class QuadratureConfig:
     mode: str = "auto"
 
     def __post_init__(self):
-        if _check_count(self.num_points, "num_points") < 4:
-            raise ValueError(f"num_points must be at least 4, got {self.num_points!r}")
+        _check_count(self.num_points, "num_points", 4)
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
 
@@ -129,6 +128,11 @@ def boundary_values(f, num_points, radius=1.0):
     if radius != 1.0:
         if not (isinstance(radius, numbers.Real) and 0 < radius < math.inf):
             raise ValueError(f"radius must be a finite number > 0, got {radius!r}")
+        try:  # Python's float power raises where NumPy's would warn and give inf
+            float(radius) ** (c.size - 1)
+        except OverflowError:
+            raise ValueError(f"radius ** {c.size - 1} leaves double range, "
+                             f"radius {radius!r}") from None
         c = c * radius ** np.arange(c.size)
     buf = np.zeros(num_points, dtype=complex)
     buf[: c.size] = c

@@ -82,10 +82,10 @@ def _is_integral(value):
     return isinstance(value, numbers.Real) and float(value).is_integer()
 
 
-def _check_count(value, what):
-    """``value`` as an int; ValueError unless it is a non-negative integer."""
-    if not _is_integral(value) or value < 0:
-        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+def _check_count(value, what, minimum=0):
+    """``value`` as an int; ValueError unless it is an integer >= ``minimum``."""
+    if not _is_integral(value) or value < minimum:
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
 

@@ -12,6 +12,7 @@ battery's own falsifiability check.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,6 +53,7 @@ from .report import ClaimResult, VerificationReport, _Tracker
 from .series import (
     TaylorSeries,
     _aligned,
+    _check_count,
     _exact_series,
     _quietly,
     _reweighted,
@@ -89,12 +91,13 @@ class RunConfig:
     negative_control: bool = False
 
     def __post_init__(self):
-        if self.order < 0:
-            raise ValueError(f"order must be non-negative, got {self.order}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be positive, got {self.samples}")
-        if not 0 < self.tol < 1:
-            raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
+        for name, minimum in (("order", 0), ("points", 4), ("seed", 0), ("samples", 1)):
+            object.__setattr__(self, name, _check_count(getattr(self, name), name, minimum))
+        if not (isinstance(self.tol, numbers.Real) and 0 < self.tol < 1):
+            raise ValueError(f"tol must be a real number in (0, 1), got {self.tol!r}")
+        if not isinstance(self.negative_control, bool):
+            raise ValueError(
+                f"negative_control must be True or False, got {self.negative_control!r}")
 
 
 def random_rational_series(rng, max_degree):

@@ -279,6 +279,19 @@ class TestMembershipCommand:
         assert "member: no" in out
         assert "FAIL" in out
 
+    def test_singular_atom_spec_has_no_polynomial_member(self, tmp_path, capsys):
+        # z - 1 meets every other condition; the atom is light enough that
+        # the former radial growth probe read it as a member
+        spec = SubspaceSpec(((1 + 0j,),), InnerFunction(atoms=((0.0, 1e-3),)),
+                            SpaceParams(1, 2.0))
+        series = tmp_path / "z-minus-one.json"
+        save_series(TaylorSeries([-1.0, 1.0]), series)
+        assert self._run_with_spec(tmp_path, str(series), spec_to_dict(spec)) == 1
+        out = capsys.readouterr().out
+        assert "member: no" in out
+        assert "  singular-factor-division: FAIL" in out
+        assert "derivative-0-vanishes-at-1+0j: PASS" in out
+
     def test_invalid_spec_is_usage_error(self, tmp_path, series_file, capsys):
         bad = spec_to_dict(NESTED)
         bad["K"][0][0] = [0.5, 0.0]  # interior point breaks unit modulus

@@ -1,4 +1,4 @@
-"""Inner functions: unimodularity, divisibility, the singular heuristic."""
+"""Inner functions: unimodularity, divisibility, singular division."""
 
 import cmath
 import math
@@ -179,23 +179,16 @@ class TestSingularHeuristic:
         assert verdict == "not-divisible"
 
     def test_truncated_expansion_of_g_itself_recorded(self):
-        # flaky case by construction: a polynomial can never carry the
-        # full singular factor, but a high-order truncation of G tracks it
-        # well below r = 0.999; the observed verdict is recorded, not pinned
+        # a high-order truncation of G tracks G well inside the disk, but
+        # it is a polynomial and so never carries the singular factor
         f = _taylor_of_inner(ATOMIC_ONE, 160)
-        verdict = singular_division_heuristic(f, ATOMIC_ONE)
-        assert verdict in ("divisible", "inconclusive", "not-divisible")
-        print(f"truncated-expansion heuristic verdict: {verdict}")
+        assert singular_division_heuristic(f, ATOMIC_ONE) == "not-divisible"
 
     def test_requires_atoms_and_nonzero_input(self):
         with pytest.raises(ValueError):
             singular_division_heuristic(TaylorSeries([1.0]), BLASCHKE_HALF)
         with pytest.raises(ValueError):
             singular_division_heuristic(TaylorSeries([0.0]), ATOMIC_ONE)
-        with pytest.raises(ValueError):
-            singular_division_heuristic(
-                TaylorSeries([1.0]), ATOMIC_ONE, radii=(0.5,)
-            )
 
 
 class TestSerialization:

@@ -8,9 +8,11 @@ import pytest
 
 from hardylab import (
     InnerFunction,
+    RunConfig,
     SpaceParams,
     SubspaceSpec,
     TaylorSeries,
+    boundary_unimodularity_defect,
     combined_invariance_check,
     derivative,
     ensure_valid,
@@ -154,7 +156,23 @@ class TestMembership:
             c for c in res.conditions if c.condition == "singular-factor-division"
         ]
         assert len(singular) == 1
-        assert "not a proof" in singular[0].note
+        assert singular[0].note == (
+            "a nonzero polynomial's inner factor is a finite Blaschke product, "
+            "so no singular factor divides it"
+        )
+
+    @pytest.mark.parametrize("mass", [1.0, 1e-3, 1e-6])
+    def test_no_polynomial_is_divisible_by_a_singular_factor(self, mass):
+        # the radial growth probe that decided this read z - 1 as a member
+        # at masses 1e-3 and 1e-6
+        spec = SubspaceSpec(
+            ((1 + 0j,),), InnerFunction(atoms=((0.0, mass),)), SpaceParams(1, 2.0)
+        )
+        res = membership(_poly_with_roots(1.0), spec)
+        assert not res.member
+        failing = [c.condition for c in res.conditions if not c.passed]
+        assert failing == ["singular-factor-division"]
+        assert membership(TaylorSeries([0.0]), spec).member
 
 
 class TestSampling:
@@ -269,3 +287,39 @@ class TestSpecSerialization:
     def test_non_object_rejected(self):
         with pytest.raises(ValueError):
             spec_from_dict([1, 2, 3])
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: RunConfig(order=8.5), id="config-order-8.5"),
+        pytest.param(lambda: RunConfig(order=math.inf), id="config-order-inf"),
+        pytest.param(lambda: RunConfig(samples=2.5), id="config-samples-2.5"),
+        pytest.param(lambda: RunConfig(samples=0), id="config-samples-0"),
+        pytest.param(lambda: RunConfig(points=4.5), id="config-points-4.5"),
+        pytest.param(lambda: RunConfig(seed=1.5), id="config-seed-1.5"),
+        pytest.param(lambda: RunConfig(tol="1e-9"), id="config-tol-string"),
+        pytest.param(lambda: RunConfig(negative_control=1), id="config-negative-control-1"),
+        pytest.param(lambda: sampled_members(ONE_ZERO, 2.5), id="members-count-2.5"),
+        pytest.param(lambda: sampled_members(ONE_ZERO, 2, seed=1.5), id="members-seed-1.5"),
+        pytest.param(lambda: shift_invariance_check(ONE_ZERO, samples=2.5),
+                     id="shift-samples-2.5"),
+        pytest.param(lambda: shift_invariance_check(ONE_ZERO, samples=0), id="shift-samples-0"),
+        pytest.param(lambda: combined_invariance_check(ONE_ZERO, samples=2.5),
+                     id="combined-samples-2.5"),
+        pytest.param(lambda: log_distance_integral(NESTED, 0), id="log-distance-points-0"),
+        pytest.param(lambda: log_distance_integral(NESTED, 8.5), id="log-distance-points-8.5"),
+        pytest.param(lambda: boundary_unimodularity_defect(ONE_ZERO.inner, 16.5),
+                     id="defect-samples-16.5"),
+        pytest.param(lambda: boundary_unimodularity_defect(ONE_ZERO.inner, math.inf),
+                     id="defect-samples-inf"),
+    ])
+    def test_non_integral_or_empty_count_is_a_value_error(self, call):
+        # most used to truncate, or raise OverflowError or ZeroDivisionError
+        with pytest.raises(ValueError):
+            call()
+
+    def test_integral_counts_are_stored_as_ints(self):
+        cfg = RunConfig(order=8.0, points=256.0, seed=7.0, samples=2.0)
+        assert [type(v) for v in (cfg.order, cfg.points, cfg.seed, cfg.samples)] == [int] * 4
+        report = shift_invariance_check(ONE_ZERO, samples=2.0, seed=3.0)
+        assert report.claims[0].config.startswith("samples=2 tol=1e-09 seed=3 ")

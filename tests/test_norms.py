@@ -111,6 +111,13 @@ class TestQuadratureMachinery:
         with pytest.raises(ValueError, match="radius"):
             boundary_values(ONE_PLUS_Z, 8, radius)
 
+    def test_radius_power_beyond_double_range_is_a_value_error(self):
+        # 2.0 ** 1100 is inf: every value used to be NaN, after three warnings
+        # (which the test settings turn into errors)
+        with pytest.raises(ValueError, match="radius"):
+            boundary_values(TaylorSeries(np.ones(1101)), 4096, 2.0)
+        assert np.isfinite(boundary_values(TaylorSeries(np.ones(1101)), 4096, 1.5)).all()
+
     def test_integral_boundary_counts_and_radii_stay_accepted(self):
         assert boundary_values(ONE_PLUS_Z, 8.0).size == 8
         assert boundary_values(ONE_PLUS_Z, 4, 2).tolist() == pytest.approx([3, 1 + 2j, -1, 1 - 2j])
