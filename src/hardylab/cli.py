@@ -29,14 +29,26 @@ from .norms import (
     sn_norm,
     sup_sum_norm,
 )
-from .operators import OperatorDescriptor, apply_operator
+from .operators import (nth_antiderivative, nth_derivative, shift, shift_plus_volterra,
+                        volterra)
 from .series import dumps, from_dict
 from .verify import SUITES, RunConfig, run_suites
 
-# factorial-ratio coefficients stay inside double range up to here
+# factorial-ratio coefficients stay inside double range up to here; the cap
+# also spares the exact perm(order + n, n) an operator computes to refuse a huge n
 _MAX_CLI_ORDER_PARAM = 16
 
 _DEFAULTS = RunConfig()
+
+# each `apply` kind and its call on the series f, parameter n and symbol g;
+# the operators check n themselves
+_APPLY = {
+    "shift": lambda f, n, g: shift(f),
+    "volterra": lambda f, n, g: volterra(f, g),
+    "combined": lambda f, n, g: shift_plus_volterra(f, n),
+    "diff": lambda f, n, g: nth_derivative(f, n),
+    "integrate": lambda f, n, g: nth_antiderivative(f, n),
+}
 
 
 class _UsageError(ValueError):
@@ -68,8 +80,7 @@ def build_parser():
 
     app = sub.add_parser("apply", help="apply an operator to a series file")
     app.add_argument("series", help="path to a series JSON file")
-    app.add_argument("operator",
-                     choices=("shift", "volterra", "combined", "diff", "integrate"))
+    app.add_argument("operator", choices=_APPLY)
     app.add_argument("--n", dest="order_n", type=int, default=1,
                      help="operator parameter n (default 1, capped at "
                           f"{_MAX_CLI_ORDER_PARAM})")
@@ -148,9 +159,9 @@ def cmd_apply(args):
             "command line to keep factorial ratios inside double range"
         )
     g = _load(args.g, from_dict) if args.g else None
-    descriptor = OperatorDescriptor(kind=args.operator, n=args.order_n, g=g)
-    result = apply_operator(f, descriptor)
-    text = dumps(result)
+    if args.operator == "volterra" and g is None:
+        raise _UsageError("the volterra operator needs its symbol series --g")
+    text = dumps(_APPLY[args.operator](f, args.order_n, g))
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:
@@ -159,14 +170,7 @@ def cmd_apply(args):
 
 
 def cmd_verify(args):
-    if args.suite == "all":
-        names = list(SUITES)
-    elif args.suite in SUITES:
-        names = [args.suite]
-    else:
-        raise _UsageError(
-            f"unknown suite {args.suite!r}; valid: all, {', '.join(SUITES)}"
-        )
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     cfg = RunConfig(
         order=args.order,
         points=args.points,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import boundary_scale
-from .series import _check_count, _is_integral, _json_numbers, derivative, evaluate
+from .series import _check_count, _json_numbers, derivative, evaluate
 
 __all__ = [
     "InnerFunction",
@@ -56,8 +56,7 @@ class InnerFunction:
         for a, m in self.zeros:
             if not abs(complex(a)) < 1:
                 raise ValueError(f"Blaschke zeros must lie inside the disk, got {a}")
-            if not _is_integral(m) or m < 1:
-                raise ValueError(f"zero multiplicity must be an integer >= 1, got {m!r}")
+            _check_count(m, "zero multiplicity", 1)
         zs = tuple((complex(a), int(m)) for a, m in self.zeros)
         object.__setattr__(self, "zeros", zs)
         c = complex(self.const)

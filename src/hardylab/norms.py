@@ -43,7 +43,6 @@ from .series import (
     _check_count,
     _check_perm_range,
     _complex_coeffs,
-    _is_integral,
     _quietly,
     _smooth_size,
     derivative,
@@ -80,11 +79,7 @@ class SpaceParams:
     p: float
 
     def __post_init__(self):
-        if not _is_integral(self.n) or self.n < 0:
-            raise ValueError(
-                f"derivative depth n must be a non-negative integer, got {self.n!r}"
-            )
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _check_count(self.n, "derivative depth n"))
         _check_exponent(self.p)
 
 
@@ -112,11 +107,22 @@ def _effective_points(f, requested):
     return max(int(requested), 4 * (f.order + 1))
 
 
+def _samples(c, m, radius=1.0):
+    """``sum_k c_k (radius w)^k`` at the m-th roots of unity w, m >= c.size,
+    unchecked: a value beyond double range comes back inf or NaN."""
+    if radius != 1.0:
+        c = c * float(radius) ** np.arange(c.size)
+    buf = np.zeros(m, dtype=complex)
+    buf[: c.size] = c
+    return np.fft.ifft(buf) * m
+
+
 def boundary_values(f, num_points, radius=1.0):
     """Values of f at ``num_points`` uniform samples of the circle |z| = radius.
 
     FFT-based: the j-th entry is ``f(radius * exp(2j*pi*1j*j/num_points))``.
-    Sampling a degree-N polynomial needs ``num_points >= N + 1``.
+    Sampling a degree-N polynomial needs ``num_points >= N + 1``.  Values
+    beyond double range raise ValueError.
     """
     if type(num_points) is not int:  # an int is checked against the order below
         num_points = _check_count(num_points, "num_points")
@@ -125,31 +131,26 @@ def boundary_values(f, num_points, radius=1.0):
         raise ValueError(
             f"need at least order+1 = {c.size} sample points, got {num_points}"
         )
-    if radius != 1.0:
-        if not (isinstance(radius, numbers.Real) and 0 < radius < math.inf):
-            raise ValueError(f"radius must be a finite number > 0, got {radius!r}")
-        try:  # Python's float power raises where NumPy's would warn and give inf
-            float(radius) ** (c.size - 1)
-        except OverflowError:
-            raise ValueError(f"radius ** {c.size - 1} leaves double range, "
-                             f"radius {radius!r}") from None
-        c = c * radius ** np.arange(c.size)
-    buf = np.zeros(num_points, dtype=complex)
-    buf[: c.size] = c
-    return np.fft.ifft(buf) * num_points
+    if radius != 1.0 and not (isinstance(radius, numbers.Real) and 0 < radius < math.inf):
+        raise ValueError(f"radius must be a finite number > 0, got {radius!r}")
+    vals = _quietly(_samples, c, num_points, radius)
+    if not np.isfinite(vals).all():
+        raise ValueError(f"values of the order-{f.order} series at radius {radius!r} "
+                         "leave double range")
+    return vals
 
 
-def boundary_scale(f, num_points=None):
-    """Max of |f| over boundary samples; 0.0 for the zero series.
+def boundary_scale(f):
+    """Max of |f| over ``max(256, 4 * (order + 1))`` boundary samples; 0.0
+    for the zero series.
 
     Used as the natural magnitude reference when a residual has to be
     compared scale-free against f itself.
     """
-    m = (max(256, 4 * (f.order + 1)) if num_points is None
-         else _check_count(num_points, "num_points"))
     if f.is_zero:
         return 0.0
-    return _finite_sum([_quietly(lambda: np.abs(boundary_values(f, m)).max())])
+    m = max(256, 4 * (f.order + 1))
+    return _finite_sum([_quietly(lambda: np.abs(_samples(_complex_coeffs(f), m)).max())])
 
 
 def _check_exponent(p):
@@ -409,13 +410,13 @@ def sup_bracket(f, cfg=None):
     cfg = cfg if cfg is not None else QuadratureConfig()
     if f.is_zero:
         return 0.0, 0.0
-    m = _effective_points(f, cfg.num_points)
-    vals = _quietly(lambda: np.abs(boundary_values(f, m)))
+    m, c = _effective_points(f, cfg.num_points), _complex_coeffs(f)
+    vals = _quietly(lambda: np.abs(_samples(c, m)))
     j = int(np.argmax(vals))
     grid = _finite_sum([vals[j]])
     t, h = 2 * math.pi * j / m, 2 * math.pi / m
     # a constant's grid max is its sup and its hi: no walk to round past it
-    peak = _quietly(_peak_walk, _complex_coeffs(f), t, h) if f.order else grid
+    peak = _quietly(_peak_walk, c, t, h) if f.order else grid
     return max(grid, peak), grid * _sup_slack(f, cfg)
 
 

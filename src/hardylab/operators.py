@@ -12,12 +12,9 @@ n-fold derivative shrinks it by n (floored at the zero series).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .series import (
-    TaylorSeries,
+    _check_count,
     _check_perm_range,
-    _is_integral,
     _reweighted,
     add,
     derivative,
@@ -35,15 +32,7 @@ __all__ = [
     "nth_derivative",
     "nth_antiderivative",
     "lift_approximant",
-    "OperatorDescriptor",
-    "apply_operator",
 ]
-
-
-def _check_multiple(n):
-    if not _is_integral(n) or n < 1:
-        raise ValueError(f"operator parameter n must be a positive integer, got {n!r}")
-    return int(n)
 
 
 def shift(f):
@@ -76,7 +65,7 @@ def shift_plus_volterra(f, n):
     Closed form: the output coefficient at degree k+1 is
     ``c_k * (k + 1 + n) / (k + 1)`` and the constant term is 0.
     """
-    n = _check_multiple(n)
+    n = _check_count(n, "operator parameter n", 1)
     weights, divisors = (range(n + 1, f.order + n + 2), 1), (range(1, f.order + 2), 1)
     return _reweighted(f, weights, divisors, offset=1)
 
@@ -84,13 +73,13 @@ def shift_plus_volterra(f, n):
 def shift_plus_volterra_composed(f, n):
     """The same operator assembled from its parts; cross-check for the
     closed form."""
-    n = _check_multiple(n)
+    n = _check_count(n, "operator parameter n", 1)
     return add(shift(f), scale(volterra(f, monomial(1)), n))
 
 
 def nth_derivative(f, n):
     """The n-fold derivative, n >= 1."""
-    n = _check_multiple(n)
+    n = _check_count(n, "operator parameter n", 1)
     return derivative(f, n)
 
 
@@ -103,7 +92,7 @@ def nth_antiderivative(f, n):
     kernel integral ``(1/(n-1)!) * integral_0^z (z - w)^(n-1) f(w) dw``.
     In float mode a divisor beyond double range raises ValueError.
     """
-    n = _check_multiple(n)
+    n = _check_count(n, "operator parameter n", 1)
     _check_perm_range(f, f"antiderivative {n}", f.order + n, n)
     return _reweighted(f, divisors=(range(n, f.order + n + 1), n), offset=n)
 
@@ -118,39 +107,6 @@ def lift_approximant(f, pm, n):
     distance of pm to f^(n) exactly; that identity transfers polynomial
     density from H^p up to the derivative spaces.
     """
-    n = _check_multiple(n)
+    n = _check_count(n, "operator parameter n", 1)
     return add(_reweighted(f, stop=n), nth_antiderivative(pm, n))
 
-
-_KINDS = ("shift", "volterra", "combined", "diff", "integrate")
-
-
-@dataclass(frozen=True)
-class OperatorDescriptor:
-    """Operator selector used by the command-line front end."""
-
-    kind: str
-    n: int = 1
-    g: TaylorSeries | None = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"operator kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.kind in ("combined", "diff", "integrate"):
-            _check_multiple(self.n)
-        if self.kind == "volterra" and self.g is None:
-            raise ValueError("the volterra operator needs its symbol series g")
-
-
-def apply_operator(f, descriptor):
-    """Dispatch a descriptor onto a series."""
-    kind = descriptor.kind
-    if kind == "shift":
-        return shift(f)
-    if kind == "volterra":
-        return volterra(f, descriptor.g)
-    if kind == "combined":
-        return shift_plus_volterra(f, descriptor.n)
-    if kind == "diff":
-        return nth_derivative(f, descriptor.n)
-    return nth_antiderivative(f, descriptor.n)

@@ -54,9 +54,6 @@ class VerificationReport:
     def add(self, *args, **kwargs):
         self.claims.append(ClaimResult(*args, **kwargs))
 
-    def extend(self, other):
-        self.claims.extend(other.claims)
-
     @property
     def passed(self):
         return all(c.passed for c in self.claims)

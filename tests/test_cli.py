@@ -19,12 +19,20 @@ from hardylab import (
     SpaceParams,
     SubspaceSpec,
     TaylorSeries,
+    dumps,
+    load_series,
     loads,
+    monomial,
     multiply,
     from_dict,
+    nth_antiderivative,
+    nth_derivative,
     save_series,
+    shift,
+    shift_plus_volterra,
     spec_from_dict,
     spec_to_dict,
+    volterra,
 )
 from hardylab import cli
 from hardylab.cli import main
@@ -164,6 +172,31 @@ class TestApplyCommand:
         dest = tmp_path / "out.json"
         assert main(["apply", series_file, "diff", "--out", str(dest)]) == 0
         assert loads(dest.read_text()) == TaylorSeries([1.0])
+
+    # each kind's --n and the library call it must print
+    DIRECT_CALLS = {
+        "shift": (1, lambda f, g: shift(f)),
+        "volterra": (1, lambda f, g: volterra(f, g)),
+        "combined": (3, lambda f, g: shift_plus_volterra(f, 3)),
+        "diff": (1, lambda f, g: nth_derivative(f, 1)),
+        "integrate": (2, lambda f, g: nth_antiderivative(f, 2)),
+    }
+
+    @pytest.mark.parametrize("kind", DIRECT_CALLS)
+    def test_each_kind_prints_the_direct_call(self, series_file, tmp_path, capsys, kind):
+        n, call = self.DIRECT_CALLS[kind]
+        g_file = tmp_path / "g.json"
+        save_series(monomial(2, 1.0), g_file)
+        assert main(["apply", series_file, kind, "--n", str(n), "--g", str(g_file)]) == 0
+        want = call(load_series(series_file), load_series(g_file))
+        assert capsys.readouterr().out == dumps(want) + "\n"
+
+    def test_order_parameter_zero_is_usage_error(self, series_file, capsys):
+        # refused by the operator's own check on n
+        assert main(["apply", series_file, "diff", "--n", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "operator parameter n" in captured.err
+        assert captured.out == ""
 
     def test_volterra_needs_symbol(self, series_file, capsys):
         assert main(["apply", series_file, "volterra"]) == 2

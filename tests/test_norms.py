@@ -101,9 +101,6 @@ class TestQuadratureMachinery:
         # 4.5 used to give 4 samples, "8" a TypeError, inf an OverflowError
         with pytest.raises(ValueError, match="num_points"):
             boundary_values(ONE_PLUS_Z, points)
-        for f in (ONE_PLUS_Z, zero()):
-            with pytest.raises(ValueError, match="num_points"):
-                boundary_scale(f, points)
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -0.5, "1", 1j])
     def test_boundary_radius_must_be_a_finite_positive_number(self, radius):
@@ -118,10 +115,23 @@ class TestQuadratureMachinery:
             boundary_values(TaylorSeries(np.ones(1101)), 4096, 2.0)
         assert np.isfinite(boundary_values(TaylorSeries(np.ones(1101)), 4096, 1.5)).all()
 
+    @pytest.mark.parametrize("f, radius", [
+        (TaylorSeries(np.ones(1024)), 2.0),  # 2.0 ** 1023 is finite, the sum is not
+        (TaylorSeries([1e308] * 3), 1.0),
+    ])
+    def test_boundary_value_overflow_is_a_value_error(self, f, radius):
+        # both used to come back inf or NaN after an FFT overflow warning
+        with pytest.raises(ValueError, match="radius"):
+            boundary_values(f, 4096, radius)
+
+    def test_integer_radius_is_not_taken_in_integer_arithmetic(self):
+        # 2 ** k in int64 wraps to 0 from k = 64: f(2) came back as -1024
+        f = TaylorSeries(np.ones(101))
+        assert boundary_values(f, 256, 2)[0] == pytest.approx(2.0 ** 101 - 1, rel=1e-12)
+
     def test_integral_boundary_counts_and_radii_stay_accepted(self):
         assert boundary_values(ONE_PLUS_Z, 8.0).size == 8
         assert boundary_values(ONE_PLUS_Z, 4, 2).tolist() == pytest.approx([3, 1 + 2j, -1, 1 - 2j])
-        assert boundary_scale(ONE_PLUS_Z, 8.0) == 2.0
 
     @pytest.mark.parametrize("p", ["3", None, 3j])
     def test_exponent_that_is_not_a_number_is_a_value_error(self, p):
@@ -215,7 +225,7 @@ class TestSpaceNorms:
         m = max(points, 4 * (order + 1))
         f = TaylorSeries(np.exp(-1j * np.pi * np.arange(order + 1) / m))
         lo, hi = sup_bracket(f, cfg)
-        assert boundary_scale(f, m) < order + 1 <= hi
+        assert np.abs(boundary_values(f, m)).max() < order + 1 <= hi
         assert lo == pytest.approx(order + 1, rel=1e-13)
 
     @pytest.mark.parametrize("points", [4, 4096])
@@ -230,7 +240,7 @@ class TestSpaceNorms:
                 dense = float(np.abs(boundary_values(f, 64 * m)).max())
                 # the sup lies within dense's own slack of the dense max
                 top = dense / math.sqrt(math.cos(math.pi * order / (64 * m)))
-                assert sup_norm(f, cfg) == lo and boundary_scale(f, m) <= lo <= hi
+                assert sup_norm(f, cfg) == lo and np.abs(boundary_values(f, m)).max() <= lo <= hi
                 # both FFTs and the walk's sums round
                 assert lo <= top * (1 + 1e-12) and dense <= hi * (1 + 1e-12)
 

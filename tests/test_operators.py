@@ -9,11 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylab import (
-    OperatorDescriptor,
     RationalComplex,
     TaylorSeries,
     add,
-    apply_operator,
     derivative,
     lift_approximant,
     monomial,
@@ -148,27 +146,6 @@ class TestLiftApproximant:
         pm = TaylorSeries([1.0, -1.0])
         diff = lift_approximant(f, pm, 2) - f
         assert abs(diff.coeffs[0]) == 0.0 and abs(diff.coeffs[1]) == 0.0
-
-
-class TestDescriptorDispatch:
-    def test_apply_operator_kinds(self):
-        f = TaylorSeries([1.0, 1.0])
-        assert apply_operator(f, OperatorDescriptor("shift")) == shift(f)
-        assert apply_operator(f, OperatorDescriptor("combined", n=3)) == \
-            shift_plus_volterra(f, 3)
-        assert apply_operator(f, OperatorDescriptor("diff", n=1)) == derivative(f, 1)
-        assert apply_operator(f, OperatorDescriptor("integrate", n=2)) == \
-            nth_antiderivative(f, 2)
-        g = monomial(2, 1.0)
-        assert apply_operator(f, OperatorDescriptor("volterra", g=g)) == volterra(f, g)
-
-    def test_descriptor_validation(self):
-        with pytest.raises(ValueError):
-            OperatorDescriptor("fourier")
-        with pytest.raises(ValueError):
-            OperatorDescriptor("volterra")
-        with pytest.raises(ValueError):
-            OperatorDescriptor("diff", n=0)
 
 
 class TestExactAgainstFractions:
