@@ -405,9 +405,15 @@ def sup_bracket(f, cfg=None):
     trigonometric polynomial of degree N, so T(t + h) >= max(T) cos(N h)
     near a peak t (Bernstein-Szego); every angle lies within pi/m of a
     node, so ``hi = grid max / sqrt(cos(pi N / m))``.  Boundary values
-    beyond double range raise ValueError.
+    beyond double range raise ValueError, and so does an ``hi`` beyond it.
     """
     cfg = cfg if cfg is not None else QuadratureConfig()
+    lo, grid = _sup_walk(f, cfg)
+    return lo, _finite_sum([grid * _sup_slack(f, cfg)])
+
+
+def _sup_walk(f, cfg):
+    """``(lo, grid max)`` of :func:`sup_bracket`."""
     if f.is_zero:
         return 0.0, 0.0
     m, c = _effective_points(f, cfg.num_points), _complex_coeffs(f)
@@ -417,12 +423,13 @@ def sup_bracket(f, cfg=None):
     t, h = 2 * math.pi * j / m, 2 * math.pi / m
     # a constant's grid max is its sup and its hi: no walk to round past it
     peak = _quietly(_peak_walk, c, t, h) if f.order else grid
-    return max(grid, peak), grid * _sup_slack(f, cfg)
+    return max(grid, peak), grid
 
 
 def sup_norm(f, cfg=None):
-    """Boundary sup of |f|, from below: the lower end of :func:`sup_bracket`."""
-    return sup_bracket(f, cfg)[0]
+    """Boundary sup of |f|, from below: the lower end of :func:`sup_bracket`,
+    which stays finite where only the upper end leaves double range."""
+    return _sup_walk(f, cfg if cfg is not None else QuadratureConfig())[0]
 
 
 def hardy_sum(f):

@@ -24,7 +24,9 @@ In float mode its rounding is fixed per call: ``c * w`` without divisors,
 ``c / d`` without weights, ``c * (w / d)`` with both, and a plain copy with
 neither.  Float results are bit-identical to Python ``complex`` arithmetic,
 signed zeros included: where NumPy rounds otherwise (``complex / real``,
-``complex * complex``) the parts follow Python's formulas.
+``complex * complex``) the parts follow Python's formulas.  Its integer
+tables depend only on the shape of the call and are built once per shape
+(:func:`_tables`).
 
 Exact storage follows FLINT's ``fmpq_poly`` layout: a tuple of Python-int
 real numerators, a tuple of imaginary numerators, and one positive int
@@ -45,6 +47,7 @@ factor or an ``evaluate`` point) promotes through ``complex()``.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import numbers
@@ -290,6 +293,36 @@ def _perm_floats(ks, m):
 # cost of the array kernels: 3 us against 6 us for a reweighting at order 8
 _PY_LOOP_LEN = 48
 
+# :func:`_tables` keeps this many shapes; the default order-256 battery at
+# seed 7 asks for 1469.  An exact entry grows with the square of its degree
+# (200 shapes at degree 1000 held 45 MB), so exact tables of more than
+# _TABLE_LEN coefficients are built per call: kept ones take at most 22 KB
+# for n <= 5, a full cache about 45 MB
+_TABLE_SHAPES = 2048
+_TABLE_LEN = 257
+
+
+@functools.lru_cache(maxsize=_TABLE_SHAPES)
+def _tables(weights, divisors, exact):
+    """The tables of one :func:`_reweighted` shape, built once per shape:
+    tuples, since every call of that shape shares them.
+
+    Exact: ``(folded, common)``, where ``common`` is the lcm of the
+    divisors (1 without them) and ``folded[i] = w_i * (common // d_i)``.
+    Float: the row the short loop applies, the quotients ``w_i / d_i``
+    when both are given, else the one given as ints.
+    """
+    w = None if weights is None else _perm_ints(*weights)
+    d = None if divisors is None else _perm_ints(*divisors)
+    if not exact:
+        if w is not None and d is not None:
+            return tuple([a / b for a, b in zip(w, d)])
+        return tuple(w if d is None else d)
+    if d is None:
+        return tuple(w), 1
+    common = math.lcm(*d)
+    return tuple([a * (common // b) for a, b in zip(repeat(1) if w is None else w, d)]), common
+
 
 def _reweighted(f, weights=None, divisors=None, offset=0, start=None, stop=None):
     """The series with ``c_k * w_i / d_i`` at degree ``k + offset`` for the
@@ -312,14 +345,17 @@ def _reweighted(f, weights=None, divisors=None, offset=0, start=None, stop=None)
         if c.size <= _PY_LOOP_LEN:
             # the same rounding on Python complex, which beats the array
             # kernels' fixed cost on short series and overflows without a warning
-            out, w = c.tolist(), None if weights is None else _perm_ints(*weights)
-            d = None if divisors is None else _perm_ints(*divisors)
-            if w is not None and d is not None:
-                out = [x * (a / b) for x, a, b in zip(out, w, d)]
-            elif w is not None:
-                out = [x * a for x, a in zip(out, w)]
-            elif d is not None:
-                out = [x / b for x, b in zip(out, d)]
+            out = c.tolist()
+            if weights is not None or divisors is not None:
+                only = weights if divisors is None else divisors if weights is None else None
+                # a single m = 1 row is its range: nothing to build
+                row = only[0] if only and only[1] == 1 else _tables(weights, divisors, False)
+                if divisors is None:
+                    out = [x * a for x, a in zip(out, row)]
+                elif weights is None:
+                    out = [x / b for x, b in zip(out, row)]
+                else:
+                    out = [x * q for x, q in zip(out, row)]
             return _float_series([0j] * pad + out, scan=weights is not None)
         out = c
         w = None if weights is None else _perm_floats(*weights)
@@ -339,14 +375,14 @@ def _reweighted(f, weights=None, divisors=None, offset=0, start=None, stop=None)
         if pad or out is c:
             out = np.concatenate((np.zeros(pad, dtype=complex), out))
         return _float_series(out, scan=weights is not None)
-    weights = None if weights is None else _perm_ints(*weights)
-    divisors = None if divisors is None else _perm_ints(*divisors)
     re, im, den = f._c
     re, im = re[start:stop], im[start:stop]
-    if divisors is not None:
-        common = math.lcm(*divisors)
-        ones = repeat(1) if weights is None else weights
-        weights = [w * (common // d) for w, d in zip(ones, divisors)]
+    if divisors is None and (weights is None or weights[1] == 1):
+        # a weights-only m = 1 row is its range: nothing to build
+        weights = None if weights is None else weights[0]
+    else:
+        tables = _tables if len(re) <= _TABLE_LEN else _tables.__wrapped__
+        weights, common = tables(weights, divisors, True)
         den *= common
     if weights is not None:
         re = tuple([x * w for x, w in zip(re, weights)])

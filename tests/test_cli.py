@@ -34,7 +34,7 @@ from hardylab import (
     spec_to_dict,
     volterra,
 )
-from hardylab import cli
+from hardylab import cli, series
 from hardylab.cli import main
 
 NESTED = SubspaceSpec(
@@ -290,6 +290,31 @@ class TestRepeatedCalls:
             assert (code, text) == (fresh.returncode, fresh.stdout)
         assert in_process[0][0] == 1 and in_process[1][0] == 0
         assert cli.build_parser() is cli.build_parser()
+
+    def test_cold_and_warm_table_cache_give_the_pinned_report(self, tmp_path):
+        # the operators' weight tables are built once per shape and shared
+        series._tables.cache_clear()
+        for run in ("cold", "warm"):
+            dest = tmp_path / f"{run}.txt"
+            assert main(["verify", "--suite", "all", "--seed", "7", "--order", "8",
+                         "--points", "256", "--samples", "20", "--out", str(dest)]) == 0
+            assert hashlib.sha256(dest.read_bytes()).hexdigest() == (
+                "6e35fca1092858bab9fb8dc8685124f154459e16559f9faa9a035a10e9b77b53")
+        # two shapes the battery asked for: the 2-fold antiderivative and
+        # the n = 1 combined operator of an order-8 series
+        hits = series._tables.cache_info().hits
+        folded, common = series._tables(None, (range(2, 11), 2), True)
+        quotients = series._tables((range(2, 11), 1), (range(1, 10), 1), False)
+        assert series._tables.cache_info().hits == hits + 2
+        assert type(folded) is tuple and type(quotients) is tuple
+        # exact tables above degree 256 are built per call, not kept
+        info = series._tables.cache_info()
+        series.derivative(TaylorSeries([1] * 301), 2)
+        assert series._tables.cache_info() == info
+        bound = info.maxsize
+        for k in range(bound + 10):
+            series._tables(None, (range(k + 2, k + 4), 2), True)
+        assert series._tables.cache_info().currsize == bound
 
 
 class TestMembershipCommand:

@@ -393,6 +393,14 @@ class TestFastPaths:
         with pytest.raises(ValueError, match="double precision"):
             norm(TaylorSeries([1e308, 1e308]))
 
+    def test_sup_upper_bound_beyond_double_range_is_a_value_error(self):
+        # the grid max is finite, hi = grid / sqrt(cos(pi N / m)) = 1.18 * grid
+        # is not: it must not come back as inf; lo is the finite sup
+        f = TaylorSeries([1.6e308] + [0.0] * 1000)
+        with pytest.raises(ValueError, match="double precision"):
+            sup_bracket(f)
+        assert sup_norm(f) == 1.6e308
+
     def test_mean_beyond_double_range_is_a_value_error(self):
         with pytest.raises(ValueError, match="not finite"):
             hp_norm(TaylorSeries([1e308] * 4), 3.0)

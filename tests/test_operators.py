@@ -25,6 +25,7 @@ from hardylab import (
     volterra,
     zero,
 )
+from hardylab import series
 from hardylab.operators import _antiderivative
 from hardylab.verify import max_rel_coeff_error, zero_head
 
@@ -191,6 +192,22 @@ class TestExactAgainstFractions:
             assert shift_plus_volterra(f, n) != shift_plus_volterra_composed(f, n + 1)
             leibniz = add(shift(nth_derivative(f, n)), scale(derivative(f, n - 1), n + 1))
             assert (nth_derivative(shift(f), n) == leibniz) == derivative(f, n - 1).is_zero
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold-tables", "warm-tables"])
+    def test_degree_200_against_fractions(self, warm):
+        # the drawn series above stop at 11 coefficients; at degree 200 the
+        # cached weight tables run to 300 bits
+        rng = np.random.default_rng(200)
+        a = [(Fraction(int(x), 64), Fraction(int(y), 64)) for x, y in rng.integers(-64, 65, (201, 2))]
+        p = a[::-1]
+        f, pm = ref.series(a), ref.series(p)
+        series._tables.cache_clear()
+        for _ in range(1 + warm):
+            for n in range(1, 6):
+                assert ref.pairs(nth_antiderivative(f, n)) == ref.nth_antiderivative(a, n)
+                assert ref.pairs(shift_plus_volterra(f, n)) == ref.shift_plus_volterra(a, n)
+                assert ref.pairs(nth_derivative(f, n)) == ref.derivative(a, n)
+                assert ref.pairs(lift_approximant(f, pm, n)) == ref.lift_approximant(a, p, n)
 
 
 class TestDeepAntiderivative:
