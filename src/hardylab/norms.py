@@ -5,7 +5,7 @@ continuous up to the closed disk, and its integral means are nondecreasing
 in the radius, so the boundary radius r = 1 realises the sup.  Every norm
 call still checks that monotonicity on a three-point radius grid as a
 sanity assertion on the quadrature itself; the three means come from one
-coefficient transform per node count.
+coefficient transform per row length.
 
 Quadrature modes:
 
@@ -15,8 +15,8 @@ Quadrature modes:
     even integer p; reduces to the Parseval sum of ``f**(p/2)``, built by
     direct ``np.convolve`` in O(N^2).
 ``trapezoid``
-    any p >= 1; uniform boundary samples via one batched FFT per node
-    count, each row ``c_k r^k`` cut where ``r^k`` underflows to 0.0.  For
+    any p >= 1; uniform boundary samples via one batched FFT per row
+    length, each row ``c_k r^k`` cut where ``r^k`` underflows to 0.0.  For
     trigonometric polynomials the uniform trapezoid rule is exact once the
     node count exceeds the top frequency (Trefethen & Weideman, SIAM Review
     56 (2014) 385-458), so a row of degree d has the node floor
@@ -107,20 +107,33 @@ def _effective_points(f, requested):
     return max(int(requested), 4 * (f.order + 1))
 
 
-def _samples(c, m, radius=1.0):
-    """``sum_k c_k (radius w)^k`` at the m-th roots of unity w, m >= c.size,
-    unchecked: a value beyond double range comes back inf or NaN."""
-    if radius != 1.0:
-        c = c * float(radius) ** np.arange(c.size)
-    buf = np.zeros(m, dtype=complex)
-    buf[: c.size] = c
-    return np.fft.ifft(buf) * m
+def _stack(rows, m, dtype):
+    """The rows, each at most m long, zero-filled into a ``(len(rows), m)`` array."""
+    buf = np.zeros((len(rows), m), dtype=dtype)
+    for i, row in enumerate(rows):
+        buf[i, : row.size] = row
+    return buf
 
 
-def boundary_values(f, num_points, radius=1.0):
-    """Values of f at ``num_points`` uniform samples of the circle |z| = radius.
+def _transform(rows, m):
+    """``sum_k c_k w^k`` at the m-th roots of unity w for each coefficient row
+    c (m >= c.size), in one batched FFT whose contiguous rows transform as in
+    1-D; unchecked: a value beyond double range comes back inf or NaN."""
+    buf = _stack(rows, m, complex)
+    np.fft.ifft(buf, out=buf)
+    buf *= m
+    return buf
 
-    FFT-based: the j-th entry is ``f(radius * exp(2j*pi*1j*j/num_points))``.
+
+def _grid_abs(c, m):
+    """|f| at the m-th roots of unity, f with coefficients c."""
+    return _quietly(lambda: np.abs(_transform([c], m)[0]))
+
+
+def boundary_values(f, num_points):
+    """Values of f at ``num_points`` uniform samples of the unit circle.
+
+    FFT-based: the j-th entry is ``f(exp(2*pi*1j*j/num_points))``.
     Sampling a degree-N polynomial needs ``num_points >= N + 1``.  Values
     beyond double range raise ValueError.
     """
@@ -128,15 +141,11 @@ def boundary_values(f, num_points, radius=1.0):
         num_points = _check_count(num_points, "num_points")
     c = _complex_coeffs(f)
     if num_points < c.size:
-        raise ValueError(
-            f"need at least order+1 = {c.size} sample points, got {num_points}"
-        )
-    if radius != 1.0 and not (isinstance(radius, numbers.Real) and 0 < radius < math.inf):
-        raise ValueError(f"radius must be a finite number > 0, got {radius!r}")
-    vals = _quietly(_samples, c, num_points, radius)
+        raise ValueError(f"need at least order+1 = {c.size} sample points, got {num_points}")
+    vals = _quietly(_transform, [c], num_points)[0]
     if not np.isfinite(vals).all():
-        raise ValueError(f"values of the order-{f.order} series at radius {radius!r} "
-                         "leave double range")
+        raise ValueError(f"a boundary value of the order-{f.order} series is not finite "
+                         "in double precision")
     return vals
 
 
@@ -149,8 +158,7 @@ def boundary_scale(f):
     """
     if f.is_zero:
         return 0.0
-    m = max(256, 4 * (f.order + 1))
-    return _finite_sum([_quietly(lambda: np.abs(_samples(_complex_coeffs(f), m)).max())])
+    return _finite_sum([_grid_abs(_complex_coeffs(f), _effective_points(f, 256)).max()])
 
 
 def _check_exponent(p):
@@ -200,31 +208,20 @@ def _power_row(r, step):
     return row
 
 
-def _radius_powers(r, size, step):
-    """``r ** (step * np.arange(size))``, bit for bit: the power is taken
-    elementwise, so the sanity radii below 1 read their cached row."""
-    if r not in _SANITY_RADII[:-1]:
-        return r ** (step * np.arange(size))
-    row = _power_row(r, step)
-    return row[:size] if size <= row.size else np.append(row, np.zeros(size - row.size))
-
-
-def _row_sums(rows, m, p):
-    """``mean |F|^p`` over the m boundary samples F of each row, in one batched FFT."""
-    buf = np.zeros((len(rows), m), dtype=complex)
-    for out, row in zip(buf, rows):
-        out[: row.size] = row
-    np.fft.ifft(buf, out=buf)
-    buf *= m
-    mag = np.abs(buf)
-    mag **= p
-    # a contiguous row sum is the same pairwise sum as the 1-D one
-    return (mag.sum(axis=1) / m).tolist()
+def _radius_row(c, r, step):
+    """``c_k r^(step*k)``, cut where the power underflows to 0.0; c itself at
+    r = 1.  The sanity radii read their cached power row, the same powers
+    bit for bit, as the power is taken elementwise."""
+    if r == 1.0:
+        return c
+    powers = (_power_row(r, step) if r in _SANITY_RADII
+              else r ** (step * np.arange(min(c.size, _underflow_index(r, step)))))
+    return c[: powers.size] * powers[: c.size]
 
 
 def _means(f, p, radii, mode, num_points):
     """The p-th integral means of f on the circles |z| = r, r in ascending
-    ``radii``, in a resolved ``mode``, from one transform per node count.
+    ``radii``, in a resolved ``mode``, from one transform per row length.
 
     The sums form ``|f|^p`` directly.  When that could leave double range,
     they run on ``f / 2**e``, where ``2**(e-1) <= max |c_k| < 2**e``, an
@@ -238,16 +235,14 @@ def _means(f, p, radii, mode, num_points):
     else:
         e = 0
     if mode == "trapezoid":
-        if radii[0] == 1.0 or c.size <= _underflow_index(radii[0], 1):  # no row is cut
-            rows = [c if r == 1.0 else c * _radius_powers(r, c.size, 1) for r in radii]
-            sums = _row_sums(rows, _node_count(f.order, p, num_points), p)
-        else:
-            ks = [c.size if r == 1.0 else min(c.size, _underflow_index(r, 1)) for r in radii]
-            rows = [c if r == 1.0 else c[:k] * _radius_powers(r, k, 1) for r, k in zip(radii, ks)]
-            counts = [_node_count(k - 1, p, num_points) for k in ks]
-            batches = {m: iter(_row_sums([row for row, n in zip(rows, counts) if n == m], m, p))
-                       for m in set(counts)}
-            sums = [next(batches[m]) for m in counts]
+        rows = [_radius_row(c, r, 1) for r in radii]
+        sums = []
+        for k in sorted({row.size for row in rows}):  # row lengths ascend with r
+            m = _node_count(k - 1, p, num_points)
+            mag = np.abs(_transform([row for row in rows if row.size == k], m))
+            mag **= p
+            # a contiguous row sum is the same pairwise sum as the 1-D one
+            sums += (mag.sum(axis=1) / m).tolist()
         means = [s ** (1.0 / p) for s in sums]
     else:
         g = c
@@ -255,8 +250,8 @@ def _means(f, p, radii, mode, num_points):
             g = np.convolve(g, c)
         mag = np.abs(g)
         sq = mag * mag
-        rows = np.array([sq if r == 1.0 else sq * _radius_powers(r, sq.size, 2.0)
-                         for r in radii])
+        # the terms a cut drops are 0.0: each full-length row sums as before
+        rows = _stack([_radius_row(sq, r, 2.0) for r in radii], sq.size, float)
         root = math.sqrt if mode == "parseval" else lambda s: s ** (1.0 / p)
         means = [root(s) for s in rows.sum(axis=1).tolist()]
     try:
@@ -264,10 +259,8 @@ def _means(f, p, radii, mode, num_points):
     except OverflowError:
         means = [math.inf]
     if not all(map(math.isfinite, means)):
-        raise ValueError(
-            f"an integral mean of the order-{f.order} series is not finite in "
-            "double precision"
-        )
+        raise ValueError(f"an integral mean of the order-{f.order} series is not finite in "
+                         "double precision")
     return means
 
 
@@ -315,6 +308,11 @@ def hp_norm(f, p, cfg=None):
     return means[-1]
 
 
+def _depth(f, n):
+    """``min(n, order + 1)``: a derivative past the order adds exactly 0.0."""
+    return min(n, f.order + 1)
+
+
 def sn_norm(f, params, cfg=None):
     """Recursive derivative-space norm: ``|f(0)| + norm(f', n-1)``, base H^p.
 
@@ -325,7 +323,7 @@ def sn_norm(f, params, cfg=None):
     """
     _check_perm_range(f, f"derivative {params.n}", f.order, params.n)
     heads = []
-    for _ in range(params.n):
+    for _ in range(_depth(f, params.n)):
         heads.append(abs(complex(_complex_coeffs(f)[0])))
         f = derivative(f, 1)
     total = hp_norm(f, params.p, cfg)
@@ -339,23 +337,24 @@ def sn_norm_unrolled(f, params, cfg=None):
 
     Agrees with :func:`sn_norm` up to float summation order.
     """
-    heads = _finite_sum(abs(complex(_complex_coeffs(derivative(f, k))[0]))
-                        for k in range(params.n))
-    return _finite_sum([heads + hp_norm(derivative(f, params.n), params.p, cfg)])
+    n = _depth(f, params.n)
+    heads = _finite_sum(abs(complex(_complex_coeffs(derivative(f, k))[0])) for k in range(n))
+    return _finite_sum([heads + hp_norm(derivative(f, n), params.p, cfg)])
 
 
 def derivative_sum_norm(f, params, cfg=None):
     """Equivalent norm: sum of the H^p norms of the first n+1 derivatives."""
     return _finite_sum(
-        hp_norm(derivative(f, k), params.p, cfg) for k in range(params.n + 1)
+        hp_norm(derivative(f, k), params.p, cfg) for k in range(_depth(f, params.n) + 1)
     )
 
 
 def sup_sum_norm(f, params, cfg=None):
     """Equivalent norm: boundary sups of the first n derivatives plus the
     H^p norm of the n-th."""
-    total = _finite_sum(sup_norm(derivative(f, k), cfg) for k in range(params.n))
-    return _finite_sum([total + hp_norm(derivative(f, params.n), params.p, cfg)])
+    n = _depth(f, params.n)
+    total = _finite_sum(sup_norm(derivative(f, k), cfg) for k in range(n))
+    return _finite_sum([total + hp_norm(derivative(f, n), params.p, cfg)])
 
 
 def _finite_sum(terms):
@@ -417,7 +416,7 @@ def _sup_walk(f, cfg):
     if f.is_zero:
         return 0.0, 0.0
     m, c = _effective_points(f, cfg.num_points), _complex_coeffs(f)
-    vals = _quietly(lambda: np.abs(_samples(c, m)))
+    vals = _grid_abs(c, m)
     j = int(np.argmax(vals))
     grid = _finite_sum([vals[j]])
     t, h = 2 * math.pi * j / m, 2 * math.pi / m

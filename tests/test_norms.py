@@ -1,6 +1,7 @@
 """Boundary-quadrature norms against closed-form values and invariants."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -102,36 +103,20 @@ class TestQuadratureMachinery:
         with pytest.raises(ValueError, match="num_points"):
             boundary_values(ONE_PLUS_Z, points)
 
-    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -0.5, "1", 1j])
-    def test_boundary_radius_must_be_a_finite_positive_number(self, radius):
-        # nan used to give an all-nan array
-        with pytest.raises(ValueError, match="radius"):
-            boundary_values(ONE_PLUS_Z, 8, radius)
+    def test_boundary_value_overflow_is_a_value_error(self):
+        # used to come back inf or NaN after an FFT overflow warning
+        with pytest.raises(ValueError, match="boundary value .* double precision"):
+            boundary_values(TaylorSeries([1e308] * 3), 4096)
 
-    def test_radius_power_beyond_double_range_is_a_value_error(self):
-        # 2.0 ** 1100 is inf: every value used to be NaN, after three warnings
-        # (which the test settings turn into errors)
-        with pytest.raises(ValueError, match="radius"):
-            boundary_values(TaylorSeries(np.ones(1101)), 4096, 2.0)
-        assert np.isfinite(boundary_values(TaylorSeries(np.ones(1101)), 4096, 1.5)).all()
-
-    @pytest.mark.parametrize("f, radius", [
-        (TaylorSeries(np.ones(1024)), 2.0),  # 2.0 ** 1023 is finite, the sum is not
-        (TaylorSeries([1e308] * 3), 1.0),
-    ])
-    def test_boundary_value_overflow_is_a_value_error(self, f, radius):
-        # both used to come back inf or NaN after an FFT overflow warning
-        with pytest.raises(ValueError, match="radius"):
-            boundary_values(f, 4096, radius)
-
-    def test_integer_radius_is_not_taken_in_integer_arithmetic(self):
-        # 2 ** k in int64 wraps to 0 from k = 64: f(2) came back as -1024
-        f = TaylorSeries(np.ones(101))
-        assert boundary_values(f, 256, 2)[0] == pytest.approx(2.0 ** 101 - 1, rel=1e-12)
-
-    def test_integral_boundary_counts_and_radii_stay_accepted(self):
+    def test_integral_boundary_count_stays_accepted(self):
         assert boundary_values(ONE_PLUS_Z, 8.0).size == 8
-        assert boundary_values(ONE_PLUS_Z, 4, 2).tolist() == pytest.approx([3, 1 + 2j, -1, 1 - 2j])
+
+    def test_boundary_scale_is_the_max_of_its_boundary_values(self):
+        rng = np.random.default_rng(36)
+        for order in [*range(301), 1023, 4096]:
+            f = _random_series(rng, order)
+            m = max(256, 4 * (order + 1))
+            assert boundary_scale(f) == np.abs(boundary_values(f, m)).max()
 
     @pytest.mark.parametrize("p", ["3", None, 3j])
     def test_exponent_that_is_not_a_number_is_a_value_error(self, p):
@@ -201,6 +186,21 @@ class TestSpaceNorms:
             a = sn_norm(f, SpaceParams(n, p))
             b = sn_norm_unrolled(f, SpaceParams(n, p))
             assert abs(a - b) <= 1e-12 * max(a, b, 1e-300)
+
+    @pytest.mark.parametrize("norm", [sn_norm, sn_norm_unrolled, derivative_sum_norm,
+                                      sup_sum_norm])
+    @pytest.mark.parametrize("f", [TaylorSeries([1.0, 2.0, 3.0]), TaylorSeries([1, 2, 3])])
+    def test_depth_past_the_order_stops_at_the_zero_derivative(self, norm, f, monkeypatch):
+        # every derivative past the order is the zero series: n = 10**4 used
+        # to take 10**4 derivatives and norms, linear in n
+        calls = Counter()
+        for name in ("derivative", "hp_norm", "sup_norm"):
+            fn = getattr(norms, name)
+            monkeypatch.setattr(norms, name,
+                                lambda *a, _fn=fn, _name=name: calls.update([_name]) or _fn(*a))
+        value = norm(f, SpaceParams(10**4, 2.0))
+        assert max(calls.values()) <= f.order + 2
+        assert value == norm(f, SpaceParams(f.order + 1, 2.0))
 
     def test_n_zero_is_plain_hp(self):
         f = TaylorSeries([1.0, 2.0, 3.0])
@@ -495,6 +495,13 @@ class TestBitIdentity:
             assert hp_norm(f, p, QuadratureConfig(mode="trapezoid")) == full[-1]
             self._check(f, p, "trapezoid", points=4096)
 
+    def test_cut_rows_that_share_the_full_rows_node_count(self):
+        # at 65536 points every row's floor is below the request: the rows
+        # of r = 0.5, 0.75 and 1 differ in length but not in node count
+        rng = np.random.default_rng(37)
+        for order in (1200, 3000):
+            self._check(_random_series(rng, order), 3.0, "trapezoid", points=65536)
+
     def test_rescaled_series_stay_bit_identical(self):
         rng = np.random.default_rng(33)
         c = rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40)
@@ -514,5 +521,8 @@ class TestBitIdentity:
                 row = norms._power_row(r, step)
                 assert row.size <= 2651 and row[-1] == 0.0
                 for size in (0, 1, 40, 301, row.size, row.size + 1, 16385):
-                    expected = r ** (step * np.arange(size))
-                    assert np.array_equal(norms._radius_powers(r, size, step), expected)
+                    c = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+                    full = c * r ** (step * np.arange(size))
+                    cut = norms._radius_row(c, r, step)
+                    assert np.array_equal(cut, full[: cut.size])
+                    assert not full[cut.size:].any()
