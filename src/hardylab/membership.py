@@ -9,7 +9,13 @@ decided exactly: by zero multiplicities for the Blaschke part, and as never
 for a singular factor, since the inner factor of a nonzero polynomial is a
 finite Blaschke product.  All vanishing thresholds are relative to the
 boundary scale of the derivative being tested, so verdicts are invariant
-under rescaling the function.
+under rescaling the function; the scales of all the derivatives come from
+one batched boundary transform.
+
+A spec cannot change once built, so its structural validation and the
+generator of its constructed members are computed once per spec object and
+kept on it: :func:`membership` and :func:`sample_element` re-check a spec
+by reading those cached claims.
 
 Every verdict is about the truncated coefficient data as given, never about
 an idealised infinite expansion.
@@ -18,13 +24,14 @@ an idealised infinite expansion.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .inner import InnerFunction, inner_from_dict, inner_to_dict, zero_residuals
-from .norms import SpaceParams, boundary_scale
+from .norms import SpaceParams, _boundary_scales, boundary_scale
 from .operators import nth_antiderivative, nth_derivative, shift, shift_plus_volterra
 from .report import VerificationReport, _Tracker
 from .series import (TaylorSeries, _check_count, _json_numbers, add, derivative, evaluate,
@@ -60,6 +67,10 @@ class SubspaceSpec:
     deterministic.  Construction only enforces shape and rejects a NaN or
     infinite boundary point; the structural properties are checked by
     :func:`validate_spec` and reported, not raised.
+
+    Every field is immutable, so the structural claims and the generator of
+    :func:`sample_element` are computed once per spec object, at first use,
+    and kept on it; ``==``, ``hash`` and ``repr`` read the fields alone.
     """
 
     boundary_sets: tuple
@@ -83,6 +94,14 @@ class SubspaceSpec:
     def n(self):
         return self.space.n
 
+    @functools.cached_property
+    def _claims(self):
+        return _structural_claims(self)
+
+    @functools.cached_property
+    def _generator(self):
+        return _generator_of(self)
+
 
 def _contains(points, z, eps=_POINT_EPS):
     return any(abs(z - w) <= eps for w in points)
@@ -98,8 +117,14 @@ def validate_spec(spec):
 
     The isolation and zero-clustering constraints of the general theory are
     automatic for the finite sets handled here, and the report says so
-    rather than claiming generality.
+    rather than claiming generality.  Each call returns a fresh report over
+    the spec's claims, which are computed once per spec object.
     """
+    return VerificationReport(claims=list(spec._claims))
+
+
+def _structural_claims(spec):
+    """The claims of :func:`validate_spec`, in report order, as a tuple."""
     report = VerificationReport()
     n = spec.n
 
@@ -148,14 +173,14 @@ def validate_spec(spec):
         "properties.unit-modulus", ok, _CIRCLE_EPS - dev,
         f"eps={_CIRCLE_EPS}", None if ok else witness,
     )
-    return report
+    return tuple(report.claims)
 
 
 def ensure_valid(spec):
     """Raise ValueError when :func:`validate_spec` reports any failure."""
-    rep = validate_spec(spec)
-    if not rep.passed:
-        reasons = "; ".join(c.witness or c.claim for c in rep.failures)
+    failures = [c for c in spec._claims if not c.passed]
+    if failures:
+        reasons = "; ".join(c.witness or c.claim for c in failures)
         raise ValueError(f"invalid subspace spec: {reasons}")
     return spec
 
@@ -202,7 +227,7 @@ def membership(f, spec, tol=1e-9):
     derivs = [f]
     for _ in range(spec.n - 1):
         derivs.append(derivative(derivs[-1], 1))
-    scales = [boundary_scale(d) for d in derivs]
+    scales = _boundary_scales(derivs)
 
     conditions = []
     for j, ks in enumerate(spec.boundary_sets):
@@ -247,9 +272,28 @@ def membership(f, spec, tol=1e-9):
     return MembershipResult(member, tuple(conditions), f.order)
 
 
+def _generator_of(spec):
+    """The generator of :func:`sample_element`: the Blaschke numerators, each
+    boundary-set factor to its nesting depth, and z^n in zero mode."""
+    out = TaylorSeries([1.0 + 0j])
+    for a, m in spec.inner.zeros:
+        for _ in range(m):
+            out = multiply(out, TaylorSeries([-a, 1.0]))
+    for z in spec.boundary_sets[0]:
+        depth = 1 + max(
+            j for j in range(spec.n) if _contains(spec.boundary_sets[j], z)
+        )
+        for _ in range(depth):
+            out = multiply(out, TaylorSeries([-z, 1.0]))
+    if spec.zero_mode:
+        out = multiply(out, monomial(spec.n, 1.0))
+    return out
+
+
 def sample_element(spec, h, tol=1e-9):
-    """Constructive member: the Blaschke numerator, boundary-set factors to
-    their nesting depth, the z^n head when zero mode is on, all times h.
+    """Constructive member: the spec's generator (the Blaschke numerator,
+    boundary-set factors to their nesting depth, the z^n head when zero mode
+    is on) times h.  The generator is built once per spec object.
 
     The result is self-checked through :func:`membership`; a failure there
     is an implementation bug and raises RuntimeError.  Specs with singular
@@ -263,19 +307,7 @@ def sample_element(spec, h, tol=1e-9):
         )
     if h.is_zero:
         return TaylorSeries([0j])
-    out = TaylorSeries([1.0 + 0j])
-    for a, m in spec.inner.zeros:
-        for _ in range(m):
-            out = multiply(out, TaylorSeries([-a, 1.0]))
-    for z in spec.boundary_sets[0]:
-        depth = 1 + max(
-            j for j in range(spec.n) if _contains(spec.boundary_sets[j], z)
-        )
-        for _ in range(depth):
-            out = multiply(out, TaylorSeries([-z, 1.0]))
-    if spec.zero_mode:
-        out = multiply(out, monomial(spec.n, 1.0))
-    out = multiply(out, h)
+    out = multiply(spec._generator, h)
     result = membership(out, spec, tol)
     if not result.member:
         failing = [c.condition for c in result.conditions if not c.passed]

@@ -156,9 +156,27 @@ def boundary_scale(f):
     Used as the natural magnitude reference when a residual has to be
     compared scale-free against f itself.
     """
-    if f.is_zero:
-        return 0.0
-    return _finite_sum([_grid_abs(_complex_coeffs(f), _effective_points(f, 256)).max()])
+    return _boundary_scales([f])[0]
+
+
+def _boundary_scales(series):
+    """:func:`boundary_scale` of each series, the nonzero ones sampled in one
+    batched transform per node count; each row's ``abs`` and ``max`` are
+    elementwise, so every scale is the one-series value bit for bit."""
+    groups = {}
+    for i, f in enumerate(series):
+        if not f.is_zero:
+            groups.setdefault(_effective_points(f, 256), []).append(i)
+    peaks = [0.0] * len(series)
+
+    def sample():
+        for m, idx in groups.items():
+            rows = np.abs(_transform([_complex_coeffs(series[i]) for i in idx], m))
+            for i, peak in zip(idx, rows.max(axis=1).tolist()):
+                peaks[i] = peak
+
+    _quietly(sample)
+    return [_finite_sum([peak]) for peak in peaks]
 
 
 def _check_exponent(p):
@@ -408,17 +426,29 @@ def sup_bracket(f, cfg=None):
     """
     cfg = cfg if cfg is not None else QuadratureConfig()
     lo, grid = _sup_walk(f, cfg)
-    return lo, _finite_sum([grid * _sup_slack(f, cfg)])
+    return lo, _sup_upper(f, cfg, grid)
+
+
+def _sup_upper(f, cfg, grid):
+    """``hi`` of :func:`sup_bracket` from the grid max: ``grid / sqrt(cos(pi N / m))``."""
+    return _finite_sum([grid * _sup_slack(f, cfg)])
+
+
+def _sup_grid(f, cfg):
+    """``(grid max, j, m, c)``: the max of |f| on the m = max(num_points,
+    4(N + 1)) boundary nodes of :func:`sup_bracket`, its node j, and the
+    coefficients c."""
+    m, c = _effective_points(f, cfg.num_points), _complex_coeffs(f)
+    vals = _grid_abs(c, m)
+    j = int(np.argmax(vals))
+    return _finite_sum([vals[j]]), j, m, c
 
 
 def _sup_walk(f, cfg):
     """``(lo, grid max)`` of :func:`sup_bracket`."""
     if f.is_zero:
         return 0.0, 0.0
-    m, c = _effective_points(f, cfg.num_points), _complex_coeffs(f)
-    vals = _grid_abs(c, m)
-    j = int(np.argmax(vals))
-    grid = _finite_sum([vals[j]])
+    grid, j, m, c = _sup_grid(f, cfg)
     t, h = 2 * math.pi * j / m, 2 * math.pi / m
     # a constant's grid max is its sup and its hi: no walk to round past it
     peak = _quietly(_peak_walk, c, t, h) if f.order else grid

@@ -86,8 +86,9 @@ def _is_integral(value):
 
 
 def _check_count(value, what, minimum=0):
-    """``value`` as an int; ValueError unless it is an integer >= ``minimum``."""
-    if not _is_integral(value) or value < minimum:
+    """``value`` as an int; ValueError unless it is an integer >= ``minimum``
+    (a bool is not a count)."""
+    if isinstance(value, bool) or not _is_integral(value) or value < minimum:
         raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 

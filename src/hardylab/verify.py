@@ -31,14 +31,15 @@ from .inner import InnerFunction
 from .norms import (
     QuadratureConfig,
     SpaceParams,
+    _sup_grid,
     _sup_slack,
+    _sup_upper,
     boundary_scale,
     derivative_sum_norm,
     hardy_sum,
     hp_norm,
     sn_norm,
     sn_norm_unrolled,
-    sup_bracket,
     sup_sum_norm,
 )
 from .operators import (
@@ -175,7 +176,8 @@ def suite_sup_chain(cfg):
         n = 1 + idx % 4
         p = _P_GRID[idx % len(_P_GRID)]
         witness = dict(sample=idx, n=n, p=p, coeffs=f)
-        sup_hi = sup_bracket(f, qcfg)[1]
+        # the sup-bound reads only hi: the grid max, with no walk to the peak
+        sup_hi = _sup_upper(f, qcfg, _sup_grid(f, qcfg)[0])
         t_sup.record(const * sn_norm(f, SpaceParams(1, p), qcfg) + cfg.tol - sup_hi, **witness)
         lower = sn_norm(f, SpaceParams(n - 1, p), qcfg)
         upper = sn_norm(f, SpaceParams(n, p), qcfg)

@@ -526,6 +526,7 @@ class TestFuzzedFiles:
         pytest.param(lambda spec: spec.update(K=[[[1.0, 0.0, 5.0]]]), id="point-too-long"),
         pytest.param(lambda spec: spec.update(p="2"), id="p-string"),
         pytest.param(lambda spec: spec.update(p=True), id="p-bool"),
+        pytest.param(lambda spec: spec.update(n=True), id="n-bool"),
         pytest.param(lambda spec: spec["inner"].update(zeros=[[0.5, 0.0, 1, 7]]),
                      id="zero-too-long"),
         pytest.param(lambda spec: spec["inner"].update(atoms=[[1.0, "0.5"]]),

@@ -1,9 +1,12 @@
 """Subspace membership, constructive samples, and the invariance harnesses."""
 
+import importlib
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hardylab import (
@@ -12,6 +15,7 @@ from hardylab import (
     SpaceParams,
     SubspaceSpec,
     TaylorSeries,
+    boundary_scale,
     boundary_unimodularity_defect,
     combined_invariance_check,
     derivative,
@@ -19,6 +23,7 @@ from hardylab import (
     evaluate,
     log_distance_integral,
     membership,
+    monomial,
     multiply,
     nth_antiderivative,
     nth_derivative,
@@ -31,6 +36,11 @@ from hardylab import (
     spec_to_dict,
     validate_spec,
 )
+from hardylab.membership import ConditionResult, MembershipResult, random_series
+from hardylab.verify import fixed_specs
+
+# the package's ``membership`` is the function; the module holds the caches
+membership_module = importlib.import_module("hardylab.membership")
 
 TRIVIAL = InnerFunction()
 
@@ -206,6 +216,126 @@ class TestSampling:
         assert all(membership(f, ONE_ZERO).member for f in a)
 
 
+def _reference_membership(f, spec, tol=1e-9):
+    """membership with one boundary_scale call per derivative and the
+    structural claims built afresh: the conditions as built before the
+    scales were batched and the claims cached."""
+    claims = membership_module._structural_claims(spec)
+    assert all(c.passed for c in claims)
+    if f.is_zero:
+        cond = ConditionResult("zero-function", True, 0.0, 0.0,
+                               "the zero series belongs to every subspace")
+        return MembershipResult(True, (cond,), f.order)
+    derivs = [f]
+    for _ in range(spec.n - 1):
+        derivs.append(derivative(derivs[-1], 1))
+    scales = [boundary_scale(d) for d in derivs]
+    conditions = []
+    for j, ks in enumerate(spec.boundary_sets):
+        for z in ks:
+            residual, cap = abs(complex(evaluate(derivs[j], z))), tol * scales[j]
+            conditions.append(ConditionResult(
+                f"derivative-{j}-vanishes-at-{format(z, 'g')}", residual <= cap, residual, cap))
+    for a, m in spec.inner.zeros:
+        d = f
+        for i in range(min(m, f.order + 1)):
+            d = derivative(d, 1) if i else d
+            residual, cap = abs(complex(evaluate(d, a))), tol * scales[0]
+            conditions.append(ConditionResult(
+                f"blaschke-zero-{format(a, 'g')}-order-{i}", residual <= cap, residual, cap))
+    if spec.inner.has_atoms:
+        conditions.append(ConditionResult(
+            "singular-factor-division", False, 0.0, 0.0,
+            "a nonzero polynomial's inner factor is a finite Blaschke product, "
+            "so no singular factor divides it"))
+    if spec.zero_mode:
+        for m in range(spec.n):
+            residual, cap = abs(complex(evaluate(derivs[m], 0))), tol * scales[m]
+            conditions.append(ConditionResult(
+                f"vanishing-at-0-order-{m}", residual <= cap, residual, cap))
+    return MembershipResult(all(c.passed for c in conditions), tuple(conditions), f.order)
+
+
+def _reference_sample(spec, h):
+    """sample_element's product, rebuilt factor by factor on each call."""
+    out = TaylorSeries([1.0 + 0j])
+    for a, m in spec.inner.zeros:
+        for _ in range(m):
+            out = multiply(out, TaylorSeries([-a, 1.0]))
+    for z in spec.boundary_sets[0]:
+        depth = 1 + max(j for j, ks in enumerate(spec.boundary_sets)
+                        if any(abs(z - w) <= 1e-9 for w in ks))
+        for _ in range(depth):
+            out = multiply(out, TaylorSeries([-z, 1.0]))
+    if spec.zero_mode:
+        out = multiply(out, monomial(spec.n, 1.0))
+    return multiply(out, h)
+
+
+ATOM = SubspaceSpec(((1j,),), InnerFunction(atoms=((math.pi / 2, 0.5),)), SpaceParams(1, 2.0))
+
+
+class TestSpecCache:
+    """A spec's claims and generator are computed once; every result is the
+    one the uncached formulas give."""
+
+    @pytest.mark.parametrize("name, spec", [*fixed_specs(), ("nested-free", NESTED)])
+    def test_membership_matches_the_uncached_reference(self, name, spec):
+        rng = np.random.default_rng(41)
+        for _ in range(6):
+            h = random_series(rng, 8)
+            f = sample_element(spec, h)
+            assert f == _reference_sample(spec, h)
+            for g in (f, shift(f), membership_module._perturbed(f), 1e-7 * shift(f)):
+                assert membership(g, spec) == _reference_membership(g, spec)
+        zero = TaylorSeries([0.0, 0.0])
+        assert membership(zero, spec) == _reference_membership(zero, spec)
+
+    def test_atom_spec_matches_the_uncached_reference(self):
+        rng = np.random.default_rng(42)
+        for degree in (0, 1, 5, 40):
+            f = multiply(TaylorSeries([-1j, 1.0]), random_series(rng, degree))
+            for g in (f, shift(f), membership_module._perturbed(f)):
+                assert membership(g, ATOM) == _reference_membership(g, ATOM)
+
+    def test_invalid_spec_raises_the_same_message_on_every_call(self):
+        spec = SubspaceSpec(((1 + 0j,), (-1 + 0j,)), TRIVIAL, SpaceParams(2, 2.0))
+        messages = set()
+        for call in (lambda: membership(TaylorSeries([1.0]), spec),
+                     lambda: sample_element(spec, TaylorSeries([1.0])),
+                     lambda: ensure_valid(spec)) * 3:
+            with pytest.raises(ValueError) as exc:
+                call()
+            messages.add(str(exc.value))
+        assert messages == {"invalid subspace spec: K_1 point -1+0j missing from K_0"}
+        assert not validate_spec(spec).passed and not validate_spec(spec).passed
+
+    def test_validation_and_generator_run_once_per_spec(self, monkeypatch):
+        calls = Counter()
+        for name in ("_structural_claims", "_generator_of"):
+            def counted(spec, name=name, real=getattr(membership_module, name)):
+                calls[name] += 1
+                return real(spec)
+            monkeypatch.setattr(membership_module, name, counted)
+        spec = SubspaceSpec(((1 + 0j, -1 + 0j), (1 + 0j,)), TRIVIAL, SpaceParams(2, 2.0))
+        members = [sample_element(spec, TaylorSeries([1.0, 0.1 * k])) for k in range(10)]
+        for k in range(50):
+            membership(members[k % 10], spec)
+        assert calls == {"_structural_claims": 1, "_generator_of": 1}
+        # the cache is kept on the object: equality and hashing read the fields
+        twin = SubspaceSpec(((1 + 0j, -1 + 0j), (1 + 0j,)), TRIVIAL, SpaceParams(2, 2.0))
+        assert twin == spec and hash(twin) == hash(spec) and repr(twin) == repr(spec)
+        validate_spec(twin)
+        assert calls["_structural_claims"] == 2
+
+    def test_validation_reports_are_independent(self):
+        first, second = validate_spec(NESTED), validate_spec(NESTED)
+        assert first.claims == second.claims and first.claims is not second.claims
+        first.add("extra", True, 0.0, "")
+        assert len(second.claims) == len(first.claims) - 1
+        assert validate_spec(NESTED).claims == second.claims
+
+
 class TestLogDistanceIntegral:
     def test_single_point_integral_is_zero(self):
         # exact value 0 by the mean value property of log|z - 1|;
@@ -299,6 +429,10 @@ class TestCountArguments:
         pytest.param(lambda: RunConfig(seed=1.5), id="config-seed-1.5"),
         pytest.param(lambda: RunConfig(tol="1e-9"), id="config-tol-string"),
         pytest.param(lambda: RunConfig(negative_control=1), id="config-negative-control-1"),
+        pytest.param(lambda: RunConfig(order=True), id="config-order-bool"),
+        pytest.param(lambda: SpaceParams(True, 2.0), id="space-depth-bool"),
+        pytest.param(lambda: derivative(TaylorSeries([1.0, 2.0]), True), id="derivative-count-bool"),
+        pytest.param(lambda: nth_derivative(TaylorSeries([1.0, 2.0]), True), id="operator-n-bool"),
         pytest.param(lambda: sampled_members(ONE_ZERO, 2.5), id="members-count-2.5"),
         pytest.param(lambda: sampled_members(ONE_ZERO, 2, seed=1.5), id="members-seed-1.5"),
         pytest.param(lambda: shift_invariance_check(ONE_ZERO, samples=2.5),

@@ -118,6 +118,31 @@ class TestQuadratureMachinery:
             m = max(256, 4 * (order + 1))
             assert boundary_scale(f) == np.abs(boundary_values(f, m)).max()
 
+    def test_batched_boundary_scales_are_the_one_series_scales(self):
+        # below order 64 the rows share 256 nodes, above it each order has
+        # its own count; a zero series in a batch takes no row and reads 0.0
+        rng = np.random.default_rng(38)
+        fs = [_random_series(rng, order) for order in [*range(301), 1023, 4096]]
+        fs += [_random_series(rng, order) for order in (1023, 1023, 4096)] + [zero()]
+        fs = [fs[i] for i in rng.permutation(len(fs))]
+        batches = [fs, fs[:7], fs[-40:], [fs[0]], []]
+        for batch in batches:
+            scales = norms._boundary_scales(batch)
+            assert [type(s) for s in scales] == [float] * len(batch)
+            for f, s in zip(batch, scales):
+                m = max(256, 4 * (f.order + 1))
+                ref = 0.0 if f.is_zero else np.abs(boundary_values(f, m)).max()
+                assert s == boundary_scale(f) == ref
+
+    @pytest.mark.filterwarnings("error")
+    def test_batched_boundary_scale_beyond_double_range_is_the_one_series_error(self):
+        bad = TaylorSeries([1e308, 1e308])
+        with pytest.raises(ValueError) as one:
+            boundary_scale(bad)
+        with pytest.raises(ValueError) as batched:
+            norms._boundary_scales([ONE_PLUS_Z, zero(), bad, TaylorSeries([0.5] * 90)])
+        assert str(batched.value) == str(one.value)
+
     @pytest.mark.parametrize("p", ["3", None, 3j])
     def test_exponent_that_is_not_a_number_is_a_value_error(self, p):
         # "3" used to raise TypeError from the comparison
@@ -241,6 +266,8 @@ class TestSpaceNorms:
                 # the sup lies within dense's own slack of the dense max
                 top = dense / math.sqrt(math.cos(math.pi * order / (64 * m)))
                 assert sup_norm(f, cfg) == lo and np.abs(boundary_values(f, m)).max() <= lo <= hi
+                # the sup-chain suite reads hi without the walk
+                assert norms._sup_upper(f, cfg, norms._sup_grid(f, cfg)[0]) == hi
                 # both FFTs and the walk's sums round
                 assert lo <= top * (1 + 1e-12) and dense <= hi * (1 + 1e-12)
 
