@@ -5,7 +5,8 @@ continuous up to the closed disk, and its integral means are nondecreasing
 in the radius, so the boundary radius r = 1 realises the sup.  Every norm
 call still checks that monotonicity on a three-point radius grid as a
 sanity assertion on the quadrature itself; the three means come from one
-coefficient transform per row length.
+coefficient transform per row length, shared by the series of one length
+in a batch of norms.
 
 Quadrature modes:
 
@@ -66,6 +67,8 @@ __all__ = [
 
 _MODES = ("auto", "parseval", "power-trick", "trapezoid")
 _SANITY_RADII = (0.5, 0.75, 1.0)
+# hp_norm's radii, and integral_mean's radius when it is one of them
+_SANITY_RUNS = {_SANITY_RADII} | {(r,) for r in _SANITY_RADII}
 # power trick and trapezoid took equal time at (order+1)**2 = 144 M (M nodes)
 # at p = 4, 48 M at p = 6
 _POWER_TRICK_PER_NODE = 144
@@ -115,11 +118,12 @@ def _stack(rows, m, dtype):
     return buf
 
 
-def _transform(rows, m):
+def _transform(buf):
     """``sum_k c_k w^k`` at the m-th roots of unity w for each coefficient row
-    c (m >= c.size), in one batched FFT whose contiguous rows transform as in
-    1-D; unchecked: a value beyond double range comes back inf or NaN."""
-    buf = _stack(rows, m, complex)
+    c of the zero-filled ``(rows, m)`` complex ``buf``, in place, in one
+    batched FFT whose contiguous rows transform as in 1-D; unchecked: a
+    value beyond double range comes back inf or NaN."""
+    m = buf.shape[1]
     np.fft.ifft(buf, out=buf)
     buf *= m
     return buf
@@ -127,7 +131,7 @@ def _transform(rows, m):
 
 def _grid_abs(c, m):
     """|f| at the m-th roots of unity, f with coefficients c."""
-    return _quietly(lambda: np.abs(_transform([c], m)[0]))
+    return _quietly(lambda: np.abs(_transform(_stack([c], m, complex))[0]))
 
 
 def boundary_values(f, num_points):
@@ -142,7 +146,7 @@ def boundary_values(f, num_points):
     c = _complex_coeffs(f)
     if num_points < c.size:
         raise ValueError(f"need at least order+1 = {c.size} sample points, got {num_points}")
-    vals = _quietly(_transform, [c], num_points)[0]
+    vals = _quietly(lambda: _transform(_stack([c], num_points, complex))[0])
     if not np.isfinite(vals).all():
         raise ValueError(f"a boundary value of the order-{f.order} series is not finite "
                          "in double precision")
@@ -171,7 +175,8 @@ def _boundary_scales(series):
 
     def sample():
         for m, idx in groups.items():
-            rows = np.abs(_transform([_complex_coeffs(series[i]) for i in idx], m))
+            coeffs = [_complex_coeffs(series[i]) for i in idx]
+            rows = np.abs(_transform(_stack(coeffs, m, complex)))
             for i, peak in zip(idx, rows.max(axis=1).tolist()):
                 peaks[i] = peak
 
@@ -180,7 +185,9 @@ def _boundary_scales(series):
 
 
 def _check_exponent(p):
-    if not (isinstance(p, (float, numbers.Real)) and 1 <= p < math.inf):  # float: no ABC lookup
+    """ValueError unless p is a real number in [1, inf); a bool is not an exponent."""
+    # float first: no ABC lookup
+    if not (isinstance(p, (float, numbers.Real)) and type(p) is not bool and 1 <= p < math.inf):
         raise ValueError(f"exponent p must satisfy 1 <= p < inf, got {p}")
 
 
@@ -192,9 +199,11 @@ def _resolve_mode(p, mode, order, num_points):
     if mode == "auto":
         if p == 2:
             return "parseval"
+        if not _is_even(p):
+            return "trapezoid"
         q = int(p) // 2
         work = (order + 1) ** 2 * q * (q - 1) // 2
-        if _is_even(p) and work <= _POWER_TRICK_PER_NODE * _node_count(order, p, num_points):
+        if work <= _POWER_TRICK_PER_NODE * _node_count(order, p, num_points):
             return "power-trick"
         return "trapezoid"
     if mode == "parseval" and p != 2:
@@ -218,67 +227,161 @@ def _underflow_index(r, step):
     return math.ceil(1100 / (step * -math.log2(r)))
 
 
-@functools.cache
-def _power_row(r, step):
-    """``r ** (step * k)`` for k up to past its underflow to 0.0: <= 2651 entries."""
-    row = r ** (step * np.arange(_underflow_index(r, step)))
-    row.flags.writeable = False  # callers share it
-    return row
-
-
-def _radius_row(c, r, step):
-    """``c_k r^(step*k)``, cut where the power underflows to 0.0; c itself at
-    r = 1.  The sanity radii read their cached power row, the same powers
-    bit for bit, as the power is taken elementwise."""
+def _radius_powers(r, step, size):
+    """``r ** (step * k)`` for k < size, cut where the power underflows to
+    0.0; ones at r = 1."""
     if r == 1.0:
-        return c
-    powers = (_power_row(r, step) if r in _SANITY_RADII
-              else r ** (step * np.arange(min(c.size, _underflow_index(r, step)))))
-    return c[: powers.size] * powers[: c.size]
+        return np.ones(size)
+    return r ** (step * np.arange(min(size, _underflow_index(r, step))))
 
 
-def _means(f, p, radii, mode, num_points):
-    """The p-th integral means of f on the circles |z| = r, r in ascending
-    ``radii``, in a resolved ``mode``, from one transform per row length.
+def _plan(radii, size, trapezoid, table=None):
+    """How :func:`_means` multiplies a block of ``size`` columns by the
+    radii's powers: ``((width, powers, js), ...)`` by ascending width, the
+    rows of ``powers`` being those of the radii ``radii[j]``, j in js.
 
-    The sums form ``|f|^p`` directly.  When that could leave double range,
-    they run on ``f / 2**e``, where ``2**(e-1) <= max |c_k| < 2**e``, an
-    exact rescaling, and the means are scaled back by ``2**e``.  A mean
-    that is still not finite raises ValueError.
+    The powers ``r^k`` (trapezoid: complex, the block's dtype) or
+    ``r^(2k)`` of r < 1 are cut where they underflow to 0.0, so the radii
+    group by row width.  With ``table``, whose rows are the radii's powers
+    in order, each group is a slice of it, and while ``size`` fits in the
+    table the coefficient sums keep its zeros past the cut instead: one
+    full-length group.  Past the table only r = 1 is left, with the scalar
+    1.0 for powers.  Without ``table`` the powers are built.
     """
-    c = _complex_coeffs(f)
-    e = math.frexp(float(np.abs(c).max()))[1]
-    if p * max(e + c.size.bit_length(), -e) > 1000:
-        c = np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e)
-    else:
-        e = 0
-    if mode == "trapezoid":
-        rows = [_radius_row(c, r, 1) for r in radii]
-        sums = []
-        for k in sorted({row.size for row in rows}):  # row lengths ascend with r
-            m = _node_count(k - 1, p, num_points)
-            mag = np.abs(_transform([row for row in rows if row.size == k], m))
-            mag **= p
-            # a contiguous row sum is the same pairwise sum as the 1-D one
-            sums += (mag.sum(axis=1) / m).tolist()
-        means = [s ** (1.0 / p) for s in sums]
-    else:
-        g = c
-        for _ in range(int(p) // 2 - 1):
-            g = np.convolve(g, c)
-        mag = np.abs(g)
-        sq = mag * mag
-        # the terms a cut drops are 0.0: each full-length row sums as before
-        rows = _stack([_radius_row(sq, r, 2.0) for r in radii], sq.size, float)
-        root = math.sqrt if mode == "parseval" else lambda s: s ** (1.0 / p)
-        means = [root(s) for s in rows.sum(axis=1).tolist()]
-    try:
-        means = [math.ldexp(x, e) for x in means]
-    except OverflowError:
-        means = [math.inf]
-    if not all(map(math.isfinite, means)):
-        raise ValueError(f"an integral mean of the order-{f.order} series is not finite in "
-                         "double precision")
+    step = 1 if trapezoid else 2.0
+    full = table is not None and not trapezoid and size <= table.shape[1]
+    widths = {}
+    for j, r in enumerate(radii):
+        width = size if r == 1.0 or full else min(size, _underflow_index(r, step))
+        widths.setdefault(width, []).append(j)
+    plan = []
+    for width, js in sorted(widths.items()):
+        if table is None:
+            powers = _stack([_radius_powers(radii[j], step, width) for j in js], width,
+                            complex if trapezoid else float)
+        elif width <= table.shape[1]:
+            powers = table[js[0] : js[-1] + 1, :width]
+        else:
+            powers = 1.0
+        plan.append((width, powers, js))
+    return tuple(plan)
+
+
+@functools.cache
+def _sanity_table(trapezoid):
+    """The powers of the sanity radii as the rows of one read-only table, as
+    long as the longest cut row (2651 for the trapezoid, 1326 for the
+    sums): zero past their cut, ones at r = 1.  A prefix of a row is a
+    fresh ``r ** arange`` bit for bit, as the power is taken elementwise."""
+    step = 1 if trapezoid else 2.0
+    width = max(_underflow_index(r, step) for r in _SANITY_RADII if r != 1.0)
+    table = _stack([_radius_powers(r, step, width) for r in _SANITY_RADII], width,
+                   complex if trapezoid else float)
+    table.flags.writeable = False  # its slices are shared
+    return table
+
+
+# a kept plan holds a few views of the sanity table, under 1 KB
+@functools.lru_cache(maxsize=2048)
+def _sanity_plan(radii, size, trapezoid):
+    """:func:`_plan` of a run of the sanity radii, sliced from
+    :func:`_sanity_table`."""
+    first = _SANITY_RADII.index(radii[0])
+    return _plan(radii, size, trapezoid, _sanity_table(trapezoid)[first:])
+
+
+def _radius_plan(radii, size, trapezoid):
+    """:func:`_plan`, kept for a run of the sanity radii."""
+    if radii in _SANITY_RUNS:
+        return _sanity_plan(radii, size, trapezoid)
+    return _plan(radii, size, trapezoid)
+
+
+def _scaled_block(cs, p):
+    """The equal-length coefficient rows ``cs`` as one 2-D block (one row is
+    a view, not a copy), its ``abs``, and ``(row, e)`` for each rescaled row.
+
+    The sums form ``|f|^p`` directly.  Where that could leave double range,
+    the row is ``c / 2**e``, with ``2**(e-1) <= max |c_k| < 2**e``, an exact
+    rescaling whose means are scaled back by ``2**e``.
+    """
+    block = cs[0][np.newaxis] if len(cs) == 1 else np.stack(cs)
+    mag = np.abs(block)
+    bits, scaled = block.shape[1].bit_length(), []
+    for i, peak in enumerate(np.maximum.reduce(mag, axis=1).tolist()):
+        e = math.frexp(peak)[1]
+        if p * max(e + bits, -e) > 1000:
+            if not block.flags.writeable:  # a float series's own coefficients
+                block = block.copy()
+            block[i] = np.ldexp(block[i].real, -e) + 1j * np.ldexp(block[i].imag, -e)
+            mag[i] = np.abs(block[i])
+            scaled.append((i, e))
+    return block, mag, scaled
+
+
+def _means(series, p, radii, mode, num_points):
+    """The p-th integral means of each series on the circles |z| = r, r in
+    ascending ``radii``, in a resolved ``mode`` that all of them share: one
+    list of means per series.
+
+    Series of one length form one block (:func:`_scaled_block`), and each
+    row width of its radius plan (:func:`_radius_plan`) multiplies the whole
+    block by that width's powers in one broadcast product.  The trapezoid
+    gives each width's rows one zero-filled buffer, one transform, ``abs``,
+    ``**p`` and row sum; the coefficient sums take one row sum per block,
+    over full-length rows (the terms a cut drops are 0.0).  Each step works
+    elementwise or per contiguous row, so every mean is the one-series mean
+    bit for bit.  The first series with a mean that is not finite raises
+    ValueError.
+    """
+    by_size = {}
+    for i, f in enumerate(series):
+        by_size.setdefault(f.order, []).append(i)
+    means, q = [None] * len(series), 1.0 / p
+    for idx in by_size.values():
+        block, mag, scaled = _scaled_block([_complex_coeffs(series[i]) for i in idx], p)
+        if mode == "trapezoid":
+            sums = np.empty((len(idx), len(radii)))
+            for width, powers, js in _radius_plan(radii, block.shape[1], True):
+                m = _node_count(width - 1, p, num_points)
+                buf = np.zeros((len(idx), len(js), m), complex)
+                np.multiply(block[:, np.newaxis, :width], powers, out=buf[:, :, :width])
+                mag = np.abs(_transform(buf.reshape(-1, m)))
+                if p != 1:  # x ** 1.0 is x
+                    mag **= p
+                # a contiguous row sum is the same pairwise sum as the 1-D one
+                sums[:, js[0] : js[-1] + 1] = np.add.reduce(mag, axis=1).reshape(-1, len(js)) / m
+        else:
+            if mode == "power-trick":
+                gs = []
+                for k in range(len(idx)):
+                    g = c = block[k]
+                    for _ in range(int(p) // 2 - 1):
+                        g = np.convolve(g, c)
+                    gs.append(g)
+                mag = np.abs(gs[0][np.newaxis] if len(gs) == 1 else np.stack(gs))
+            mag *= mag
+            size = mag.shape[1]
+            plan = _radius_plan(radii, size, False)
+            if plan[0][0] == size:  # one table of full-length rows
+                prods = mag[:, np.newaxis] * plan[0][1]
+            else:  # cut rows, zero-filled to full length
+                prods = np.zeros((len(idx), len(radii), size))
+                for width, powers, js in plan:
+                    np.multiply(mag[:, np.newaxis, :width], powers,
+                                out=prods[:, js[0] : js[-1] + 1, :width])
+            sums = np.add.reduce(prods, axis=2)
+        for i, row in zip(idx, sums.tolist()):
+            means[i] = [math.sqrt(s) for s in row] if mode == "parseval" else [s**q for s in row]
+        for k, e in scaled:
+            try:
+                means[idx[k]] = [math.ldexp(x, e) for x in means[idx[k]]]
+            except OverflowError:
+                means[idx[k]] = [math.inf]
+    for f, row in zip(series, means):
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"an integral mean of the order-{f.order} series is not finite "
+                             "in double precision")
     return means
 
 
@@ -301,10 +404,10 @@ def integral_mean(f, p, r=1.0, cfg=None):
     """
     cfg = cfg if cfg is not None else QuadratureConfig()
     _check_exponent(p)
-    if not (isinstance(r, numbers.Real) and 0 < r <= 1):
+    if not (isinstance(r, numbers.Real) and type(r) is not bool and 0 < r <= 1):
         raise ValueError(f"radius must lie in (0, 1], got {r}")
     mode = _resolve_mode(p, cfg.mode, f.order, cfg.num_points)
-    return _means(f, p, (r,), mode, cfg.num_points)[0]
+    return _means([f], p, (r,), mode, cfg.num_points)[0][0]
 
 
 def hp_norm(f, p, cfg=None):
@@ -317,7 +420,27 @@ def hp_norm(f, p, cfg=None):
     cfg = cfg if cfg is not None else QuadratureConfig()
     _check_exponent(p)
     mode = _resolve_mode(p, cfg.mode, f.order, cfg.num_points)
-    means = _means(f, p, _SANITY_RADII, mode, cfg.num_points)
+    return _boundary_mean(_means([f], p, _SANITY_RADII, mode, cfg.num_points)[0])
+
+
+def _hp_norms(series, p, cfg):
+    """:func:`hp_norm` of each series, from one :func:`_means` call per
+    resolved mode."""
+    _check_exponent(p)
+    by_mode = {}
+    for i, f in enumerate(series):
+        by_mode.setdefault(_resolve_mode(p, cfg.mode, f.order, cfg.num_points), []).append(i)
+    norms = [0.0] * len(series)
+    for mode, idx in by_mode.items():
+        batch = _means([series[i] for i in idx], p, _SANITY_RADII, mode, cfg.num_points)
+        for i, means in zip(idx, batch):
+            norms[i] = _boundary_mean(means)
+    return norms
+
+
+def _boundary_mean(means):
+    """The last of the means on the radius grid, after asserting that they
+    are nondecreasing."""
     for lo, hi in zip(means, means[1:]):
         if lo > hi + 1e-12 * max(1.0, hi):
             raise RuntimeError(
@@ -331,6 +454,30 @@ def _depth(f, n):
     return min(n, f.order + 1)
 
 
+def _sn_chain(f, n):
+    """The part of :func:`sn_norm` that does not depend on p: the heads
+    ``|f^(k)(0)|`` for k < ``min(n, order + 1)``, and the derivatives
+    f, f', ... down to that depth, each one ``derivative(., 1)`` step from
+    the last.  Depth d <= n reads ``heads[:k]`` and ``chain[k]``,
+    k = ``min(d, len(heads))``."""
+    _check_perm_range(f, f"derivative {n}", f.order, n)
+    heads, chain = [], [f]
+    for _ in range(_depth(f, n)):
+        heads.append(abs(complex(_complex_coeffs(f)[0])))
+        f = derivative(f, 1)
+        chain.append(f)
+    return heads, chain
+
+
+def _sn_sum(heads, tail):
+    """:func:`sn_norm` from its heads and the H^p norm of its last
+    derivative: the recursion unwound innermost first."""
+    total = tail
+    for head in reversed(heads):
+        total = head + total
+    return _finite_sum([total])
+
+
 def sn_norm(f, params, cfg=None):
     """Recursive derivative-space norm: ``|f(0)| + norm(f', n-1)``, base H^p.
 
@@ -339,15 +486,18 @@ def sn_norm(f, params, cfg=None):
     exceeds double range is rejected up front with ValueError, as
     :func:`derivative` rejects it.
     """
-    _check_perm_range(f, f"derivative {params.n}", f.order, params.n)
-    heads = []
-    for _ in range(_depth(f, params.n)):
-        heads.append(abs(complex(_complex_coeffs(f)[0])))
-        f = derivative(f, 1)
-    total = hp_norm(f, params.p, cfg)
-    for head in reversed(heads):
-        total = head + total
-    return _finite_sum([total])
+    heads, chain = _sn_chain(f, params.n)
+    return _sn_sum(heads, hp_norm(chain[-1], params.p, cfg))
+
+
+def _sn_norms(f, depths, p, cfg):
+    """:func:`sn_norm` of f at each depth, from one chain to the deepest and
+    one batch of means over the distinct depths."""
+    heads, chain = _sn_chain(f, max(depths))
+    ks = [min(d, len(heads)) for d in depths]
+    distinct = sorted(set(ks))
+    tails = dict(zip(distinct, _hp_norms([chain[k] for k in distinct], p, cfg)))
+    return [_sn_sum(heads[:k], tails[k]) for k in ks]
 
 
 def sn_norm_unrolled(f, params, cfg=None):
@@ -362,9 +512,9 @@ def sn_norm_unrolled(f, params, cfg=None):
 
 def derivative_sum_norm(f, params, cfg=None):
     """Equivalent norm: sum of the H^p norms of the first n+1 derivatives."""
-    return _finite_sum(
-        hp_norm(derivative(f, k), params.p, cfg) for k in range(_depth(f, params.n) + 1)
-    )
+    cfg = cfg if cfg is not None else QuadratureConfig()
+    derivatives = [derivative(f, k) for k in range(_depth(f, params.n) + 1)]
+    return _finite_sum(_hp_norms(derivatives, params.p, cfg))
 
 
 def sup_sum_norm(f, params, cfg=None):

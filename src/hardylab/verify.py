@@ -31,6 +31,10 @@ from .inner import InnerFunction
 from .norms import (
     QuadratureConfig,
     SpaceParams,
+    _hp_norms,
+    _sn_chain,
+    _sn_norms,
+    _sn_sum,
     _sup_grid,
     _sup_slack,
     _sup_upper,
@@ -178,9 +182,8 @@ def suite_sup_chain(cfg):
         witness = dict(sample=idx, n=n, p=p, coeffs=f)
         # the sup-bound reads only hi: the grid max, with no walk to the peak
         sup_hi = _sup_upper(f, qcfg, _sup_grid(f, qcfg)[0])
-        t_sup.record(const * sn_norm(f, SpaceParams(1, p), qcfg) + cfg.tol - sup_hi, **witness)
-        lower = sn_norm(f, SpaceParams(n - 1, p), qcfg)
-        upper = sn_norm(f, SpaceParams(n, p), qcfg)
+        at_one, lower, upper = _sn_norms(f, (1, n - 1, n), p, qcfg)
+        t_sup.record(const * at_one + cfg.tol - sup_hi, **witness)
         t_chain.record(const * upper + cfg.tol - lower, **witness)
     shared = (
         f"samples={samples} degree<={cfg.order} points={cfg.points} "
@@ -432,13 +435,15 @@ def suite_intertwine(cfg):
 
     t_iso = _Tracker()
     iso_tol = 1e-9
+    depths = (1, 2, 3, 4)
     for idx in range(isometry_samples):
         f = random_series(rng, cfg.order)
+        # the lifts' derivative chains do not depend on p: build them once
+        lifts = [_sn_chain(nth_antiderivative(f, n + wrong), n) for n in depths]
         for p in _P_GRID:
-            rhs = hp_norm(f, p, qcfg)
-            for n in (1, 2, 3, 4):
-                lifted = nth_antiderivative(f, n + wrong)
-                lhs = sn_norm(lifted, SpaceParams(n, p), qcfg)
+            rhs, *tails = _hp_norms([f] + [chain[-1] for _, chain in lifts], p, qcfg)
+            for n, (heads, _), tail in zip(depths, lifts, tails):
+                lhs = _sn_sum(heads, tail)
                 t_iso.record(iso_tol - abs(lhs - rhs), sample=idx, n=n, p=p, coeffs=f)
     claims.append(
         t_iso.claim(

@@ -11,13 +11,18 @@ import sys
 
 import pytest
 
-from hardylab import RunConfig, SUITES, combined_invariance_check, fixed_specs
+from hardylab import RunConfig, SUITES, combined_invariance_check, fixed_specs, run_suites
+from hardylab import report
 
 CFG = RunConfig(order=64, seed=7)
 SPEC_NAMES = ("one-zero", "nested", "two-zero")
 # sha256 of the default `verify --suite all --seed 7` report; a change that
 # moves a draw, a slack value or the report format must re-pin it on purpose
 REPORT_SHA256 = "57a1a48bb45bd186e3b0b5f0975c80bf0a2639c210697038bf312848c71348f6"
+# sha256 of every raw margin the order-8 battery records, as float.hex, one
+# a line, negative control off then on.  A report prints each slack to 7
+# digits and cannot show a 1-ulp change in a margin; this digest does
+MARGIN_SHA256 = "b7b6bf3880c970ea06754d8f29fc0b750f740801287d4d14a0951e0cff467f25"
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +150,19 @@ class TestAcceptance:
             outs.append(path.read_bytes())
         _check("10 byte-identical-reports", outs[0] == outs[1])
         assert hashlib.sha256(outs[0]).hexdigest() == REPORT_SHA256
+
+
+def test_raw_margins_are_pinned(monkeypatch):
+    margins = []
+    record = report._Tracker.record
+
+    def spy(self, margin, *args, **fields):
+        margins.append(float(margin).hex())
+        return record(self, margin, *args, **fields)
+
+    monkeypatch.setattr(report._Tracker, "record", spy)
+    for negative in (False, True):
+        run_suites(list(SUITES), RunConfig(order=8, points=256, samples=20, seed=7,
+                                           negative_control=negative))
+    assert len(margins) == 52466
+    assert hashlib.sha256("\n".join(margins).encode()).hexdigest() == MARGIN_SHA256

@@ -151,6 +151,23 @@ class TestQuadratureMachinery:
         with pytest.raises(ValueError, match="exponent"):
             SpaceParams(1, p)
 
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: hp_norm(TaylorSeries([1.0, 2.0]), True), id="hp_norm"),
+        pytest.param(lambda: integral_mean(ONE_PLUS_Z, True), id="integral_mean"),
+        pytest.param(lambda: SpaceParams(1, True), id="SpaceParams"),
+        pytest.param(lambda: norms._hp_norms([ONE_PLUS_Z], True, QuadratureConfig()),
+                     id="_hp_norms"),
+    ])
+    def test_bool_exponent_is_a_value_error(self, call):
+        # True was read as p = 1: hp_norm returned the H^1 norm 2.1270888199467297
+        with pytest.raises(ValueError, match="exponent"):
+            call()
+
+    def test_bool_radius_is_a_value_error(self):
+        # r=True was read as the boundary circle
+        with pytest.raises(ValueError, match="radius"):
+            integral_mean(ONE_PLUS_Z, 2.0, r=True)
+
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             QuadratureConfig(mode="fft")
@@ -371,12 +388,12 @@ class TestFastPaths:
             f = _random_series(rng, order)
             cfg = QuadratureConfig(num_points=64, mode=mode)
             resolved = norms._resolve_mode(p, mode, f.order, cfg.num_points)
-            means = norms._means(f, p, norms._SANITY_RADII, resolved, cfg.num_points)
+            means = norms._means([f], p, norms._SANITY_RADII, resolved, cfg.num_points)[0]
             assert means == [integral_mean(f, p, r, cfg) for r in norms._SANITY_RADII]
             assert hp_norm(f, p, cfg) == means[-1]
 
     def test_decreasing_means_still_raise(self, monkeypatch):
-        monkeypatch.setattr(norms, "_means", lambda *args: [1.0, 0.5, 0.25])
+        monkeypatch.setattr(norms, "_means", lambda *args: [[1.0, 0.5, 0.25]])
         with pytest.raises(RuntimeError, match="nondecreasing"):
             hp_norm(ONE_PLUS_Z, 3.0)
 
@@ -537,19 +554,93 @@ class TestBitIdentity:
                 self._check(TaylorSeries(c * scale), p, mode)
 
     def test_power_rows_stay_bounded(self):
+        # every plan holds slices of one table of the sanity radii's powers,
+        # at most 2651 long, or the scalar 1.0 of r = 1 past it: no kept
+        # plan holds powers of its own, whatever the order
         rng = np.random.default_rng(34)
         for order in (8, 4096, 16384):
             f = _random_series(rng, order)
             for p in (1.5, 2.0, 3.0, 4.0):
                 hp_norm(f, p)
-        assert norms._power_row.cache_info().currsize <= 4
-        for r in (0.5, 0.75):
-            for step in (1, 2.0):
-                row = norms._power_row(r, step)
-                assert row.size <= 2651 and row[-1] == 0.0
-                for size in (0, 1, 40, 301, row.size, row.size + 1, 16385):
-                    c = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
-                    full = c * r ** (step * np.arange(size))
-                    cut = norms._radius_row(c, r, step)
-                    assert np.array_equal(cut, full[: cut.size])
-                    assert not full[cut.size:].any()
+        for trapezoid, step in ((True, 1), (False, 2.0)):
+            table = norms._sanity_table(trapezoid)
+            assert table.shape == (3, 2651 if trapezoid else 1326)
+            for size in (1, 40, 301, 1100, 1101, 1326, 1327, 2651, 2652, 16385):
+                plan = norms._radius_plan(norms._SANITY_RADII, size, trapezoid)
+                assert sorted(j for _, _, js in plan for j in js) == [0, 1, 2]
+                for width, powers, js in plan:
+                    assert (powers == 1.0 if width > table.shape[1]
+                            else np.shares_memory(powers, table))
+                    for row, j in zip(np.broadcast_to(powers, (len(js), width)), js):
+                        full = norms._SANITY_RADII[j] ** (step * np.arange(size))
+                        assert np.array_equal(row, full[:width])
+                        # a cut drops only powers that are 0.0
+                        assert not full[width:].any()
+
+
+class TestBatchedMeans:
+    """One batched ``_means`` call gives each series its one-series means
+    and the reference formulas' values, bit for bit."""
+
+    # 550/551 and 1326/1327: the cut of r = 0.5 and 0.75 in the coefficient
+    # sums; 1100/1101 and 2651/2652: the same in the trapezoid
+    SIZES = (1, 9, 550, 551, 1100, 1101, 1326, 1327, 2651, 2652)
+    CASES = [("parseval", 2.0), ("power-trick", 4.0), ("power-trick", 6.0),
+             ("power-trick", 8.0), ("trapezoid", 1.0), ("trapezoid", 1.5),
+             ("trapezoid", 3.0)]
+
+    @staticmethod
+    def _batch():
+        rng = np.random.default_rng(41)
+        batch = [_random_series(rng, size - 1) for size in TestBatchedMeans.SIZES]
+        # repeated lengths share a block; the zero series is a row of its own
+        batch += [_random_series(rng, 8), zero(), _random_series(rng, 550)]
+        for scale in (1e200, 1e-300):  # rows that take the 2**e rescale
+            for size in (9, 1101):
+                c = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+                batch.append(TaylorSeries(c * scale))
+        return batch
+
+    @pytest.mark.parametrize("mode, p", CASES)
+    @pytest.mark.parametrize("points", [4, 12000])  # below and above every floor
+    def test_batch_is_each_series_alone(self, mode, p, points):
+        batch = self._batch()
+        radii = norms._SANITY_RADII
+        means = norms._means(batch, p, radii, mode, points)
+        cfg = QuadratureConfig(num_points=points, mode=mode)
+        for f, row in zip(batch, means):
+            assert row == norms._means([f], p, radii, mode, points)[0]
+            assert row == _reference_means(f, p, radii, mode, points)
+            assert row[-1] == hp_norm(f, p, cfg)
+        assert norms._hp_norms(batch, p, cfg) == [hp_norm(f, p, cfg) for f in batch]
+
+    @pytest.mark.parametrize("mode, p", [("parseval", 2.0), ("power-trick", 4.0),
+                                         ("trapezoid", 3.0)])
+    def test_a_mean_beyond_double_range_is_the_one_series_error(self, mode, p):
+        bad = TaylorSeries([1e308] * 4)
+        with pytest.raises(ValueError, match="not finite") as one:
+            hp_norm(bad, p, QuadratureConfig(mode=mode))
+        for batch in ([ONE_PLUS_Z, zero(), bad, TaylorSeries([0.5] * 90)], [bad, ONE_PLUS_Z]):
+            with pytest.raises(ValueError) as batched:
+                norms._means(batch, p, norms._SANITY_RADII, mode, 4096)
+            assert str(batched.value) == str(one.value)
+
+    def test_auto_batch_resolves_each_series_mode(self):
+        # at p = 4 and 64 nodes, order 8 uses the power trick and order 600
+        # the trapezoid: one batch, one _means call per mode
+        rng = np.random.default_rng(42)
+        batch = [_random_series(rng, 8), _random_series(rng, 600), _random_series(rng, 8)]
+        cfg = QuadratureConfig(num_points=64)
+        assert [norms._resolve_mode(4.0, "auto", f.order, 64) for f in batch] == [
+            "power-trick", "trapezoid", "power-trick"]
+        assert norms._hp_norms(batch, 4.0, cfg) == [hp_norm(f, 4.0, cfg) for f in batch]
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+    def test_sn_norms_of_one_chain_are_sn_norm(self, p):
+        rng = np.random.default_rng(43)
+        cfg = QuadratureConfig(num_points=256)
+        for order in (0, 1, 2, 8, 40):
+            f = _random_series(rng, order)
+            depths = (1, 0, 1, 3, 4, 7)
+            assert norms._sn_norms(f, depths, p, cfg) == [
+                sn_norm(f, SpaceParams(d, p), cfg) for d in depths]
