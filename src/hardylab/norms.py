@@ -67,8 +67,6 @@ __all__ = [
 
 _MODES = ("auto", "parseval", "power-trick", "trapezoid")
 _SANITY_RADII = (0.5, 0.75, 1.0)
-# hp_norm's radii, and integral_mean's radius when it is one of them
-_SANITY_RUNS = {_SANITY_RADII} | {(r,) for r in _SANITY_RADII}
 # power trick and trapezoid took equal time at (order+1)**2 = 144 M (M nodes)
 # at p = 4, 48 M at p = 6
 _POWER_TRICK_PER_NODE = 144
@@ -235,66 +233,52 @@ def _radius_powers(r, step, size):
     return r ** (step * np.arange(min(size, _underflow_index(r, step))))
 
 
-def _plan(radii, size, trapezoid, table=None):
-    """How :func:`_means` multiplies a block of ``size`` columns by the
-    radii's powers: ``((width, powers, js), ...)`` by ascending width, the
-    rows of ``powers`` being those of the radii ``radii[j]``, j in js.
+def _plan(radii, size, step):
+    """How :func:`_means` weighs a block of ``size`` columns by the powers
+    ``r ** (step * k)``, step 1 for the trapezoid and 2.0 for the sums:
+    ``((width, powers, lo, hi), ...)`` by ascending width, the rows of
+    ``powers`` being those of the radii ``radii[lo:hi]``.
 
-    The powers ``r^k`` (trapezoid: complex, the block's dtype) or
-    ``r^(2k)`` of r < 1 are cut where they underflow to 0.0, so the radii
-    group by row width.  With ``table``, whose rows are the radii's powers
-    in order, each group is a slice of it, and while ``size`` fits in the
-    table the coefficient sums keep its zeros past the cut instead: one
-    full-length group.  Past the table only r = 1 is left, with the scalar
-    1.0 for powers.  Without ``table`` the powers are built.
+    The powers of r < 1 are cut where they underflow to 0.0, so the radii
+    group by row width, which ascends with r.  The sanity radii's powers
+    are slices of :func:`_sanity_table`, or past it the scalar 1.0 of
+    r = 1; any other radii's powers are built.
     """
-    step = 1 if trapezoid else 2.0
-    full = table is not None and not trapezoid and size <= table.shape[1]
-    widths = {}
+    table = _sanity_table(step) if radii == _SANITY_RADII else None
+    runs = {}
     for j, r in enumerate(radii):
-        width = size if r == 1.0 or full else min(size, _underflow_index(r, step))
-        widths.setdefault(width, []).append(j)
+        runs.setdefault(size if r == 1.0 else min(size, _underflow_index(r, step)), []).append(j)
     plan = []
-    for width, js in sorted(widths.items()):
+    for width, js in runs.items():
+        lo, hi = js[0], js[-1] + 1
         if table is None:
-            powers = _stack([_radius_powers(radii[j], step, width) for j in js], width,
-                            complex if trapezoid else float)
+            powers = _stack([_radius_powers(r, step, width) for r in radii[lo:hi]], width, float)
         elif width <= table.shape[1]:
-            powers = table[js[0] : js[-1] + 1, :width]
-        else:
+            powers = table[lo:hi, :width]
+        else:  # past every cut only r = 1 is left
             powers = 1.0
-        plan.append((width, powers, js))
+        plan.append((width, powers, lo, hi))
     return tuple(plan)
 
 
 @functools.cache
-def _sanity_table(trapezoid):
+def _sanity_table(step):
     """The powers of the sanity radii as the rows of one read-only table, as
-    long as the longest cut row (2651 for the trapezoid, 1326 for the
-    sums): zero past their cut, ones at r = 1.  A prefix of a row is a
-    fresh ``r ** arange`` bit for bit, as the power is taken elementwise."""
-    step = 1 if trapezoid else 2.0
+    long as the longest cut row (2651 at step 1, 1326 at step 2.0): zero
+    past their cut, ones at r = 1.  A prefix of a row is a fresh
+    ``r ** arange`` bit for bit, as the power is taken elementwise."""
     width = max(_underflow_index(r, step) for r in _SANITY_RADII if r != 1.0)
-    table = _stack([_radius_powers(r, step, width) for r in _SANITY_RADII], width,
-                   complex if trapezoid else float)
+    table = _stack([_radius_powers(r, step, width) for r in _SANITY_RADII], width, float)
     table.flags.writeable = False  # its slices are shared
     return table
 
 
 # a kept plan holds a few views of the sanity table, under 1 KB
 @functools.lru_cache(maxsize=2048)
-def _sanity_plan(radii, size, trapezoid):
-    """:func:`_plan` of a run of the sanity radii, sliced from
-    :func:`_sanity_table`."""
-    first = _SANITY_RADII.index(radii[0])
-    return _plan(radii, size, trapezoid, _sanity_table(trapezoid)[first:])
-
-
-def _radius_plan(radii, size, trapezoid):
-    """:func:`_plan`, kept for a run of the sanity radii."""
-    if radii in _SANITY_RUNS:
-        return _sanity_plan(radii, size, trapezoid)
-    return _plan(radii, size, trapezoid)
+def _sanity_plan(size, step):
+    """:func:`_plan` of the sanity radii, kept: an :func:`hp_norm` call at a
+    small order is mostly this fixed cost."""
+    return _plan(_SANITY_RADII, size, step)
 
 
 def _scaled_block(cs, p):
@@ -325,32 +309,35 @@ def _means(series, p, radii, mode, num_points):
     list of means per series.
 
     Series of one length form one block (:func:`_scaled_block`), and each
-    row width of its radius plan (:func:`_radius_plan`) multiplies the whole
-    block by that width's powers in one broadcast product.  The trapezoid
-    gives each width's rows one zero-filled buffer, one transform, ``abs``,
-    ``**p`` and row sum; the coefficient sums take one row sum per block,
-    over full-length rows (the terms a cut drops are 0.0).  Each step works
-    elementwise or per contiguous row, so every mean is the one-series mean
-    bit for bit.  The first series with a mean that is not finite raises
-    ValueError.
+    row width of its radius plan (:func:`_plan`) multiplies the whole block
+    by that width's powers in one broadcast product.  The trapezoid gives
+    each width's rows one zero-filled buffer, one transform, ``abs``,
+    ``**p`` and row sum; the coefficient sums zero-fill the cut rows to
+    full length (the terms a cut drops are 0.0) and take one row sum per
+    block.  Each step works elementwise or per contiguous row, so every
+    mean is the one-series mean bit for bit.  The first series with a mean
+    that is not finite raises ValueError.
     """
     by_size = {}
     for i, f in enumerate(series):
         by_size.setdefault(f.order, []).append(i)
     means, q = [None] * len(series), 1.0 / p
+    sanity = radii == _SANITY_RADII
     for idx in by_size.values():
         block, mag, scaled = _scaled_block([_complex_coeffs(series[i]) for i in idx], p)
         if mode == "trapezoid":
+            size = block.shape[1]
             sums = np.empty((len(idx), len(radii)))
-            for width, powers, js in _radius_plan(radii, block.shape[1], True):
+            for width, powers, lo, hi in (_sanity_plan(size, 1) if sanity
+                                          else _plan(radii, size, 1)):
                 m = _node_count(width - 1, p, num_points)
-                buf = np.zeros((len(idx), len(js), m), complex)
+                buf = np.zeros((len(idx), hi - lo, m), complex)
                 np.multiply(block[:, np.newaxis, :width], powers, out=buf[:, :, :width])
                 mag = np.abs(_transform(buf.reshape(-1, m)))
                 if p != 1:  # x ** 1.0 is x
                     mag **= p
                 # a contiguous row sum is the same pairwise sum as the 1-D one
-                sums[:, js[0] : js[-1] + 1] = np.add.reduce(mag, axis=1).reshape(-1, len(js)) / m
+                sums[:, lo:hi] = np.add.reduce(mag, axis=1).reshape(-1, hi - lo) / m
         else:
             if mode == "power-trick":
                 gs = []
@@ -362,14 +349,10 @@ def _means(series, p, radii, mode, num_points):
                 mag = np.abs(gs[0][np.newaxis] if len(gs) == 1 else np.stack(gs))
             mag *= mag
             size = mag.shape[1]
-            plan = _radius_plan(radii, size, False)
-            if plan[0][0] == size:  # one table of full-length rows
-                prods = mag[:, np.newaxis] * plan[0][1]
-            else:  # cut rows, zero-filled to full length
-                prods = np.zeros((len(idx), len(radii), size))
-                for width, powers, js in plan:
-                    np.multiply(mag[:, np.newaxis, :width], powers,
-                                out=prods[:, js[0] : js[-1] + 1, :width])
+            prods = np.zeros((len(idx), len(radii), size))
+            for width, powers, lo, hi in (_sanity_plan(size, 2.0) if sanity
+                                          else _plan(radii, size, 2.0)):
+                np.multiply(mag[:, np.newaxis, :width], powers, out=prods[:, lo:hi, :width])
             sums = np.add.reduce(prods, axis=2)
         for i, row in zip(idx, sums.tolist()):
             means[i] = [math.sqrt(s) for s in row] if mode == "parseval" else [s**q for s in row]

@@ -554,25 +554,27 @@ class TestBitIdentity:
                 self._check(TaylorSeries(c * scale), p, mode)
 
     def test_power_rows_stay_bounded(self):
-        # every plan holds slices of one table of the sanity radii's powers,
-        # at most 2651 long, or the scalar 1.0 of r = 1 past it: no kept
-        # plan holds powers of its own, whatever the order
+        # every kept plan holds slices of one table of the sanity radii's
+        # powers, at most 2651 long, or the scalar 1.0 of r = 1 past it: no
+        # kept plan holds powers of its own, whatever the order
         rng = np.random.default_rng(34)
         for order in (8, 4096, 16384):
             f = _random_series(rng, order)
             for p in (1.5, 2.0, 3.0, 4.0):
                 hp_norm(f, p)
-        for trapezoid, step in ((True, 1), (False, 2.0)):
-            table = norms._sanity_table(trapezoid)
-            assert table.shape == (3, 2651 if trapezoid else 1326)
-            for size in (1, 40, 301, 1100, 1101, 1326, 1327, 2651, 2652, 16385):
-                plan = norms._radius_plan(norms._SANITY_RADII, size, trapezoid)
-                assert sorted(j for _, _, js in plan for j in js) == [0, 1, 2]
-                for width, powers, js in plan:
+        for step in (1, 2.0):
+            table = norms._sanity_table(step)
+            assert table.shape == (3, 2651 if step == 1 else 1326)
+            for size in (1, 40, 301, 550, 551, 1100, 1101, 1326, 1327, 2651, 2652, 16385):
+                plan = norms._sanity_plan(size, step)
+                # the runs tile the three radii
+                assert [lo for _, _, lo, _ in plan] + [3] == [0] + [hi for *_, hi in plan]
+                for width, powers, lo, hi in plan:
                     assert (powers == 1.0 if width > table.shape[1]
                             else np.shares_memory(powers, table))
-                    for row, j in zip(np.broadcast_to(powers, (len(js), width)), js):
-                        full = norms._SANITY_RADII[j] ** (step * np.arange(size))
+                    for row, r in zip(np.broadcast_to(powers, (hi - lo, width)),
+                                      norms._SANITY_RADII[lo:hi]):
+                        full = r ** (step * np.arange(size))
                         assert np.array_equal(row, full[:width])
                         # a cut drops only powers that are 0.0
                         assert not full[width:].any()
@@ -599,6 +601,15 @@ class TestBatchedMeans:
             for size in (9, 1101):
                 c = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
                 batch.append(TaylorSeries(c * scale))
+        # at p = 2 the r = 0.5 row's sum is carried by its last 50 terms
+        # before the cut at 550, of one magnitude (|c_k| doubles as 0.5**(2k)
+        # quarters): summed without the zero fill, over 550 terms instead
+        # of 600, they round otherwise
+        for _ in range(4):
+            c = np.zeros(600, dtype=complex)
+            c[500:550] = ((rng.uniform(0.5, 1, 50) + 1j * rng.uniform(-1, 1, 50))
+                          * 2.0 ** np.arange(421.0, 471.0))
+            batch.append(TaylorSeries(c))
         return batch
 
     @pytest.mark.parametrize("mode, p", CASES)
