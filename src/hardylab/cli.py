@@ -6,7 +6,8 @@ battery), and ``membership`` (test a series against a subspace spec file).
 
 Exit codes: 0 on success / pass, 1 on a verification or membership failure,
 2 on usage or configuration errors (bad flags, malformed files, invalid
-specs) and on inputs whose values leave double range (OverflowError).
+specs, an unwritable ``--out`` path) and on inputs whose values leave
+double range (OverflowError).
 """
 
 from __future__ import annotations
@@ -128,6 +129,18 @@ def _load(path, from_json):
         raise _UsageError(f"{path}: {exc}") from exc
 
 
+def _emit(text, path):
+    """Write ``text`` to file ``path``, or to stdout when no path is given; an
+    unwritable path is a usage error."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_norm(args):
     f = _load(args.series, from_dict)
     params = SpaceParams(args.order_n, args.p)
@@ -161,11 +174,7 @@ def cmd_apply(args):
     g = _load(args.g, from_dict) if args.g else None
     if args.operator == "volterra" and g is None:
         raise _UsageError("the volterra operator needs its symbol series --g")
-    text = dumps(_APPLY[args.operator](f, args.order_n, g))
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    _emit(dumps(_APPLY[args.operator](f, args.order_n, g)) + "\n", args.out)
     return 0
 
 
@@ -180,11 +189,7 @@ def cmd_verify(args):
         negative_control=args.negative_control,
     )
     report = run_suites(names, cfg)
-    text = report.render()
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(report.render(), args.out)
     return 0 if report.passed else 1
 
 

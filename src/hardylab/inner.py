@@ -1,14 +1,15 @@
-"""Finite Blaschke products with atomic singular factors, and desk-scale
-divisibility tests against them.
+"""Finite Blaschke products with atomic singular factors.
 
 An inner function here is ``const * B * S`` with ``|const| = 1``, B a finite
 Blaschke product given by its zeros with multiplicity, and S an atomic
 singular factor ``exp(-sum_k c_k (w_k + z)/(w_k - z))`` supported on finitely
 many boundary directions ``w_k = exp(i theta_k)`` with masses ``c_k > 0``.
 
-Blaschke divisibility of a polynomial is decidable (zero multiplicities).
-Division by a singular factor is decided too: a polynomial's inner factor is
-a finite Blaschke product, so no nonzero polynomial is divisible by one.
+Membership decides whether such a function divides a polynomial from two
+things kept here: :func:`zero_residuals` for the Blaschke part (zero
+multiplicities), and ``has_atoms`` for the singular part, which divides no
+nonzero polynomial because a polynomial's inner factor is a finite Blaschke
+product.
 """
 
 from __future__ import annotations
@@ -19,15 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import boundary_scale
 from .series import _check_count, _json_numbers, derivative, evaluate
 
 __all__ = [
     "InnerFunction",
-    "eval_inner",
-    "log_abs_inner",
     "boundary_unimodularity_defect",
-    "blaschke_divisibility",
     "singular_division_heuristic",
     "inner_to_dict",
     "inner_from_dict",
@@ -74,58 +71,12 @@ class InnerFunction:
     def has_atoms(self):
         return bool(self.atoms)
 
-    def __call__(self, z):
-        return eval_inner(self, z)
-
 
 def _blaschke_factor(a, z):
     # the a = 0 factor is the plain coordinate by convention
     if a == 0:
         return z
     return (abs(a) / a) * (a - z) / (1.0 - a.conjugate() * z)
-
-
-def eval_inner(G, z):
-    """Evaluate G at z with |z| <= 1; atoms themselves are rejected."""
-    z = complex(z)
-    if abs(z) > 1 + 1e-12:
-        raise ValueError(f"evaluation needs |z| <= 1, got |z| = {abs(z)}")
-    for theta, _ in G.atoms:
-        if abs(z - cmath.exp(1j * theta)) < 1e-12:
-            raise ValueError("evaluation at a singular atom is undefined")
-    return _inner_values(G, z)
-
-
-def _inner_values(G, z, exp=cmath.exp):
-    """G at z unchecked; z may be an array of points when ``exp`` is np.exp."""
-    val = G.const
-    for a, m in G.zeros:
-        val *= _blaschke_factor(a, z) ** m
-    if G.atoms:
-        expo = 0j
-        for theta, mass in G.atoms:
-            w = cmath.exp(1j * theta)
-            expo -= mass * (w + z) / (w - z)
-        val *= exp(expo)
-    return val
-
-
-def log_abs_inner(G, z):
-    """``log |G(z)|`` computed in the log domain.
-
-    Near an atom the modulus underflows double precision long before the
-    geometry gets interesting; the log stays finite there, where
-    :func:`eval_inner` returns 0.
-    """
-    z = complex(z)
-    total = math.log(abs(G.const))
-    for a, m in G.zeros:
-        mag = abs(_blaschke_factor(a, z))
-        total += m * (math.log(mag) if mag > 0 else -math.inf)
-    for theta, mass in G.atoms:
-        w = cmath.exp(1j * theta)
-        total -= mass * ((w + z) / (w - z)).real
-    return total
 
 
 def _angle_gap(a, b):
@@ -136,13 +87,23 @@ def boundary_unimodularity_defect(G, num_samples=4096):
     """Max deviation of |G| from 1 over uniform boundary samples.
 
     Samples closer than 1e-3 radians to a singular atom are excluded; the
-    modulus is not continuous there.
+    modulus is not continuous there.  It stays because the benchmark's
+    ``membership-small`` workload times it as an op.
     """
-    m = _check_count(num_samples, "num_samples", 16)
-    theta = _TWO_PI * np.arange(m) / m
+    count = _check_count(num_samples, "num_samples", 16)
+    theta = _TWO_PI * np.arange(count) / count
     for tk, _ in G.atoms:
         theta = theta[_angle_gap(theta, tk) >= _ATOM_EXCLUSION]
-    values = _inner_values(G, np.exp(1j * theta), np.exp)
+    z = np.exp(1j * theta)
+    values = G.const
+    for a, m in G.zeros:
+        values *= _blaschke_factor(a, z) ** m
+    if G.atoms:
+        expo = 0j
+        for tk, mass in G.atoms:
+            w = cmath.exp(1j * tk)
+            expo -= mass * (w + z) / (w - z)
+        values *= np.exp(expo)
     return float(np.abs(np.abs(values) - 1.0).max(initial=0.0))
 
 
@@ -159,34 +120,15 @@ def zero_residuals(f, G):
     return out
 
 
-def blaschke_divisibility(f, G, tol=1e-9):
-    """Whether f vanishes at every Blaschke zero of G to its multiplicity.
-
-    For polynomials this is exactly divisibility by the Blaschke part.
-    Residuals are compared against ``tol`` times the boundary max of |f|,
-    so the verdict is invariant under rescaling f.  The zero series is
-    rejected (every divisibility question about it is vacuous).
-    """
-    if G.has_atoms:
-        raise ValueError(
-            "Blaschke divisibility is undefined with singular atoms present; "
-            "no nonzero polynomial is divisible by a singular factor"
-        )
-    if f.is_zero:
-        raise ValueError("divisibility of the zero series is undefined")
-    cap = tol * boundary_scale(f)
-    return all(res <= cap for _, _, res in zero_residuals(f, G))
-
-
 def singular_division_heuristic(f, G):
     """Whether the singular factor of G divides the nonzero polynomial f:
     never, so the verdict is always ``"not-divisible"``.
 
     A polynomial's inner factor is a finite Blaschke product, so no
-    nonconstant singular inner factor divides it.  The name is kept because
-    ``benchmarks/workloads.py`` calls
-    ``hardylab.singular_division_heuristic(f, spec.inner)`` and checks for
-    ``"not-divisible"``.
+    nonconstant singular inner factor divides it.  It stays because the
+    benchmark's ``membership-small`` workload times
+    ``hardylab.singular_division_heuristic(f, spec.inner)`` as an op and
+    checks for ``"not-divisible"``.
     """
     if not G.has_atoms:
         raise ValueError("singular division needs at least one singular atom")

@@ -215,6 +215,13 @@ class TestApplyCommand:
         assert "not finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("where", ["missing/out.json", ""], ids=["no-parent", "directory"])
+    def test_unwritable_out_is_usage_error(self, series_file, tmp_path, capsys, where):
+        assert main(["apply", series_file, "shift", "--out", str(tmp_path / where)]) == 2
+        captured = capsys.readouterr()
+        assert "error: cannot write" in captured.err
+        assert captured.out == ""
+
     def test_unknown_operator_rejected_by_parser(self, series_file):
         with pytest.raises(SystemExit) as exc:
             main(["apply", series_file, "frobnicate"])
@@ -246,6 +253,16 @@ class TestVerifyCommand:
         text = dest.read_text()
         assert "# result: FAIL" in text
         assert "witness=" in text
+
+    @pytest.mark.parametrize("where", ["missing/report.txt", ""], ids=["no-parent", "directory"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, where):
+        # exit 1 would read as "claims failed"
+        code = main(["verify", "--suite", "norms", "--order", "16", "--seed", "1",
+                     "--out", str(tmp_path / where)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: cannot write" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flags, exit_code, digest", [
         pytest.param([], 0,

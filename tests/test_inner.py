@@ -1,4 +1,4 @@
-"""Inner functions: unimodularity, divisibility, singular division."""
+"""Inner functions: construction, unimodularity, singular division, JSON."""
 
 import cmath
 import math
@@ -9,26 +9,35 @@ import pytest
 from hardylab import (
     InnerFunction,
     TaylorSeries,
-    blaschke_divisibility,
     boundary_unimodularity_defect,
-    eval_inner,
     inner_from_dict,
     inner_to_dict,
-    log_abs_inner,
-    multiply,
-    scale,
     singular_division_heuristic,
 )
+from hardylab.inner import zero_residuals
 from hardylab.verify import fixed_specs
 
 BLASCHKE_HALF = InnerFunction(zeros=((0.5 + 0j, 1),))
 ATOMIC_ONE = InnerFunction(atoms=((0.0, 1.0),))
 
 
+def _inner_at(G, z):
+    """G at one point z from the formula ``const * B * S`` of the module
+    docstring; each Blaschke factor is taken as (z - a) / (1 - conj(a) z),
+    which differs from the package's only by a unimodular constant."""
+    val = G.const
+    for a, m in G.zeros:
+        val *= ((z - a) / (1.0 - a.conjugate() * z)) ** m
+    for theta, mass in G.atoms:
+        w = cmath.exp(1j * theta)
+        val *= cmath.exp(-mass * (w + z) / (w - z))
+    return val
+
+
 class TestConstruction:
     def test_defaults_give_constant_one(self):
         G = InnerFunction()
-        assert eval_inner(G, 0.3 + 0.2j) == 1.0 + 0j
+        assert (G.zeros, G.const, G.atoms) == ((), 1, ())
 
     def test_zero_inside_disk_required(self):
         with pytest.raises(ValueError):
@@ -52,45 +61,6 @@ class TestConstruction:
         assert G.atoms[0][0] == pytest.approx(1.0)
 
 
-class TestEvaluation:
-    def test_blaschke_vanishes_at_zero_location(self):
-        assert abs(eval_inner(BLASCHKE_HALF, 0.5)) == 0.0
-
-    def test_blaschke_value_at_origin(self):
-        # the normalized factor takes the value |a| at the origin
-        assert eval_inner(BLASCHKE_HALF, 0.0) == pytest.approx(0.5)
-
-    def test_zero_at_origin_uses_coordinate_convention(self):
-        G = InnerFunction(zeros=((0j, 2),))
-        assert eval_inner(G, 0.5j) == pytest.approx((0.5j) ** 2)
-
-    def test_outside_disk_rejected(self):
-        with pytest.raises(ValueError):
-            eval_inner(BLASCHKE_HALF, 1.5)
-
-    def test_evaluation_at_atom_rejected(self):
-        with pytest.raises(ValueError):
-            eval_inner(ATOMIC_ONE, 1.0 + 0j)
-
-    def test_atomic_value_at_origin(self):
-        assert eval_inner(ATOMIC_ONE, 0.0) == pytest.approx(math.exp(-1.0))
-
-    def test_log_modulus_survives_underflow(self):
-        # at r = 0.999 toward the atom the modulus is exp(-1999), far
-        # below double range, while its log stays perfectly representable
-        z = 0.999
-        assert eval_inner(ATOMIC_ONE, z) == 0.0  # underflow in linear scale
-        expected = -(1.0 + z) / (1.0 - z)
-        assert log_abs_inner(ATOMIC_ONE, z) == pytest.approx(expected, rel=1e-12)
-
-    def test_log_modulus_matches_eval_where_representable(self):
-        G = InnerFunction(zeros=((0.4 - 0.1j, 2),), atoms=((1.0, 0.5),))
-        for z in (0.0, 0.3 + 0.4j, -0.6j):
-            assert log_abs_inner(G, z) == pytest.approx(
-                math.log(abs(eval_inner(G, z))), rel=1e-10
-            )
-
-
 class TestUnimodularity:
     def test_blaschke_defect_at_machine_precision(self):
         assert boundary_unimodularity_defect(BLASCHKE_HALF, 1024) < 1e-12
@@ -101,14 +71,14 @@ class TestUnimodularity:
 
     @staticmethod
     def _scalar_defect(G, num_samples=4096):
-        """The defect by one eval_inner call per boundary sample."""
+        """The defect by one scalar evaluation per boundary sample."""
         worst = 0.0
         for j in range(num_samples):
             theta = 2.0 * math.pi * j / num_samples
             gaps = [abs((theta - tk + math.pi) % (2.0 * math.pi) - math.pi) for tk, _ in G.atoms]
             if any(gap < 1e-3 for gap in gaps):
                 continue
-            worst = max(worst, abs(abs(eval_inner(G, cmath.exp(1j * theta))) - 1.0))
+            worst = max(worst, abs(abs(_inner_at(G, cmath.exp(1j * theta))) - 1.0))
         return worst
 
     @pytest.mark.parametrize("G", [
@@ -128,35 +98,24 @@ class TestUnimodularity:
             boundary_unimodularity_defect(BLASCHKE_HALF, 8)
 
 
-class TestBlaschkeDivisibility:
-    def test_divisible_polynomial(self):
-        f = TaylorSeries([-0.5, 1.0])  # z - 1/2
-        assert blaschke_divisibility(f, BLASCHKE_HALF)
-
-    def test_non_divisible_polynomial(self):
-        assert not blaschke_divisibility(TaylorSeries([1.0, 1.0]), BLASCHKE_HALF)
-
-    def test_multiplicity_honored(self):
-        G = InnerFunction(zeros=((0.5 + 0j, 2),))
-        once = TaylorSeries([-0.5, 1.0])
-        assert not blaschke_divisibility(once, G)
-        assert blaschke_divisibility(multiply(once, once), G)
-
-    def test_scale_invariant_verdict(self):
-        f = multiply(TaylorSeries([-0.5, 1.0]), TaylorSeries([0.3, 1.0, 0.8]))
-        for factor in (1e6, 1e-6):
-            assert blaschke_divisibility(scale(f, factor), BLASCHKE_HALF)
-        g = TaylorSeries([1.0, 1.0])
-        for factor in (1e6, 1e-6):
-            assert not blaschke_divisibility(scale(g, factor), BLASCHKE_HALF)
-
-    def test_atoms_rejected(self):
-        with pytest.raises(ValueError):
-            blaschke_divisibility(TaylorSeries([1.0]), ATOMIC_ONE)
-
-    def test_zero_series_rejected(self):
-        with pytest.raises(ValueError):
-            blaschke_divisibility(TaylorSeries([0.0]), BLASCHKE_HALF)
+class TestZeroResiduals:
+    @pytest.mark.parametrize("coeffs, zeros, expected", [
+        pytest.param([-0.5, 1.0], ((0.5, 1),), [(0.5, 0, 0.0)], id="simple-zero"),
+        pytest.param([-0.5, 1.0], ((0.5, 2),), [(0.5, 0, 0.0), (0.5, 1, 1.0)],
+                     id="multiplicity-not-met"),
+        pytest.param([0.25, -1.0, 1.0], ((0.5, 2),), [(0.5, 0, 0.0), (0.5, 1, 0.0)],
+                     id="double-zero"),
+        pytest.param([0.0, 0.0, 1.0], ((0.0, 2),), [(0.0, 0, 0.0), (0.0, 1, 0.0)],
+                     id="zero-at-origin"),
+        pytest.param([1.0, 1.0], ((0.5, 1),), [(0.5, 0, 1.5)], id="non-vanishing"),
+        pytest.param([3.0], ((0.5, 3),), [(0.5, 0, 3.0)], id="capped-at-order"),
+        pytest.param([-0.25, 0.0, 1.0], ((0.5, 1), (-0.5j, 1)),
+                     [(0.5, 0, 0.0), (-0.5j, 0, 0.5)], id="zeros-in-order"),
+        pytest.param([1.0, 2.0], (), [], id="no-zeros"),
+    ])
+    def test_residuals(self, coeffs, zeros, expected):
+        G = InnerFunction(zeros=zeros)
+        assert zero_residuals(TaylorSeries(coeffs), G) == expected
 
 
 def _taylor_of_inner(G, order, sample_radius=0.95, points=2048):
@@ -166,7 +125,7 @@ def _taylor_of_inner(G, order, sample_radius=0.95, points=2048):
     r**-k amplification of rounding noise in the high-order coefficients.
     """
     theta = 2.0 * math.pi * np.arange(points) / points
-    vals = np.array([eval_inner(G, sample_radius * cmath.exp(1j * t)) for t in theta])
+    vals = np.array([_inner_at(G, sample_radius * cmath.exp(1j * t)) for t in theta])
     coeffs = np.fft.fft(vals)[: order + 1] / points
     coeffs = coeffs / sample_radius ** np.arange(order + 1)
     return TaylorSeries(coeffs)

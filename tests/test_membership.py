@@ -157,6 +157,30 @@ class TestMembership:
             assert membership(factor * f, NESTED).member
             assert not membership(factor * g, NESTED).member
 
+    @pytest.mark.parametrize("factor", [1.0, 1e6, 1e-6])
+    def test_blaschke_zero_multiplicity_is_honoured(self, factor):
+        # the inner divisor has the zero 1/2 twice; no boundary condition applies
+        spec = SubspaceSpec(
+            ((),), InnerFunction(zeros=((0.5 + 0j, 2),)), SpaceParams(1, 2.0)
+        )
+        once = _poly_with_roots(0.5)
+        res = membership(factor * once, spec)
+        assert not res.member
+        failing = [c.condition for c in res.conditions if not c.passed]
+        assert failing == ["blaschke-zero-0.5+0j-order-1"]
+        twice = multiply(multiply(once, once), TaylorSeries([0.3, 1.0, 0.8]))
+        assert membership(factor * twice, spec).member
+
+    @pytest.mark.parametrize("factor", [1.0, 1e6, 1e-6])
+    def test_polynomial_without_the_blaschke_zero_fails_order_zero(self, factor):
+        spec = SubspaceSpec(
+            ((),), InnerFunction(zeros=((0.5 + 0j, 1),)), SpaceParams(1, 2.0)
+        )
+        res = membership(factor * _poly_with_roots(-1.0), spec)
+        assert not res.member
+        failing = [c.condition for c in res.conditions if not c.passed]
+        assert failing == ["blaschke-zero-0.5+0j-order-0"]
+
     def test_singular_condition_is_labeled_heuristic(self):
         spec = SubspaceSpec(
             ((1 + 0j,),), InnerFunction(atoms=((0.0, 1.0),)), SpaceParams(1, 2.0)
