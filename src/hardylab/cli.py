@@ -24,11 +24,8 @@ from .norms import (
     SpaceParams,
     _effective_points,
     _node_count,
+    _norm_family,
     _resolve_mode,
-    derivative_sum_norm,
-    hp_norm,
-    sn_norm,
-    sup_sum_norm,
 )
 from .operators import (nth_antiderivative, nth_derivative, shift, shift_plus_volterra,
                         volterra)
@@ -150,15 +147,16 @@ def cmd_norm(args):
              if mode == "trapezoid" else "")
     # every norm is computed before anything is printed, so a norm that
     # fails leaves no partial report on stdout
+    hp, sn, dsum, ssum = _norm_family(f, params, cfg)
     lines = [
         f"# series: {args.series} (order {f.order})",
         f"# quadrature: points={cfg.num_points} mode={cfg.mode}",
         f"# used on f: hp-norm mode={mode}{nodes}, sup nodes="
         f"{_effective_points(f, cfg.num_points)}",
-        f"hp-norm (p={args.p:g}):            {hp_norm(f, args.p, cfg):.15g}",
-        f"space-norm (n={params.n}, p={args.p:g}):    {sn_norm(f, params, cfg):.15g}",
-        f"derivative-sum norm:         {derivative_sum_norm(f, params, cfg):.15g}",
-        f"sup-sum norm:                {sup_sum_norm(f, params, cfg):.15g}",
+        f"hp-norm (p={args.p:g}):            {hp:.15g}",
+        f"space-norm (n={params.n}, p={args.p:g}):    {sn:.15g}",
+        f"derivative-sum norm:         {dsum:.15g}",
+        f"sup-sum norm:                {ssum:.15g}",
     ]
     print("\n".join(lines))
     return 0

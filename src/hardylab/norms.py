@@ -6,7 +6,10 @@ in the radius, so the boundary radius r = 1 realises the sup.  Every norm
 call still checks that monotonicity on a three-point radius grid as a
 sanity assertion on the quadrature itself; the three means come from one
 coefficient transform per row length, shared by the series of one length
-in a batch of norms.
+in a batch of norms.  The equivalent norms read one derivative ladder
+``f, f', ..., f^(n)``, each rung one direct :func:`derivative`, and the
+four norms of one series (H^p, recursive, derivative-sum, sup-sum) come
+from one chain, one ladder and one batch of means (:func:`_norm_family`).
 
 Quadrature modes:
 
@@ -493,19 +496,49 @@ def sn_norm_unrolled(f, params, cfg=None):
     return _finite_sum([heads + hp_norm(derivative(f, n), params.p, cfg)])
 
 
+def _ladder(f, n):
+    """``[f, derivative(f, 1), ..., derivative(f, d)]``, d = ``min(n, order + 1)``:
+    each rung one direct derivative of f, as the equivalent norms read them
+    (from the second derivative on, :func:`_sn_chain`'s rungs may round
+    otherwise)."""
+    return [derivative(f, k) for k in range(_depth(f, n) + 1)]
+
+
 def derivative_sum_norm(f, params, cfg=None):
-    """Equivalent norm: sum of the H^p norms of the first n+1 derivatives."""
+    """Equivalent norm: sum of the H^p norms of the first n+1 derivatives,
+    the rungs of one :func:`_ladder`, from one batch of means."""
     cfg = cfg if cfg is not None else QuadratureConfig()
-    derivatives = [derivative(f, k) for k in range(_depth(f, params.n) + 1)]
-    return _finite_sum(_hp_norms(derivatives, params.p, cfg))
+    return _finite_sum(_hp_norms(_ladder(f, params.n), params.p, cfg))
 
 
 def sup_sum_norm(f, params, cfg=None):
     """Equivalent norm: boundary sups of the first n derivatives plus the
-    H^p norm of the n-th."""
-    n = _depth(f, params.n)
-    total = _finite_sum(sup_norm(derivative(f, k), cfg) for k in range(n))
-    return _finite_sum([total + hp_norm(derivative(f, n), params.p, cfg)])
+    H^p norm of the n-th, the rungs of one :func:`_ladder`."""
+    ladder = _ladder(f, params.n)
+    return _sup_sum(ladder, hp_norm(ladder[-1], params.p, cfg), cfg)
+
+
+def _sup_sum(ladder, tail, cfg):
+    """:func:`sup_sum_norm` from its ladder and the H^p norm of its last rung."""
+    total = _finite_sum(sup_norm(g, cfg) for g in ladder[:-1])
+    return _finite_sum([total + tail])
+
+
+def _norm_family(f, params, cfg):
+    """``(hp_norm, sn_norm, derivative_sum_norm, sup_sum_norm)`` of f, each
+    equal to its public call bit for bit, from one :func:`_sn_chain`, one
+    :func:`_ladder` and one :func:`_hp_norms` batch.
+
+    The chain's first two rungs equal the ladder's.  From depth 2 on its tail
+    may round otherwise than the ladder's last rung, so it joins the batch
+    as one more row, of that rung's length: the same block and transform.
+    """
+    heads, chain = _sn_chain(f, params.n)
+    ladder = _ladder(f, params.n)
+    depth = len(heads)
+    norms = _hp_norms((ladder + [chain[-1]]) if depth >= 2 else ladder, params.p, cfg)
+    return (norms[0], _sn_sum(heads, norms[-1]), _finite_sum(norms[:depth + 1]),
+            _sup_sum(ladder, norms[depth], cfg))
 
 
 def _finite_sum(terms):

@@ -10,16 +10,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylab import (
     InnerFunction,
+    QuadratureConfig,
     SpaceParams,
     SubspaceSpec,
     TaylorSeries,
+    derivative_sum_norm,
     dumps,
+    hp_norm,
     load_series,
     loads,
     monomial,
@@ -30,8 +34,10 @@ from hardylab import (
     save_series,
     shift,
     shift_plus_volterra,
+    sn_norm,
     spec_from_dict,
     spec_to_dict,
+    sup_sum_norm,
     volterra,
 )
 from hardylab import cli, series
@@ -82,6 +88,24 @@ class TestNormCommand:
             assert main(["norm", *argv]) == 0
             header = [l for l in capsys.readouterr().out.splitlines() if l.startswith("#")]
             assert header[-1] == f"# used on f: {used}"
+
+    def test_norm_lines_are_the_four_public_norms(self, tmp_path, capsys):
+        rng = np.random.default_rng(46)
+        cfg = QuadratureConfig(num_points=512)
+        for order, n, p in [(0, 3, 2.0), (8, 2, 3.0), (40, 4, 1.5), (300, 3, 4.0),
+                            (1023, 1, 6.0), (2000, 3, 3.0)]:
+            path = tmp_path / f"order{order}.json"
+            save_series(TaylorSeries(rng.uniform(-1, 1, order + 1)
+                                     + 1j * rng.uniform(-1, 1, order + 1)), path)
+            f, params = load_series(path), SpaceParams(n, p)
+            assert main(["norm", str(path), "--n", str(n), "--p", f"{p:g}",
+                         "--points", "512"]) == 0
+            assert capsys.readouterr().out.splitlines()[3:] == [
+                f"hp-norm (p={p:g}):            {hp_norm(f, p, cfg):.15g}",
+                f"space-norm (n={n}, p={p:g}):    {sn_norm(f, params, cfg):.15g}",
+                f"derivative-sum norm:         {derivative_sum_norm(f, params, cfg):.15g}",
+                f"sup-sum norm:                {sup_sum_norm(f, params, cfg):.15g}",
+            ]
 
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert main(["norm", str(tmp_path / "nope.json")]) == 2

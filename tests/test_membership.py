@@ -11,6 +11,7 @@ import pytest
 
 from hardylab import (
     InnerFunction,
+    QuadratureConfig,
     RunConfig,
     SpaceParams,
     SubspaceSpec,
@@ -21,6 +22,7 @@ from hardylab import (
     derivative,
     ensure_valid,
     evaluate,
+    lift_approximant,
     log_distance_integral,
     membership,
     monomial,
@@ -32,11 +34,13 @@ from hardylab import (
     shift,
     shift_invariance_check,
     shift_plus_volterra,
+    shift_plus_volterra_composed,
     spec_from_dict,
     spec_to_dict,
     validate_spec,
 )
 from hardylab.membership import ConditionResult, MembershipResult, random_series
+from hardylab.series import _check_count
 from hardylab.verify import fixed_specs
 
 # the package's ``membership`` is the function; the module holds the caches
@@ -475,6 +479,65 @@ class TestCountArguments:
         # most used to truncate, or raise OverflowError or ZeroDivisionError
         with pytest.raises(ValueError):
             call()
+
+    F = TaylorSeries([1.0, 2.0])
+    # (call, its message's name for the count, its minimum)
+    COUNT_PATHS = [
+        pytest.param(lambda v: RunConfig(order=v), "order", 0, id="config-order"),
+        pytest.param(lambda v: RunConfig(points=v), "points", 4, id="config-points"),
+        pytest.param(lambda v: RunConfig(seed=v), "seed", 0, id="config-seed"),
+        pytest.param(lambda v: RunConfig(samples=v), "samples", 1, id="config-samples"),
+        pytest.param(lambda v: SpaceParams(v, 2.0), "derivative depth n", 0, id="space-n"),
+        pytest.param(lambda v: QuadratureConfig(num_points=v), "num_points", 4,
+                     id="quadrature-points"),
+        pytest.param(lambda v: monomial(v), "degree", 0, id="monomial"),
+        pytest.param(lambda v: multiply(TestCountArguments.F, TestCountArguments.F, v),
+                     "out_order", 0, id="multiply"),
+        pytest.param(lambda v: derivative(TestCountArguments.F, v), "derivative count", 0,
+                     id="derivative"),
+        pytest.param(lambda v: shift_plus_volterra(TestCountArguments.F, v),
+                     "operator parameter n", 1, id="combined"),
+        pytest.param(lambda v: shift_plus_volterra_composed(TestCountArguments.F, v),
+                     "operator parameter n", 1, id="composed"),
+        pytest.param(lambda v: nth_derivative(TestCountArguments.F, v),
+                     "operator parameter n", 1, id="nth-derivative"),
+        pytest.param(lambda v: nth_antiderivative(TestCountArguments.F, v),
+                     "operator parameter n", 1, id="nth-antiderivative"),
+        pytest.param(lambda v: lift_approximant(TestCountArguments.F, TestCountArguments.F, v),
+                     "operator parameter n", 1, id="lift"),
+        pytest.param(lambda v: InnerFunction(zeros=((0.5, v),)), "zero multiplicity", 1,
+                     id="zero-multiplicity"),
+        pytest.param(lambda v: boundary_unimodularity_defect(TRIVIAL, v), "num_samples", 16,
+                     id="defect-samples"),
+        pytest.param(lambda v: sampled_members(ONE_ZERO, v), "count", 0, id="members-count"),
+        pytest.param(lambda v: sampled_members(ONE_ZERO, 1, seed=v), "seed", 0,
+                     id="members-seed"),
+        pytest.param(lambda v: log_distance_integral(NESTED, v), "num_points", 1,
+                     id="log-distance-points"),
+        pytest.param(lambda v: shift_invariance_check(ONE_ZERO, samples=v), "samples", 1,
+                     id="shift-samples"),
+        pytest.param(lambda v: combined_invariance_check(ONE_ZERO, samples=1, seed=v), "seed",
+                     0, id="combined-seed"),
+    ]
+
+    @pytest.mark.parametrize("call, what, minimum", COUNT_PATHS)
+    def test_every_count_path_refuses_a_bool_and_a_negative(self, call, what, minimum):
+        for bad in (True, -1):
+            with pytest.raises(ValueError) as exc:
+                call(bad)
+            assert str(exc.value) == f"{what} must be an integer >= {minimum}, got {bad!r}"
+
+    @pytest.mark.parametrize("call, what, minimum", COUNT_PATHS)
+    def test_every_count_path_takes_an_integral_float_and_a_numpy_int(self, call, what,
+                                                                      minimum):
+        # 2.0 and np.int64(3), raised to the path's minimum where it is higher
+        for good in (float(max(2, minimum)), np.int64(max(3, minimum))):
+            call(good)
+
+    def test_a_count_comes_back_a_python_int(self):
+        for value in (2, 2.0, np.int64(2), Fraction(2)):
+            assert type(_check_count(value, "count")) is int
+            assert _check_count(value, "count") == 2
 
     def test_integral_counts_are_stored_as_ints(self):
         cfg = RunConfig(order=8.0, points=256.0, seed=7.0, samples=2.0)

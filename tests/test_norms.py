@@ -12,6 +12,7 @@ from hardylab import (
     TaylorSeries,
     boundary_values,
     boundary_scale,
+    derivative,
     derivative_sum_norm,
     hardy_sum,
     hp_norm,
@@ -655,3 +656,60 @@ class TestBatchedMeans:
             depths = (1, 0, 1, 3, 4, 7)
             assert norms._sn_norms(f, depths, p, cfg) == [
                 sn_norm(f, SpaceParams(d, p), cfg) for d in depths]
+
+
+class TestNormFamily:
+    """``_norm_family`` returns the four public norms bit for bit, from one
+    chain, one ladder and one batch of means."""
+
+    PS = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0)
+
+    @staticmethod
+    def _public(f, params, cfg):
+        return (hp_norm(f, params.p, cfg), sn_norm(f, params, cfg),
+                derivative_sum_norm(f, params, cfg), sup_sum_norm(f, params, cfg))
+
+    def test_family_is_the_four_public_norms(self):
+        rng = np.random.default_rng(44)
+        cfg = QuadratureConfig(num_points=256)
+        for order in [*range(301), 1023]:
+            f = _random_series(rng, order)
+            # every n up to 6 at each order, n > order + 1 included; p cycles
+            for n in range(7):
+                params = SpaceParams(n, self.PS[(order + n) % len(self.PS)])
+                got = norms._norm_family(f, params, cfg)
+                want = self._public(f, params, cfg)
+                assert list(map(float.hex, got)) == list(map(float.hex, want)), (order, params)
+
+    @pytest.mark.parametrize("p", PS)
+    def test_family_where_the_chain_tail_rounds_otherwise(self, p):
+        # at order 2000 and depth 3 the chain's repeated single steps round
+        # otherwise than one derivative(f, 3) in over a thousand coefficients
+        rng = np.random.default_rng(2000)
+        f = _random_series(rng, 2000)
+        chain_tail = norms._sn_chain(f, 3)[1][-1]
+        assert np.count_nonzero(chain_tail._c != derivative(f, 3)._c) > 0
+        cfg = QuadratureConfig()
+        params = SpaceParams(3, p)
+        got = norms._norm_family(f, params, cfg)
+        assert list(map(float.hex, got)) == list(map(float.hex, self._public(f, params, cfg)))
+
+    def test_family_measures_each_series_once(self, monkeypatch):
+        measured = []
+        means = norms._means
+
+        def spy(series, *args):
+            measured.extend(series)
+            return means(series, *args)
+
+        monkeypatch.setattr(norms, "_means", spy)
+        rng = np.random.default_rng(45)
+        cfg = QuadratureConfig(num_points=256)
+        for order, n in [(0, 0), (0, 3), (1, 1), (8, 1), (8, 2), (8, 5), (40, 6)]:
+            f = _random_series(rng, order)
+            measured.clear()
+            norms._norm_family(f, SpaceParams(n, 3.0), cfg)
+            depth = min(n, order + 1)
+            # the ladder's rungs, plus the chain's tail from depth 2 on
+            assert len(measured) == depth + 1 + (depth >= 2)
+            assert len({id(g) for g in measured}) == len(measured)

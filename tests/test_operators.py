@@ -27,7 +27,7 @@ from hardylab import (
 )
 from hardylab import series
 from hardylab.operators import _antiderivative
-from hardylab.verify import max_rel_coeff_error, zero_head
+from hardylab.verify import max_rel_coeff_error, random_rational_series, zero_head
 
 import exact_reference as ref
 
@@ -77,6 +77,16 @@ class TestCombinedOperator:
     @given(exact_series, orders)
     def test_closed_equals_composed(self, f, n):
         assert shift_plus_volterra(f, n) == shift_plus_volterra_composed(f, n)
+
+    def test_composed_is_the_sum_the_intertwine_suite_checks(self):
+        # the suite builds shift(f) and volterra(f, z) once per sample and
+        # checks the closed form against their sum at each n
+        rng = np.random.default_rng(47)
+        for _ in range(100):
+            f = random_rational_series(rng, 64)
+            shifted, integrated = shift(f), volterra(f, monomial(1))
+            for n in range(1, 6):
+                assert shift_plus_volterra_composed(f, n) == add(shifted, scale(integrated, n))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
