@@ -88,8 +88,6 @@ def _is_integral(value):
 def _check_count(value, what, minimum=0):
     """``value`` as an int; ValueError unless it is an integer >= ``minimum``
     (a bool is not a count)."""
-    if type(value) is int and value >= minimum:
-        return value
     if isinstance(value, bool) or not _is_integral(value) or value < minimum:
         raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
@@ -608,11 +606,10 @@ def derivative(f, m=1):
     m = _check_count(m, "derivative count")
     if m == 0:
         return f
-    order = f.order
-    if m > order:
+    if m > f.order:
         return zero(exact=f.exact)
-    _check_perm_range(f, f"derivative {m}", order, m)
-    return _reweighted(f, (range(m, order + 1), m), offset=-m)
+    _check_perm_range(f, f"derivative {m}", f.order, m)
+    return _reweighted(f, (range(m, f.order + 1), m), offset=-m)
 
 
 def _horner(cs, z):
