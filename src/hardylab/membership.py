@@ -10,7 +10,7 @@ for a singular factor, since the inner factor of a nonzero polynomial is a
 finite Blaschke product.  All vanishing thresholds are relative to the
 boundary scale of the derivative being tested, so verdicts are invariant
 under rescaling the function; the scales of all the derivatives come from
-one batched boundary transform.
+batched boundary transforms.
 
 A spec cannot change once built, so its structural validation and the
 generator of its constructed members are computed once per spec object and

@@ -4,12 +4,16 @@ Norm evaluation never searches over radii: a stored series is a polynomial,
 continuous up to the closed disk, and its integral means are nondecreasing
 in the radius, so the boundary radius r = 1 realises the sup.  Every norm
 call still checks that monotonicity on a three-point radius grid as a
-sanity assertion on the quadrature itself; the three means come from one
-coefficient transform per row length, shared by the series of one length
-in a batch of norms.  The equivalent norms read one derivative ladder
-``f, f', ..., f^(n)``, each rung one direct :func:`derivative`, and the
-four norms of one series (H^p, recursive, derivative-sum, sup-sum) come
-from one chain, one ladder and one batch of means (:func:`_norm_family`).
+sanity assertion on the quadrature itself; the three means come from
+batched coefficient transforms per row length, shared by the series of one
+length in a batch of norms, in buffers of at most ``_BLOCK_ELEMS`` entries
+so that a batch of any size holds a bounded amount of memory.  The
+equivalent norms read one derivative ladder ``f, f', ..., f^(n)``, each
+rung one direct :func:`derivative`, and the four norms of one series (H^p,
+recursive, derivative-sum, sup-sum) come from one chain, one ladder and
+one batch of means (:func:`_norm_family`).  The ``_*_parts`` functions
+split a derivative norm into the rows it measures and the function of
+their norms, so that a caller can batch the rows of many series.
 
 Quadrature modes:
 
@@ -19,7 +23,7 @@ Quadrature modes:
     even integer p; reduces to the Parseval sum of ``f**(p/2)``, built by
     direct ``np.convolve`` in O(N^2).
 ``trapezoid``
-    any p >= 1; uniform boundary samples via one batched FFT per row
+    any p >= 1; uniform boundary samples via batched FFTs per row
     length, each row ``c_k r^k`` cut where ``r^k`` underflows to 0.0.  For
     trigonometric polynomials the uniform trapezoid rule is exact once the
     node count exceeds the top frequency (Trefethen & Weideman, SIAM Review
@@ -73,6 +77,10 @@ _SANITY_RADII = (0.5, 0.75, 1.0)
 # power trick and trapezoid took equal time at (order+1)**2 = 144 M (M nodes)
 # at p = 4, 48 M at p = 6
 _POWER_TRICK_PER_NODE = 144
+# entries in one batched buffer of means, and coefficients in one block of
+# battery samples, to bound their memory: 8192 complex values are 128 KiB,
+# the size of glibc's default mmap threshold
+_BLOCK_ELEMS = 8192
 
 
 @dataclass(frozen=True)
@@ -121,10 +129,10 @@ def _stack(rows, m, dtype):
 
 def _transform(buf):
     """``sum_k c_k w^k`` at the m-th roots of unity w for each coefficient row
-    c of the zero-filled ``(rows, m)`` complex ``buf``, in place, in one
+    c of the zero-filled ``(..., m)`` complex ``buf``, in place, in one
     batched FFT whose contiguous rows transform as in 1-D; unchecked: a
     value beyond double range comes back inf or NaN."""
-    m = buf.shape[1]
+    m = buf.shape[-1]
     np.fft.ifft(buf, out=buf)
     buf *= m
     return buf
@@ -164,22 +172,27 @@ def boundary_scale(f):
     return _boundary_scales([f])[0]
 
 
-def _boundary_scales(series):
-    """:func:`boundary_scale` of each series, the nonzero ones sampled in one
-    batched transform per node count; each row's ``abs`` and ``max`` are
-    elementwise, so every scale is the one-series value bit for bit."""
+def _boundary_scales(series, floor=256):
+    """:func:`boundary_scale` of each series, at another ``floor`` the grid
+    max of :func:`sup_bracket` at that ``num_points``: the nonzero ones
+    sampled in batched transforms per node count (:func:`_fit`); each
+    row's ``abs`` and ``max`` are elementwise, so every scale is the
+    one-series value bit for bit."""
     groups = {}
     for i, f in enumerate(series):
         if not f.is_zero:
-            groups.setdefault(_effective_points(f, 256), []).append(i)
+            groups.setdefault(_effective_points(f, floor), []).append(i)
     peaks = [0.0] * len(series)
 
     def sample():
         for m, idx in groups.items():
-            coeffs = [_complex_coeffs(series[i]) for i in idx]
-            rows = np.abs(_transform(_stack(coeffs, m, complex)))
-            for i, peak in zip(idx, rows.max(axis=1).tolist()):
-                peaks[i] = peak
+            step = _fit(m)
+            for a in range(0, len(idx), step):
+                chunk = idx[a:a + step]
+                rows = np.abs(_transform(_stack([_complex_coeffs(series[i]) for i in chunk],
+                                                m, complex)))
+                for i, peak in zip(chunk, rows.max(axis=1).tolist()):
+                    peaks[i] = peak
 
     _quietly(sample)
     return [_finite_sum([peak]) for peak in peaks]
@@ -312,14 +325,15 @@ def _means(series, p, radii, mode, num_points):
     list of means per series.
 
     Series of one length form one block (:func:`_scaled_block`), and each
-    row width of its radius plan (:func:`_plan`) multiplies the whole block
-    by that width's powers in one broadcast product.  The trapezoid gives
-    each width's rows one zero-filled buffer, one transform, ``abs``,
-    ``**p`` and row sum; the coefficient sums zero-fill the cut rows to
-    full length (the terms a cut drops are 0.0) and take one row sum per
-    block.  Each step works elementwise or per contiguous row, so every
-    mean is the one-series mean bit for bit.  The first series with a mean
-    that is not finite raises ValueError.
+    row width of its radius plan (:func:`_plan`) multiplies the block by
+    that width's powers, into zero-filled buffers of as many series as
+    ``_BLOCK_ELEMS`` entries hold, and at least one (:func:`_fit`).  The
+    trapezoid's buffers hold the width's radii at m nodes a row, and get
+    one transform, ``abs``, ``**p`` and row sum each; the coefficient sums'
+    hold every radius at full length (the terms a cut drops are 0.0), and
+    get one row sum each.  Each step works elementwise or per contiguous
+    row, so every mean is the one-series mean bit for bit.  The first
+    series with a mean that is not finite raises ValueError.
     """
     by_size = {}
     for i, f in enumerate(series):
@@ -328,19 +342,23 @@ def _means(series, p, radii, mode, num_points):
     sanity = radii == _SANITY_RADII
     for idx in by_size.values():
         block, mag, scaled = _scaled_block([_complex_coeffs(series[i]) for i in idx], p)
+        sums = np.empty((len(idx), len(radii)))
         if mode == "trapezoid":
             size = block.shape[1]
-            sums = np.empty((len(idx), len(radii)))
             for width, powers, lo, hi in (_sanity_plan(size, 1) if sanity
                                           else _plan(radii, size, 1)):
                 m = _node_count(width - 1, p, num_points)
-                buf = np.zeros((len(idx), hi - lo, m), complex)
-                np.multiply(block[:, np.newaxis, :width], powers, out=buf[:, :, :width])
-                mag = np.abs(_transform(buf.reshape(-1, m)))
-                if p != 1:  # x ** 1.0 is x
-                    mag **= p
-                # a contiguous row sum is the same pairwise sum as the 1-D one
-                sums[:, lo:hi] = np.add.reduce(mag, axis=1).reshape(-1, hi - lo) / m
+                step = _fit((hi - lo) * m)
+                for a in range(0, len(idx), step):
+                    chunk = block[a:a + step]
+                    buf = np.zeros((len(chunk), hi - lo, m), complex)
+                    np.multiply(chunk[:, np.newaxis, :width], powers, out=buf[:, :, :width])
+                    # rebinding frees the complex buffer before the next one is made
+                    buf = np.abs(_transform(buf))
+                    if p != 1:  # x ** 1.0 is x
+                        buf **= p
+                    # a contiguous row sum is the same pairwise sum as the 1-D one
+                    sums[a:a + step, lo:hi] = np.add.reduce(buf, axis=2) / m
         else:
             if mode == "power-trick":
                 gs = []
@@ -352,11 +370,15 @@ def _means(series, p, radii, mode, num_points):
                 mag = np.abs(gs[0][np.newaxis] if len(gs) == 1 else np.stack(gs))
             mag *= mag
             size = mag.shape[1]
-            prods = np.zeros((len(idx), len(radii), size))
-            for width, powers, lo, hi in (_sanity_plan(size, 2.0) if sanity
-                                          else _plan(radii, size, 2.0)):
-                np.multiply(mag[:, np.newaxis, :width], powers, out=prods[:, lo:hi, :width])
-            sums = np.add.reduce(prods, axis=2)
+            plan = _sanity_plan(size, 2.0) if sanity else _plan(radii, size, 2.0)
+            step = _fit(len(radii) * size)
+            for a in range(0, len(idx), step):
+                chunk = mag[a:a + step]
+                prods = np.zeros((len(chunk), len(radii), size))
+                for width, powers, lo, hi in plan:
+                    np.multiply(chunk[:, np.newaxis, :width], powers,
+                                out=prods[:, lo:hi, :width])
+                sums[a:a + step] = np.add.reduce(prods, axis=2)
         for i, row in zip(idx, sums.tolist()):
             means[i] = [math.sqrt(s) for s in row] if mode == "parseval" else [s**q for s in row]
         for k, e in scaled:
@@ -369,6 +391,12 @@ def _means(series, p, radii, mode, num_points):
             raise ValueError(f"an integral mean of the order-{f.order} series is not finite "
                              "in double precision")
     return means
+
+
+def _fit(entries):
+    """How many items of ``entries`` entries one buffer takes: as many as
+    ``_BLOCK_ELEMS`` entries hold, and at least one."""
+    return max(1, _BLOCK_ELEMS // entries)
 
 
 def integral_mean(f, p, r=1.0, cfg=None):
@@ -476,14 +504,26 @@ def sn_norm(f, params, cfg=None):
     return _sn_sum(heads, hp_norm(chain[-1], params.p, cfg))
 
 
-def _sn_norms(f, depths, p, cfg):
-    """:func:`sn_norm` of f at each depth, from one chain to the deepest and
-    one batch of means over the distinct depths."""
+def _sn_parts(f, depths):
+    """:func:`sn_norm` of f at each depth as ``(rows, finish)``: one row per
+    distinct depth from one chain, and the sn_norms as a function of the
+    rows' H^p norms.  Neither depends on p."""
     heads, chain = _sn_chain(f, max(depths))
     ks = [min(d, len(heads)) for d in depths]
     distinct = sorted(set(ks))
-    tails = dict(zip(distinct, _hp_norms([chain[k] for k in distinct], p, cfg)))
-    return [_sn_sum(heads[:k], tails[k]) for k in ks]
+
+    def finish(norms):
+        tails = dict(zip(distinct, norms))
+        return [_sn_sum(heads[:k], tails[k]) for k in ks]
+
+    return [chain[k] for k in distinct], finish
+
+
+def _unrolled_parts(f, n):
+    """:func:`sn_norm_unrolled` as ``(rows, finish)``, as :func:`_sn_parts`."""
+    n = _depth(f, n)
+    heads = _finite_sum(abs(complex(_complex_coeffs(derivative(f, k))[0])) for k in range(n))
+    return [derivative(f, n)], lambda norms: _finite_sum([heads + norms[0]])
 
 
 def sn_norm_unrolled(f, params, cfg=None):
@@ -491,9 +531,8 @@ def sn_norm_unrolled(f, params, cfg=None):
 
     Agrees with :func:`sn_norm` up to float summation order.
     """
-    n = _depth(f, params.n)
-    heads = _finite_sum(abs(complex(_complex_coeffs(derivative(f, k))[0])) for k in range(n))
-    return _finite_sum([heads + hp_norm(derivative(f, n), params.p, cfg)])
+    rows, finish = _unrolled_parts(f, params.n)
+    return finish([hp_norm(rows[0], params.p, cfg)])
 
 
 def _ladder(f, n):
@@ -515,13 +554,28 @@ def sup_sum_norm(f, params, cfg=None):
     """Equivalent norm: boundary sups of the first n derivatives plus the
     H^p norm of the n-th, the rungs of one :func:`_ladder`."""
     ladder = _ladder(f, params.n)
-    return _sup_sum(ladder, hp_norm(ladder[-1], params.p, cfg), cfg)
+    tail = hp_norm(ladder[-1], params.p, cfg)
+    return _finite_sum([_sups(ladder, cfg) + tail])
 
 
-def _sup_sum(ladder, tail, cfg):
-    """:func:`sup_sum_norm` from its ladder and the H^p norm of its last rung."""
-    total = _finite_sum(sup_norm(g, cfg) for g in ladder[:-1])
-    return _finite_sum([total + tail])
+def _sups(ladder, cfg):
+    """The sum of the boundary sups of a ladder's rungs but the last."""
+    return _finite_sum(sup_norm(g, cfg) for g in ladder[:-1])
+
+
+def _family_parts(f, params, cfg):
+    """:func:`_norm_family` as ``(rows, finish)``, as :func:`_sn_parts`; the
+    sups are taken here, so ``finish`` holds no derivative."""
+    heads, chain = _sn_chain(f, params.n)
+    ladder = _ladder(f, params.n)
+    depth = len(heads)
+    sups = _sups(ladder, cfg)
+
+    def finish(norms):
+        return (norms[0], _sn_sum(heads, norms[-1]), _finite_sum(norms[:depth + 1]),
+                _finite_sum([sups + norms[depth]]))
+
+    return (ladder + [chain[-1]]) if depth >= 2 else ladder, finish
 
 
 def _norm_family(f, params, cfg):
@@ -533,12 +587,8 @@ def _norm_family(f, params, cfg):
     may round otherwise than the ladder's last rung, so it joins the batch
     as one more row, of that rung's length: the same block and transform.
     """
-    heads, chain = _sn_chain(f, params.n)
-    ladder = _ladder(f, params.n)
-    depth = len(heads)
-    norms = _hp_norms((ladder + [chain[-1]]) if depth >= 2 else ladder, params.p, cfg)
-    return (norms[0], _sn_sum(heads, norms[-1]), _finite_sum(norms[:depth + 1]),
-            _sup_sum(ladder, norms[depth], cfg))
+    rows, finish = _family_parts(f, params, cfg)
+    return finish(_hp_norms(rows, params.p, cfg))
 
 
 def _finite_sum(terms):

@@ -15,6 +15,7 @@ from __future__ import annotations
 from .series import (
     _check_count,
     _check_perm_range,
+    _derivative,
     _reweighted,
     add,
     derivative,
@@ -79,8 +80,7 @@ def shift_plus_volterra_composed(f, n):
 
 def nth_derivative(f, n):
     """The n-fold derivative, n >= 1."""
-    n = _check_count(n, "operator parameter n", 1)
-    return derivative(f, n)
+    return _derivative(f, _check_count(n, "operator parameter n", 1))
 
 
 def nth_antiderivative(f, n):

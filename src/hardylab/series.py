@@ -603,7 +603,11 @@ def derivative(f, m=1):
     mode a factor beyond double range raises ValueError, and so does a
     product that overflows.
     """
-    m = _check_count(m, "derivative count")
+    return _derivative(f, _check_count(m, "derivative count"))
+
+
+def _derivative(f, m):
+    """:func:`derivative` of a count m already checked."""
     if m == 0:
         return f
     if m > f.order:

@@ -7,6 +7,17 @@ inside ``all``.  With ``negative_control`` enabled every suite twists its
 own check (wrong constant, wrong operator multiple, biased quadrature, or
 mutated sample) and the twisted claims are expected to fail; that is the
 battery's own falsifiability check.
+
+A suite that measures norms works in three steps: it draws a block of
+samples (:func:`_blocks`), measures every H^p norm the block needs in one
+``_hp_norms`` call per (p, quadrature config) (:class:`_Batch`), and records
+the margins sample by sample.  A block's series hold at most
+``_BLOCK_ELEMS`` = 8192 coefficients (one larger draw is a block of its
+own), so what a suite holds stays bounded at any order: at order 8 one
+block is the whole suite, at order 16384 one sample.  No draw depends on a
+result, and a batched norm equals its one-series norm bit for bit, so each
+claim's tracker sees the margins a sample-by-sample loop makes, in its
+order: no slack or witness can move.
 """
 
 from __future__ import annotations
@@ -29,21 +40,20 @@ from .membership import (
 )
 from .inner import InnerFunction
 from .norms import (
+    _BLOCK_ELEMS,
     QuadratureConfig,
     SpaceParams,
+    _boundary_scales,
+    _family_parts,
     _hp_norms,
-    _norm_family,
     _sn_chain,
-    _sn_norms,
+    _sn_parts,
     _sn_sum,
-    _sup_grid,
     _sup_slack,
     _sup_upper,
+    _unrolled_parts,
     boundary_scale,
     hardy_sum,
-    hp_norm,
-    sn_norm,
-    sn_norm_unrolled,
 )
 from .operators import (
     lift_approximant,
@@ -139,6 +149,41 @@ def _exact_eq_margin(a, b):
     return 0.0 if a == b else -1.0
 
 
+def _blocks(draws):
+    """The draws, tuples holding their series, in consecutive lists whose
+    series hold at most ``_BLOCK_ELEMS`` coefficients, or one larger draw:
+    a suite holds one block at a time, its rows and per-sample scalars."""
+    block, held = [], 0
+    for draw in draws:
+        size = sum(x.order + 1 for x in draw if isinstance(x, TaylorSeries))
+        if block and held + size > _BLOCK_ELEMS:
+            yield block
+            block, held = [], 0
+        block.append(draw)
+        held += size
+    if block:
+        yield block
+
+
+class _Batch:
+    """The H^p norms one block of samples needs.  :meth:`add` queues one
+    request, rows at one (p, cfg); :meth:`run` measures every queued row in
+    one :func:`_hp_norms` call per (p, cfg)."""
+
+    def __init__(self):
+        self._groups, self._queued = {}, []
+
+    def add(self, p, cfg, rows, finish=list):
+        group = self._groups.setdefault((p, cfg), [])
+        self._queued.append(((p, cfg), len(group), len(group) + len(rows), finish))
+        group.extend(rows)
+
+    def run(self):
+        """``finish`` of each request's list of norms, in queue order."""
+        norms = {key: _hp_norms(rows, *key) for key, rows in self._groups.items()}
+        return [finish(norms[key][lo:hi]) for key, lo, hi, finish in self._queued]
+
+
 def suite_hardy_sum(cfg):
     """Coefficient-sum inequality: sum |c_k|/(k+1) <= pi * H^1 norm."""
     samples = 1000
@@ -146,10 +191,10 @@ def suite_hardy_sum(cfg):
     qcfg = QuadratureConfig(num_points=cfg.points)
     const = 1.0 if cfg.negative_control else math.pi
     t = _Tracker()
-    for idx in range(samples):
-        f = random_series(rng, cfg.order)
-        margin = const * hp_norm(f, 1.0, qcfg) + cfg.tol - hardy_sum(f)
-        t.record(margin, sample=idx, coeffs=f)
+    for block in _blocks((idx, random_series(rng, cfg.order)) for idx in range(samples)):
+        norms = _hp_norms([f for _, f in block], 1.0, qcfg)
+        for (idx, f), norm in zip(block, norms):
+            t.record(const * norm + cfg.tol - hardy_sum(f), sample=idx, coeffs=f)
     claims = [
         t.claim(
             "hardy-sum.random",
@@ -158,9 +203,9 @@ def suite_hardy_sum(cfg):
         )
     ]
     t = _Tracker()
-    for d in range(33):
-        f = TaylorSeries([float(math.comb(d, k)) for k in range(d + 1)])
-        ratio = hardy_sum(f) / hp_norm(f, 1.0, qcfg)
+    family = [TaylorSeries([float(math.comb(d, k)) for k in range(d + 1)]) for d in range(33)]
+    for d, (f, norm) in enumerate(zip(family, _hp_norms(family, 1.0, qcfg))):
+        ratio = hardy_sum(f) / norm
         t.record(const - ratio, d=d, ratio=ratio)
     claims.append(
         t.claim(
@@ -178,16 +223,18 @@ def suite_sup_chain(cfg):
     qcfg = QuadratureConfig(num_points=cfg.points)
     const = 1.0 / math.pi if cfg.negative_control else math.pi
     t_sup, t_chain = _Tracker(), _Tracker()
-    for idx in range(samples):
-        f = random_series(rng, cfg.order)
-        n = 1 + idx % 4
-        p = _P_GRID[idx % len(_P_GRID)]
-        witness = dict(sample=idx, n=n, p=p, coeffs=f)
+    draws = ((idx, random_series(rng, cfg.order), 1 + idx % 4, _P_GRID[idx % len(_P_GRID)])
+             for idx in range(samples))
+    for block in _blocks(draws):
+        means = _Batch()
+        for idx, f, n, p in block:
+            means.add(p, qcfg, *_sn_parts(f, (1, n - 1, n)))
         # the sup-bound reads only hi: the grid max, with no walk to the peak
-        sup_hi = _sup_upper(f, qcfg, _sup_grid(f, qcfg)[0])
-        at_one, lower, upper = _sn_norms(f, (1, n - 1, n), p, qcfg)
-        t_sup.record(const * at_one + cfg.tol - sup_hi, **witness)
-        t_chain.record(const * upper + cfg.tol - lower, **witness)
+        grids = _boundary_scales([f for _, f, _, _ in block], cfg.points)
+        for (idx, f, n, p), grid, (at_one, lower, upper) in zip(block, grids, means.run()):
+            witness = dict(sample=idx, n=n, p=p, coeffs=f)
+            t_sup.record(const * at_one + cfg.tol - _sup_upper(f, qcfg, grid), **witness)
+            t_chain.record(const * upper + cfg.tol - lower, **witness)
     shared = (
         f"samples={samples} degree<={cfg.order} points={cfg.points} "
         f"tol={cfg.tol} seed={cfg.seed} const={const!r}"
@@ -208,27 +255,28 @@ def suite_norm_equivalence(cfg):
     t_a, t_b, t_c = _Tracker(), _Tracker(), _Tracker()
     ratio1 = [math.inf, 0.0]
     ratio2 = [math.inf, 0.0]
-    for idx in range(samples):
-        f = random_series(rng, cfg.order)
-        n = 1 + idx % 3
-        p = _P_GRID[idx % len(_P_GRID)]
-        params = SpaceParams(n, p)
-        witness = dict(sample=idx, n=n, p=p, coeffs=f)
-        _, base, dsum, ssum = _norm_family(f, params, qcfg)
-        # ssum adds each sup's lower end, at least its grid max.  f's slack
-        # 1/sqrt(cos(pi N/m)), m = max(points, 4(N + 1)), bounds every
-        # derivative's, as N/m does not grow as N drops, so ssum times it
-        # bounds the sup-sum above
-        ssum_hi = ssum * _sup_slack(f, qcfg)
-        chain_const = 1.0 + math.fsum(math.pi**k for k in range(1, n + 1))
-        t_a.record(factor * dsum + cfg.tol - base, **witness)
-        t_b.record(factor * ssum + cfg.tol - dsum, **witness)
-        t_c.record(factor * chain_const * base + cfg.tol - ssum_hi, **witness)
-        if base > 1e-300:
-            ratio1[0] = min(ratio1[0], dsum / base)
-            ratio1[1] = max(ratio1[1], dsum / base)
-            ratio2[0] = min(ratio2[0], ssum / base)
-            ratio2[1] = max(ratio2[1], ssum / base)
+    draws = ((idx, random_series(rng, cfg.order), 1 + idx % 3, _P_GRID[idx % len(_P_GRID)])
+             for idx in range(samples))
+    for block in _blocks(draws):
+        means = _Batch()
+        for idx, f, n, p in block:
+            means.add(p, qcfg, *_family_parts(f, SpaceParams(n, p), qcfg))
+        for (idx, f, n, p), (_, base, dsum, ssum) in zip(block, means.run()):
+            witness = dict(sample=idx, n=n, p=p, coeffs=f)
+            # ssum adds each sup's lower end, at least its grid max.  f's slack
+            # 1/sqrt(cos(pi N/m)), m = max(points, 4(N + 1)), bounds every
+            # derivative's, as N/m does not grow as N drops, so ssum times it
+            # bounds the sup-sum above
+            ssum_hi = ssum * _sup_slack(f, qcfg)
+            chain_const = 1.0 + math.fsum(math.pi**k for k in range(1, n + 1))
+            t_a.record(factor * dsum + cfg.tol - base, **witness)
+            t_b.record(factor * ssum + cfg.tol - dsum, **witness)
+            t_c.record(factor * chain_const * base + cfg.tol - ssum_hi, **witness)
+            if base > 1e-300:
+                ratio1[0] = min(ratio1[0], dsum / base)
+                ratio1[1] = max(ratio1[1], dsum / base)
+                ratio2[0] = min(ratio2[0], ssum / base)
+                ratio2[1] = max(ratio2[1], ssum / base)
     shared = (
         f"samples={samples} degree<={cfg.order} points={cfg.points} "
         f"tol={cfg.tol} seed={cfg.seed} factor={factor!r}"
@@ -254,15 +302,19 @@ def suite_algebra(cfg):
     qcfg = QuadratureConfig(num_points=cfg.points)
     factor = 0.1 if cfg.negative_control else 1.0
     t_alg = _Tracker()
-    for idx in range(pairs):
-        f = random_series(rng, cfg.order)
-        g = random_series(rng, cfg.order)
-        n = 1 + idx % 3
-        p = _P_GRID[idx % len(_P_GRID)]
-        params = SpaceParams(n, p)
-        bound = (2.0**n * (1.0 + math.pi**n) - 1.0) * sn_norm(f, params, qcfg) * sn_norm(g, params, qcfg)
-        margin = factor * bound + cfg.tol - sn_norm(multiply(f, g), params, qcfg)
-        t_alg.record(margin, pair=idx, n=n, p=p, f=f, g=g)
+    draws = ((idx, random_series(rng, cfg.order), random_series(rng, cfg.order),
+              1 + idx % 3, _P_GRID[idx % len(_P_GRID)]) for idx in range(pairs))
+    for block in _blocks(draws):
+        means, heads = _Batch(), []
+        for idx, f, g, n, p in block:
+            chains = [_sn_chain(h, n) for h in (f, g, multiply(f, g))]
+            heads.append([h for h, _ in chains])
+            means.add(p, qcfg, [chain[-1] for _, chain in chains])
+        for (idx, f, g, n, p), sn_heads, tails in zip(block, heads, means.run()):
+            sn_f, sn_g, sn_fg = map(_sn_sum, sn_heads, tails)
+            bound = (2.0**n * (1.0 + math.pi**n) - 1.0) * sn_f * sn_g
+            margin = factor * bound + cfg.tol - sn_fg
+            t_alg.record(margin, pair=idx, n=n, p=p, f=f, g=g)
     claims = [
         t_alg.claim(
             "algebra.product-bound",
@@ -277,27 +329,31 @@ def suite_algebra(cfg):
     t_den, t_dex = _Tracker(), _Tracker()
     density_tol = 1e-10
     density_degree = min(cfg.order, 16)
-    for idx in range(density_samples):
+
+    def density_draw(idx):
         f = random_series(rng, density_degree)
-        n = 1 + idx % 3
-        p = _P_GRID[idx % len(_P_GRID)]
         pm = random_series(rng, density_degree)
-        if cfg.negative_control:
-            # lift a different polynomial: the transfer identity must break
-            lifted = lift_approximant(f, random_series(rng, 4), n)
-        else:
-            lifted = lift_approximant(f, pm, n)
-        lhs = sn_norm(subtract(lifted, f), SpaceParams(n, p), qcfg)
-        rhs = hp_norm(subtract(pm, nth_derivative(f, n)), p, qcfg)
-        t_den.record(density_tol - abs(lhs - rhs), sample=idx, n=n, p=p, f=f, pm=pm)
-        # exact arithmetic collapses the identity at the coefficient level
-        fr = random_rational_series(rng, 32)
-        pr = random_rational_series(rng, 32)
-        diff = subtract(lift_approximant(fr, pr, n), fr)
-        t_dex.record(
-            _exact_eq_margin(nth_derivative(diff, n), subtract(pr, nth_derivative(fr, n))),
-            sample=idx, n=n, f=fr, pm=pr,
-        )
+        # negative control: lift a different polynomial, the transfer identity must break
+        lift_pm = random_series(rng, 4) if cfg.negative_control else pm
+        return (idx, f, pm, lift_pm, random_rational_series(rng, 32),
+                random_rational_series(rng, 32), 1 + idx % 3, _P_GRID[idx % len(_P_GRID)])
+
+    for block in _blocks(density_draw(idx) for idx in range(density_samples)):
+        means, heads = _Batch(), []
+        for idx, f, pm, lift_pm, fr, pr, n, p in block:
+            lhs_heads, chain = _sn_chain(subtract(lift_approximant(f, lift_pm, n), f), n)
+            heads.append(lhs_heads)
+            means.add(p, qcfg, [chain[-1], subtract(pm, nth_derivative(f, n))])
+        for (idx, f, pm, lift_pm, fr, pr, n, p), lhs_heads, (tail, rhs) in zip(
+                block, heads, means.run()):
+            lhs = _sn_sum(lhs_heads, tail)
+            t_den.record(density_tol - abs(lhs - rhs), sample=idx, n=n, p=p, f=f, pm=pm)
+            # exact arithmetic collapses the identity at the coefficient level
+            diff = subtract(lift_approximant(fr, pr, n), fr)
+            t_dex.record(
+                _exact_eq_margin(nth_derivative(diff, n), subtract(pr, nth_derivative(fr, n))),
+                sample=idx, n=n, f=fr, pm=pr,
+            )
     claims.append(
         t_den.claim(
             "algebra.approximant-norm-transfer",
@@ -345,17 +401,22 @@ def suite_parseval(cfg):
     trap = QuadratureConfig(num_points=cfg.points, mode="trapezoid")
     pars = QuadratureConfig(num_points=cfg.points, mode="parseval")
     t_two, t_even = _Tracker(), _Tracker()
-    for idx in range(samples):
-        f = random_series(rng, cfg.order)
-        witness = dict(sample=idx, coeffs=f)
-        a = hp_norm(f, 2.0, trap)
-        b = hp_norm(f, 2.0, pars) * bias
-        t_two.record(rel_tol - abs(a - b) / max(a, b, 1e-300), **witness)
-        p = (4.0, 6.0, 8.0)[idx % 3]
-        pts = max(cfg.points, int(p) * f.order + 1)
-        a = hp_norm(f, p, QuadratureConfig(num_points=pts, mode="trapezoid"))
-        b = hp_norm(f, p, QuadratureConfig(num_points=pts, mode="power-trick")) * bias
-        t_even.record(rel_tol - abs(a - b) / max(a, b, 1e-300), **witness)
+    draws = ((idx, random_series(rng, cfg.order), (4.0, 6.0, 8.0)[idx % 3])
+             for idx in range(samples))
+    for block in _blocks(draws):
+        means = _Batch()
+        for idx, f, p in block:
+            pts = max(cfg.points, int(p) * f.order + 1)
+            means.add(2.0, trap, [f])
+            means.add(2.0, pars, [f])
+            means.add(p, QuadratureConfig(num_points=pts, mode="trapezoid"), [f])
+            means.add(p, QuadratureConfig(num_points=pts, mode="power-trick"), [f])
+        norms = iter(means.run())
+        for idx, f, p in block:
+            for t in (t_two, t_even):
+                (a,), (b,) = next(norms), next(norms)
+                b *= bias
+                t.record(rel_tol - abs(a - b) / max(a, b, 1e-300), sample=idx, coeffs=f)
     shared = (
         f"samples={samples} degree<={cfg.order} points>={cfg.points} "
         f"rel-tol={rel_tol} seed={cfg.seed} bias={bias!r}"
@@ -439,15 +500,22 @@ def suite_intertwine(cfg):
     t_iso = _Tracker()
     iso_tol = 1e-9
     depths = (1, 2, 3, 4)
-    for idx in range(isometry_samples):
-        f = random_series(rng, cfg.order)
-        # the lifts' derivative chains do not depend on p: build them once
-        lifts = [_sn_chain(nth_antiderivative(f, n + wrong), n) for n in depths]
-        for p in _P_GRID:
-            rhs, *tails = _hp_norms([f] + [chain[-1] for _, chain in lifts], p, qcfg)
-            for n, (heads, _), tail in zip(depths, lifts, tails):
-                lhs = _sn_sum(heads, tail)
-                t_iso.record(iso_tol - abs(lhs - rhs), sample=idx, n=n, p=p, coeffs=f)
+    for block in _blocks((idx, random_series(rng, cfg.order))
+                         for idx in range(isometry_samples)):
+        means, heads = _Batch(), []
+        for idx, f in block:
+            # the lifts' chains do not depend on p: build them once
+            lifts = [_sn_chain(nth_antiderivative(f, n + wrong), n) for n in depths]
+            heads.append([lift_heads for lift_heads, _ in lifts])
+            for p in _P_GRID:
+                means.add(p, qcfg, [f] + [chain[-1] for _, chain in lifts])
+        norms = iter(means.run())
+        for (idx, f), lifts in zip(block, heads):
+            for p in _P_GRID:
+                rhs, *tails = next(norms)
+                for n, lift_heads, tail in zip(depths, lifts, tails):
+                    lhs = _sn_sum(lift_heads, tail)
+                    t_iso.record(iso_tol - abs(lhs - rhs), sample=idx, n=n, p=p, coeffs=f)
     claims.append(
         t_iso.claim(
             "intertwine.antiderivative-isometry",
@@ -549,14 +617,17 @@ def suite_norms_consistency(cfg):
     bias = 1.0 + 1e-6 if cfg.negative_control else 1.0
     rel_tol = 1e-12
     t = _Tracker()
-    for idx in range(samples):
-        f = random_series(rng, cfg.order)
-        n = 1 + idx % 4
-        p = _P_GRID[idx % len(_P_GRID)]
-        params = SpaceParams(n, p)
-        a = sn_norm(f, params, qcfg)
-        b = sn_norm_unrolled(f, params, qcfg) * bias
-        t.record(rel_tol - abs(a - b) / max(a, b, 1e-300), sample=idx, n=n, p=p, coeffs=f)
+    draws = ((idx, random_series(rng, cfg.order), 1 + idx % 4, _P_GRID[idx % len(_P_GRID)])
+             for idx in range(samples))
+    for block in _blocks(draws):
+        means = _Batch()
+        for idx, f, n, p in block:
+            means.add(p, qcfg, *_sn_parts(f, (n,)))
+            means.add(p, qcfg, *_unrolled_parts(f, n))
+        norms = iter(means.run())
+        for idx, f, n, p in block:
+            (a,), b = next(norms), next(norms) * bias
+            t.record(rel_tol - abs(a - b) / max(a, b, 1e-300), sample=idx, n=n, p=p, coeffs=f)
     return [
         t.claim(
             "norms.recursive-vs-unrolled",

@@ -1,6 +1,7 @@
 """Boundary-quadrature norms against closed-form values and invariants."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -134,6 +135,16 @@ class TestQuadratureMachinery:
                 m = max(256, 4 * (f.order + 1))
                 ref = 0.0 if f.is_zero else np.abs(boundary_values(f, m)).max()
                 assert s == boundary_scale(f) == ref
+
+    def test_batched_boundary_scales_at_a_floor_are_the_sup_grid_maxima(self):
+        # sup-chain's grid maxima: at 5000 nodes a group takes one row a buffer
+        rng = np.random.default_rng(39)
+        fs = [_random_series(rng, order) for order in (0, 3, 8, 8, 63, 64, 1023, 1300)]
+        fs.insert(2, zero())
+        for points in (4, 256, 5000):
+            cfg = QuadratureConfig(num_points=points)
+            assert norms._boundary_scales(fs, points) == [
+                0.0 if f.is_zero else norms._sup_grid(f, cfg)[0] for f in fs]
 
     @pytest.mark.filterwarnings("error")
     def test_batched_boundary_scale_beyond_double_range_is_the_one_series_error(self):
@@ -654,8 +665,62 @@ class TestBatchedMeans:
         for order in (0, 1, 2, 8, 40):
             f = _random_series(rng, order)
             depths = (1, 0, 1, 3, 4, 7)
-            assert norms._sn_norms(f, depths, p, cfg) == [
+            rows, finish = norms._sn_parts(f, depths)
+            # one row per distinct depth, min(d, order + 1)
+            assert len(rows) == len({min(d, order + 1) for d in depths})
+            assert finish(norms._hp_norms(rows, p, cfg)) == [
                 sn_norm(f, SpaceParams(d, p), cfg) for d in depths]
+
+
+class TestBlockedMeans:
+    """A same-length group larger than ``_BLOCK_ELEMS`` is measured in
+    buffers within that budget, one series over it alone, and every mean
+    is still its one-series mean."""
+
+    CASES = [("parseval", 2.0), *(("power-trick", p) for p in (2.0, 4.0, 6.0)),
+             *(("trapezoid", p) for p in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0))]
+
+    @pytest.mark.parametrize("mode, p", CASES)
+    @pytest.mark.parametrize("points", [256, 12000])  # 10 series a buffer, and one
+    def test_blocked_group_is_each_series_alone(self, monkeypatch, mode, p, points):
+        rng = np.random.default_rng(46)
+        # 300 series of 31 coefficients, 30 of 2 and a few alone: each large
+        # group holds far more than the budget, in rows and in products
+        batch = [_random_series(rng, 30) for _ in range(300)]
+        batch += [_random_series(rng, 1) for _ in range(30)] + [zero(), _random_series(rng, 8)]
+        batch = [batch[i] for i in rng.permutation(len(batch))]
+        cfg = QuadratureConfig(num_points=points, mode=mode)
+        shapes = []
+        transform = norms._transform
+
+        def spy(buf):
+            shapes.append(buf.shape)
+            return transform(buf)
+
+        monkeypatch.setattr(norms, "_transform", spy)
+        got = norms._hp_norms(batch, p, cfg)
+        if mode == "trapezoid":
+            assert len(shapes) > 3  # the large group took several buffers
+            for rows, radii, m in shapes:  # series, radii, nodes
+                assert rows == 1 or rows * radii * m <= norms._BLOCK_ELEMS, (rows, radii, m)
+        else:
+            assert shapes == []
+        monkeypatch.undo()
+        want = [hp_norm(f, p, cfg) for f in batch]
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+    def test_many_rows_at_many_nodes_stay_small(self):
+        # unblocked, these 111 series' 333 rows of 65536 nodes were one 349 MB buffer
+        rng = np.random.default_rng(47)
+        batch = [_random_series(rng, 8) for _ in range(111)]
+        cfg = QuadratureConfig(num_points=65536)
+        tracemalloc.start()
+        try:
+            norms._hp_norms(batch, 1.0, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
 
 
 class TestNormFamily:

@@ -25,7 +25,7 @@ from hardylab import (
     volterra,
     zero,
 )
-from hardylab import series
+from hardylab import operators, series
 from hardylab.operators import _antiderivative
 from hardylab.verify import max_rel_coeff_error, random_rational_series, zero_head
 
@@ -117,6 +117,24 @@ class TestIntertwining:
         lhs = nth_derivative(shift(f), n)
         rhs = add(shift(nth_derivative(f, n)), scale(derivative(f, n - 1), n))
         assert lhs == rhs
+
+
+    def test_nth_derivative_checks_its_count_once(self, monkeypatch):
+        calls = []
+        check = series._check_count
+
+        def spy(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(series, "_check_count", spy)
+        monkeypatch.setattr(operators, "_check_count", spy)
+        f = TaylorSeries([1.0, 2.0, 3.0, 4.0])
+        for n in (1, 2, 3, 4, 5, 2.0):
+            want = derivative(f, n)
+            calls.clear()
+            assert nth_derivative(f, n) == want
+            assert calls == [(n, "operator parameter n", 1)]
 
 
 class TestRoundTrips:
