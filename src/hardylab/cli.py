@@ -6,8 +6,9 @@ battery), and ``membership`` (test a series against a subspace spec file).
 
 Exit codes: 0 on success / pass, 1 on a verification or membership failure,
 2 on usage or configuration errors (bad flags, malformed files, invalid
-specs, an unwritable ``--out`` path) and on inputs whose values leave
-double range (OverflowError).
+specs, an unwritable ``--out`` path), on inputs whose values leave
+double range (OverflowError) and on sizes too large to allocate
+(MemoryError).
 """
 
 from __future__ import annotations
@@ -214,6 +215,9 @@ def main(argv=None):
         return args.func(args)
     except (ValueError, OverflowError) as exc:  # _UsageError included
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an order or point count too large to allocate
+        print(f"error: input too large: {exc}", file=sys.stderr)
         return 2
 
 

@@ -2,18 +2,20 @@
 
 Norm evaluation never searches over radii: a stored series is a polynomial,
 continuous up to the closed disk, and its integral means are nondecreasing
-in the radius, so the boundary radius r = 1 realises the sup.  Every norm
-call still checks that monotonicity on a three-point radius grid as a
-sanity assertion on the quadrature itself; the three means come from
-batched coefficient transforms per row length, shared by the series of one
-length in a batch of norms, in buffers of at most ``_BLOCK_ELEMS`` entries
-so that a batch of any size holds a bounded amount of memory.  The
-equivalent norms read one derivative ladder ``f, f', ..., f^(n)``, each
-rung one direct :func:`derivative`, and the four norms of one series (H^p,
-recursive, derivative-sum, sup-sum) come from one chain, one ladder and
-one batch of means (:func:`_norm_family`).  The ``_*_parts`` functions
-split a derivative norm into the rows it measures and the function of
-their norms, so that a caller can batch the rows of many series.
+in the radius, so the boundary radius r = 1 realises the sup.  Means are
+taken on one radius grid only, (0.5, 0.75, 1), and every norm checks that
+monotonicity on it as a sanity assertion on the quadrature itself.
+Every public H^p norm goes through :func:`_hp_norms`: the three means of
+a series come from batched coefficient transforms per row length, shared
+by the series of one length in a batch of norms, in buffers of at most
+``_BLOCK_ELEMS`` entries so that a batch of any size holds a bounded
+amount of memory.  The equivalent norms read one derivative ladder
+``f, f', ..., f^(n)``, each rung one direct :func:`derivative`, and the
+four norms of one series (H^p, recursive, derivative-sum, sup-sum) come
+from one chain, one ladder and one batch of means (:func:`_norm_family`).
+The ``_*_parts`` functions split a derivative norm into the rows it
+measures and the function of their norms, so that a caller can batch the
+rows of many series.
 
 Quadrature modes:
 
@@ -61,7 +63,6 @@ __all__ = [
     "QuadratureConfig",
     "boundary_values",
     "boundary_scale",
-    "integral_mean",
     "hp_norm",
     "sn_norm",
     "sn_norm_unrolled",
@@ -241,60 +242,42 @@ def _underflow_index(r, step):
     return math.ceil(1100 / (step * -math.log2(r)))
 
 
-def _radius_powers(r, step, size):
-    """``r ** (step * k)`` for k < size, cut where the power underflows to
-    0.0; ones at r = 1."""
-    if r == 1.0:
-        return np.ones(size)
-    return r ** (step * np.arange(min(size, _underflow_index(r, step))))
-
-
-def _plan(radii, size, step):
-    """How :func:`_means` weighs a block of ``size`` columns by the powers
-    ``r ** (step * k)``, step 1 for the trapezoid and 2.0 for the sums:
-    ``((width, powers, lo, hi), ...)`` by ascending width, the rows of
-    ``powers`` being those of the radii ``radii[lo:hi]``.
-
-    The powers of r < 1 are cut where they underflow to 0.0, so the radii
-    group by row width, which ascends with r.  The sanity radii's powers
-    are slices of :func:`_sanity_table`, or past it the scalar 1.0 of
-    r = 1; any other radii's powers are built.
-    """
-    table = _sanity_table(step) if radii == _SANITY_RADII else None
-    runs = {}
-    for j, r in enumerate(radii):
-        runs.setdefault(size if r == 1.0 else min(size, _underflow_index(r, step)), []).append(j)
-    plan = []
-    for width, js in runs.items():
-        lo, hi = js[0], js[-1] + 1
-        if table is None:
-            powers = _stack([_radius_powers(r, step, width) for r in radii[lo:hi]], width, float)
-        elif width <= table.shape[1]:
-            powers = table[lo:hi, :width]
-        else:  # past every cut only r = 1 is left
-            powers = 1.0
-        plan.append((width, powers, lo, hi))
-    return tuple(plan)
-
-
 @functools.cache
 def _sanity_table(step):
-    """The powers of the sanity radii as the rows of one read-only table, as
-    long as the longest cut row (2651 at step 1, 1326 at step 2.0): zero
-    past their cut, ones at r = 1.  A prefix of a row is a fresh
-    ``r ** arange`` bit for bit, as the power is taken elementwise."""
+    """The powers ``r ** (step * k)`` of the radius grid as the rows of one
+    read-only table, as long as the longest cut row (2651 at step 1, 1326
+    at step 2.0): zero past their cut, ones at r = 1.  A prefix of a row is
+    a fresh ``r ** arange`` bit for bit, as the power is taken elementwise."""
     width = max(_underflow_index(r, step) for r in _SANITY_RADII if r != 1.0)
-    table = _stack([_radius_powers(r, step, width) for r in _SANITY_RADII], width, float)
+    rows = [np.ones(width) if r == 1.0 else r ** (step * np.arange(_underflow_index(r, step)))
+            for r in _SANITY_RADII]
+    table = _stack(rows, width, float)
     table.flags.writeable = False  # its slices are shared
     return table
 
 
-# a kept plan holds a few views of the sanity table, under 1 KB
+# a kept plan holds a few views of the table, under 1 KB
 @functools.lru_cache(maxsize=2048)
-def _sanity_plan(size, step):
-    """:func:`_plan` of the sanity radii, kept: an :func:`hp_norm` call at a
-    small order is mostly this fixed cost."""
-    return _plan(_SANITY_RADII, size, step)
+def _plan(size, step):
+    """How :func:`_means` weighs a block of ``size`` columns by the powers
+    of the radius grid, step 1 for the trapezoid and 2.0 for the sums:
+    ``((width, powers, lo, hi), ...)`` by ascending width, the rows of
+    ``powers`` being those of the radii ``_SANITY_RADII[lo:hi]``; kept, as
+    an :func:`hp_norm` call at a small order is mostly this fixed cost.
+
+    The powers of r < 1 are cut where they underflow to 0.0, so the radii
+    group by row width, which ascends with r.  The powers are slices of
+    :func:`_sanity_table`, or past it the scalar 1.0 of r = 1.
+    """
+    table, runs = _sanity_table(step), {}
+    for j, r in enumerate(_SANITY_RADII):
+        runs.setdefault(size if r == 1.0 else min(size, _underflow_index(r, step)), []).append(j)
+    plan = []
+    for width, js in runs.items():
+        lo, hi = js[0], js[-1] + 1
+        # past every cut only r = 1 is left
+        plan.append((width, table[lo:hi, :width] if width <= table.shape[1] else 1.0, lo, hi))
+    return tuple(plan)
 
 
 def _scaled_block(cs, p):
@@ -319,10 +302,10 @@ def _scaled_block(cs, p):
     return block, mag, scaled
 
 
-def _means(series, p, radii, mode, num_points):
-    """The p-th integral means of each series on the circles |z| = r, r in
-    ascending ``radii``, in a resolved ``mode`` that all of them share: one
-    list of means per series.
+def _means(series, p, mode, num_points):
+    """The p-th integral means of each series on the circles |z| = r of the
+    radius grid ``_SANITY_RADII`` (0.5, 0.75, 1), in a resolved ``mode``
+    that all of them share: one list of three means per series.
 
     Series of one length form one block (:func:`_scaled_block`), and each
     row width of its radius plan (:func:`_plan`) multiplies the block by
@@ -339,14 +322,12 @@ def _means(series, p, radii, mode, num_points):
     for i, f in enumerate(series):
         by_size.setdefault(f.order, []).append(i)
     means, q = [None] * len(series), 1.0 / p
-    sanity = radii == _SANITY_RADII
     for idx in by_size.values():
         block, mag, scaled = _scaled_block([_complex_coeffs(series[i]) for i in idx], p)
-        sums = np.empty((len(idx), len(radii)))
+        sums = np.empty((len(idx), len(_SANITY_RADII)))
         if mode == "trapezoid":
             size = block.shape[1]
-            for width, powers, lo, hi in (_sanity_plan(size, 1) if sanity
-                                          else _plan(radii, size, 1)):
+            for width, powers, lo, hi in _plan(size, 1):
                 m = _node_count(width - 1, p, num_points)
                 step = _fit((hi - lo) * m)
                 for a in range(0, len(idx), step):
@@ -370,12 +351,11 @@ def _means(series, p, radii, mode, num_points):
                 mag = np.abs(gs[0][np.newaxis] if len(gs) == 1 else np.stack(gs))
             mag *= mag
             size = mag.shape[1]
-            plan = _sanity_plan(size, 2.0) if sanity else _plan(radii, size, 2.0)
-            step = _fit(len(radii) * size)
+            step = _fit(len(_SANITY_RADII) * size)
             for a in range(0, len(idx), step):
                 chunk = mag[a:a + step]
-                prods = np.zeros((len(chunk), len(radii), size))
-                for width, powers, lo, hi in plan:
+                prods = np.zeros((len(chunk), len(_SANITY_RADII), size))
+                for width, powers, lo, hi in _plan(size, 2.0):
                     np.multiply(chunk[:, np.newaxis, :width], powers,
                                 out=prods[:, lo:hi, :width])
                 sums[a:a + step] = np.add.reduce(prods, axis=2)
@@ -399,31 +379,6 @@ def _fit(entries):
     return max(1, _BLOCK_ELEMS // entries)
 
 
-def integral_mean(f, p, r=1.0, cfg=None):
-    """The p-th integral mean of f on the circle of radius r.
-
-    Parameters
-    ----------
-    f : TaylorSeries
-    p : float
-        Exponent, 1 <= p < inf.
-    r : float, optional
-        Radius in (0, 1]; defaults to the boundary circle, 1.
-    cfg : QuadratureConfig, optional
-
-    Returns
-    -------
-    float
-        ``( (1/2pi) * integral |f(r e^{i t})|^p dt )^(1/p)``.
-    """
-    cfg = cfg if cfg is not None else QuadratureConfig()
-    _check_exponent(p)
-    if not (isinstance(r, numbers.Real) and type(r) is not bool and 0 < r <= 1):
-        raise ValueError(f"radius must lie in (0, 1], got {r}")
-    mode = _resolve_mode(p, cfg.mode, f.order, cfg.num_points)
-    return _means([f], p, (r,), mode, cfg.num_points)[0][0]
-
-
 def hp_norm(f, p, cfg=None):
     """The H^p norm of the stored polynomial.
 
@@ -431,23 +386,20 @@ def hp_norm(f, p, cfg=None):
     the radius grid (0.5, 0.75, 1.0) are nondecreasing; a violation means
     the quadrature itself is broken and raises RuntimeError.
     """
-    cfg = cfg if cfg is not None else QuadratureConfig()
-    _check_exponent(p)
-    mode = _resolve_mode(p, cfg.mode, f.order, cfg.num_points)
-    return _boundary_mean(_means([f], p, _SANITY_RADII, mode, cfg.num_points)[0])
+    return _hp_norms([f], p, cfg)[0]
 
 
-def _hp_norms(series, p, cfg):
+def _hp_norms(series, p, cfg=None):
     """:func:`hp_norm` of each series, from one :func:`_means` call per
     resolved mode."""
+    cfg = cfg if cfg is not None else QuadratureConfig()
     _check_exponent(p)
     by_mode = {}
     for i, f in enumerate(series):
         by_mode.setdefault(_resolve_mode(p, cfg.mode, f.order, cfg.num_points), []).append(i)
     norms = [0.0] * len(series)
     for mode, idx in by_mode.items():
-        batch = _means([series[i] for i in idx], p, _SANITY_RADII, mode, cfg.num_points)
-        for i, means in zip(idx, batch):
+        for i, means in zip(idx, _means([series[i] for i in idx], p, mode, cfg.num_points)):
             norms[i] = _boundary_mean(means)
     return norms
 
@@ -500,8 +452,8 @@ def sn_norm(f, params, cfg=None):
     exceeds double range is rejected up front with ValueError, as
     :func:`derivative` rejects it.
     """
-    heads, chain = _sn_chain(f, params.n)
-    return _sn_sum(heads, hp_norm(chain[-1], params.p, cfg))
+    rows, finish = _sn_parts(f, (params.n,))
+    return finish(_hp_norms(rows, params.p, cfg))[0]
 
 
 def _sn_parts(f, depths):
@@ -532,7 +484,7 @@ def sn_norm_unrolled(f, params, cfg=None):
     Agrees with :func:`sn_norm` up to float summation order.
     """
     rows, finish = _unrolled_parts(f, params.n)
-    return finish([hp_norm(rows[0], params.p, cfg)])
+    return finish(_hp_norms(rows, params.p, cfg))
 
 
 def _ladder(f, n):
@@ -546,7 +498,6 @@ def _ladder(f, n):
 def derivative_sum_norm(f, params, cfg=None):
     """Equivalent norm: sum of the H^p norms of the first n+1 derivatives,
     the rungs of one :func:`_ladder`, from one batch of means."""
-    cfg = cfg if cfg is not None else QuadratureConfig()
     return _finite_sum(_hp_norms(_ladder(f, params.n), params.p, cfg))
 
 

@@ -185,6 +185,15 @@ class TestNormCommand:
         assert main(["norm", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unallocatable_point_count_is_usage_error(self, series_file, capsys):
+        # the sup grid of 10**14 nodes (1.42 PiB) exceeds any 47-bit address
+        # space, so it fails at once; it used to print a NumPy traceback
+        assert main(["norm", series_file, "--points", str(10**14)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: input too large: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
 
 class TestApplyCommand:
     def test_shift_to_stdout(self, series_file, capsys):
@@ -286,6 +295,21 @@ class TestVerifyCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert "error: cannot write" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags", [
+        # 10**14 nodes a trapezoid row (4.26 PiB for three radii)
+        pytest.param(["--order", "4", "--points", str(10**14)], id="points"),
+        # the first drawn degree at seed 0 is 889738791278135 (6.32 PiB of floats)
+        pytest.param(["--order", str(10**15)], id="order"),
+    ])
+    def test_unallocatable_size_is_usage_error(self, capsys, flags):
+        # both sizes exceed any 47-bit address space, so the allocation fails
+        # at once; exit 1 would read as "claims failed"
+        assert main(["verify", "--suite", "hardy-sum", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: input too large: ")
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
 
     @pytest.mark.parametrize("flags, exit_code, digest", [

@@ -17,7 +17,6 @@ from hardylab import (
     derivative_sum_norm,
     hardy_sum,
     hp_norm,
-    integral_mean,
     sn_norm,
     sn_norm_unrolled,
     sup_bracket,
@@ -92,7 +91,8 @@ class TestQuadratureMachinery:
     def test_interior_radius_mean(self):
         f = TaylorSeries([3.0, 4.0])
         expected = math.sqrt(9.0 + 16.0 * 0.25)
-        assert integral_mean(f, 2.0, 0.5) == pytest.approx(expected, abs=1e-12)
+        # the first mean of the radius grid is the one at r = 0.5
+        assert norms._means([f], 2.0, "parseval", 4096)[0][0] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("points", [4.5, math.inf, math.nan, "8"])
     def test_num_points_must_be_an_integer(self, points):
@@ -165,7 +165,6 @@ class TestQuadratureMachinery:
 
     @pytest.mark.parametrize("call", [
         pytest.param(lambda: hp_norm(TaylorSeries([1.0, 2.0]), True), id="hp_norm"),
-        pytest.param(lambda: integral_mean(ONE_PLUS_Z, True), id="integral_mean"),
         pytest.param(lambda: SpaceParams(1, True), id="SpaceParams"),
         pytest.param(lambda: norms._hp_norms([ONE_PLUS_Z], True, QuadratureConfig()),
                      id="_hp_norms"),
@@ -175,28 +174,19 @@ class TestQuadratureMachinery:
         with pytest.raises(ValueError, match="exponent"):
             call()
 
-    def test_bool_radius_is_a_value_error(self):
-        # r=True was read as the boundary circle
-        with pytest.raises(ValueError, match="radius"):
-            integral_mean(ONE_PLUS_Z, 2.0, r=True)
-
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             QuadratureConfig(mode="fft")
         with pytest.raises(ValueError):
-            integral_mean(ONE_PLUS_Z, 3.0, cfg=QuadratureConfig(mode="parseval"))
+            hp_norm(ONE_PLUS_Z, 3.0, cfg=QuadratureConfig(mode="parseval"))
         with pytest.raises(ValueError):
-            integral_mean(ONE_PLUS_Z, 3.0, cfg=QuadratureConfig(mode="power-trick"))
+            hp_norm(ONE_PLUS_Z, 3.0, cfg=QuadratureConfig(mode="power-trick"))
 
-    def test_exponent_and_radius_validation(self):
+    def test_exponent_validation(self):
         with pytest.raises(ValueError):
-            integral_mean(ONE_PLUS_Z, 0.5)
+            hp_norm(ONE_PLUS_Z, 0.5)
         with pytest.raises(ValueError):
-            integral_mean(ONE_PLUS_Z, math.inf)
-        with pytest.raises(ValueError):
-            integral_mean(ONE_PLUS_Z, 2.0, 1.5)
-        with pytest.raises(ValueError, match="radius"):
-            integral_mean(ONE_PLUS_Z, 2.0, "0.5")
+            hp_norm(ONE_PLUS_Z, math.inf)
         with pytest.raises(ValueError):
             SpaceParams(-1, 2.0)
         with pytest.raises(ValueError):
@@ -217,7 +207,7 @@ class TestQuadratureMachinery:
         cfg = QuadratureConfig(mode="trapezoid")
         for _ in range(10):
             f = TaylorSeries(rng.uniform(-1, 1, 12) + 1j * rng.uniform(-1, 1, 12))
-            means = [integral_mean(f, p, 1.0, cfg) for p in (1.0, 2.0, 3.0, 4.0)]
+            means = [hp_norm(f, p, cfg) for p in (1.0, 2.0, 3.0, 4.0)]
             for lo, hi in zip(means, means[1:]):
                 assert lo <= hi + 1e-12
 
@@ -392,7 +382,7 @@ class TestFastPaths:
             assert _rel(hp_norm(f, p, cfg), hp_norm(f, p, QuadratureConfig(mode=exact))) <= 1e-12
 
     @pytest.mark.parametrize("mode", ["parseval", "power-trick", "trapezoid", "auto"])
-    def test_integral_mean_equals_per_radius_mean_of_hp_norm(self, mode):
+    def test_grid_means_are_the_reference_means_ending_in_hp_norm(self, mode):
         rng = np.random.default_rng(23)
         p = 2.0 if mode == "parseval" else 4.0
         # rows below 1 are cut from order 1100 (r = 0.5) and 2651 (r = 0.75)
@@ -400,8 +390,8 @@ class TestFastPaths:
             f = _random_series(rng, order)
             cfg = QuadratureConfig(num_points=64, mode=mode)
             resolved = norms._resolve_mode(p, mode, f.order, cfg.num_points)
-            means = norms._means([f], p, norms._SANITY_RADII, resolved, cfg.num_points)[0]
-            assert means == [integral_mean(f, p, r, cfg) for r in norms._SANITY_RADII]
+            means = norms._means([f], p, resolved, cfg.num_points)[0]
+            assert means == _reference_means(f, p, norms._SANITY_RADII, resolved, cfg.num_points)
             assert hp_norm(f, p, cfg) == means[-1]
 
     def test_decreasing_means_still_raise(self, monkeypatch):
@@ -512,17 +502,15 @@ def _modes(p):
 
 
 class TestBitIdentity:
-    """hp_norm and integral_mean are bit-identical to the reference formulas."""
-
-    RADII = (0.3, 0.5, 0.75, 1.0)
+    """hp_norm and the means on the radius grid are bit-identical to the
+    reference formulas."""
 
     def _check(self, f, p, mode, points=64):
         cfg = QuadratureConfig(num_points=points, mode=mode)
         resolved = norms._resolve_mode(p, mode, f.order, points)
         ref = _reference_means(f, p, norms._SANITY_RADII, resolved, points)
+        assert norms._means([f], p, resolved, points)[0] == ref
         assert hp_norm(f, p, cfg) == ref[-1]
-        for r in self.RADII:
-            assert integral_mean(f, p, r, cfg) == _reference_means(f, p, (r,), resolved, points)[0]
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
     def test_orders_0_to_300_every_mode(self, p):
@@ -565,6 +553,28 @@ class TestBitIdentity:
             for p, mode in ((2.0, "parseval"), (4.0, "power-trick"), (3.0, "trapezoid")):
                 self._check(TaylorSeries(c * scale), p, mode)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_derivative_norms_end_in_the_reference_mean(self, n, p):
+        # sn_norm and sn_norm_unrolled measure their last derivative through
+        # _hp_norms, as hp_norm does, so they are checked against the
+        # reference formulas; orders 1100/1101 and 2651/2652 straddle the cuts
+        rng = np.random.default_rng([48, n, int(2 * p)])
+        cfg, params = QuadratureConfig(), SpaceParams(n, p)
+
+        def tail(g):
+            mode = norms._resolve_mode(p, cfg.mode, g.order, cfg.num_points)
+            return _reference_means(g, p, norms._SANITY_RADII, mode, cfg.num_points)[-1]
+
+        for order in (0, 8, 1100, 1101, 2651, 2652):
+            f = _random_series(rng, order)
+            heads, chain = norms._sn_chain(f, n)
+            assert sn_norm(f, params).hex() == norms._sn_sum(heads, tail(chain[-1])).hex()
+            depth = min(n, order + 1)
+            unrolled = math.fsum(abs(derivative(f, k).coeffs[0]) for k in range(depth))
+            want = unrolled + tail(derivative(f, depth))
+            assert sn_norm_unrolled(f, params).hex() == want.hex()
+
     def test_power_rows_stay_bounded(self):
         # every kept plan holds slices of one table of the sanity radii's
         # powers, at most 2651 long, or the scalar 1.0 of r = 1 past it: no
@@ -574,11 +584,12 @@ class TestBitIdentity:
             f = _random_series(rng, order)
             for p in (1.5, 2.0, 3.0, 4.0):
                 hp_norm(f, p)
+        assert norms._plan.cache_info().maxsize == 2048
         for step in (1, 2.0):
             table = norms._sanity_table(step)
             assert table.shape == (3, 2651 if step == 1 else 1326)
             for size in (1, 40, 301, 550, 551, 1100, 1101, 1326, 1327, 2651, 2652, 16385):
-                plan = norms._sanity_plan(size, step)
+                plan = norms._plan(size, step)
                 # the runs tile the three radii
                 assert [lo for _, _, lo, _ in plan] + [3] == [0] + [hi for *_, hi in plan]
                 for width, powers, lo, hi in plan:
@@ -628,12 +639,11 @@ class TestBatchedMeans:
     @pytest.mark.parametrize("points", [4, 12000])  # below and above every floor
     def test_batch_is_each_series_alone(self, mode, p, points):
         batch = self._batch()
-        radii = norms._SANITY_RADII
-        means = norms._means(batch, p, radii, mode, points)
+        means = norms._means(batch, p, mode, points)
         cfg = QuadratureConfig(num_points=points, mode=mode)
         for f, row in zip(batch, means):
-            assert row == norms._means([f], p, radii, mode, points)[0]
-            assert row == _reference_means(f, p, radii, mode, points)
+            assert row == norms._means([f], p, mode, points)[0]
+            assert row == _reference_means(f, p, norms._SANITY_RADII, mode, points)
             assert row[-1] == hp_norm(f, p, cfg)
         assert norms._hp_norms(batch, p, cfg) == [hp_norm(f, p, cfg) for f in batch]
 
@@ -645,7 +655,7 @@ class TestBatchedMeans:
             hp_norm(bad, p, QuadratureConfig(mode=mode))
         for batch in ([ONE_PLUS_Z, zero(), bad, TaylorSeries([0.5] * 90)], [bad, ONE_PLUS_Z]):
             with pytest.raises(ValueError) as batched:
-                norms._means(batch, p, norms._SANITY_RADII, mode, 4096)
+                norms._means(batch, p, mode, 4096)
             assert str(batched.value) == str(one.value)
 
     def test_auto_batch_resolves_each_series_mode(self):
