@@ -325,35 +325,38 @@ def random_series(rng, max_degree):
     return TaylorSeries(c)
 
 
-def sampled_members(spec, count, seed=0, tol=1e-9, max_degree=8):
-    """Deterministic batch of constructed members; the shared sample pool
-    for the invariance harnesses and the scale-invariance checks."""
+def sampled_members(spec, count, seed=0, tol=1e-9):
+    """Deterministic batch of constructed members, each the generator times
+    a random polynomial of degree at most 8; the shared sample pool for the
+    invariance harnesses and the scale-invariance checks."""
     rng = np.random.default_rng([_check_count(seed, "seed"), 77])
     return [
-        sample_element(spec, random_series(rng, max_degree), tol)
+        sample_element(spec, random_series(rng, 8), tol)
         for _ in range(_check_count(count, "count"))
     ]
 
 
-def log_distance_integral(spec, num_points=4096):
+def log_distance_integral(spec):
     """Boundary integral of ``log dist(z, K_0 ∪ Blaschke zeros)`` by the
-    midpoint trapezoid rule; +inf when that union is empty.
+    trapezoid rule on 4096 nodes; +inf when that union is empty.
 
-    Nodes sit at midpoint-shifted angles so a boundary set point never
-    lands on a node (a node on the set would force the integrand to -inf).
-    The integrand's log singularities are integrable, so the estimate
-    converges as the node count grows, at first order rather than
-    spectrally.
+    The nodes are shifted, as a whole, to the middle of the widest gap
+    between the points' angles counted in node steps mod 1, so no point
+    lands on a node (a node on the set would force the integrand to -inf);
+    points on the node grid give the midpoint rule.  The integrand's log
+    singularities are integrable, so the estimate converges as the node
+    count grows, at first order rather than spectrally.
     """
-    m = _check_count(num_points, "num_points", 1)
+    m = 4096
     pts = list(spec.boundary_sets[0]) + [a for a, _ in spec.inner.zeros]
     if not pts:
         return math.inf
-    pts = np.asarray(pts, dtype=complex)
-    theta = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
-    nodes = np.exp(1j * theta)
-    dist = np.min(np.abs(nodes[:, None] - pts[None, :]), axis=1)
-    return float(np.sum(np.log(dist)) * (2.0 * math.pi / m))
+    step = 2.0 * math.pi / m
+    ts = sorted(cmath.phase(a) / step % 1.0 for a in pts)
+    gap, start = max((b - a, a) for a, b in zip(ts, ts[1:] + [ts[0] + 1.0]))
+    nodes = np.exp(1j * ((np.arange(m) + (start + gap / 2) % 1.0) * step))
+    dist = np.min(np.abs(nodes[:, None] - np.asarray(pts, dtype=complex)[None, :]), axis=1)
+    return float(np.sum(np.log(dist)) * step)
 
 
 def _perturbed(f):

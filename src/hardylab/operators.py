@@ -19,9 +19,7 @@ from .series import (
     _reweighted,
     add,
     derivative,
-    monomial,
     multiply,
-    scale,
     zero,
 )
 
@@ -29,7 +27,6 @@ __all__ = [
     "shift",
     "volterra",
     "shift_plus_volterra",
-    "shift_plus_volterra_composed",
     "nth_derivative",
     "nth_antiderivative",
     "lift_approximant",
@@ -69,13 +66,6 @@ def shift_plus_volterra(f, n):
     n = _check_count(n, "operator parameter n", 1)
     weights, divisors = (range(n + 1, f.order + n + 2), 1), (range(1, f.order + 2), 1)
     return _reweighted(f, weights, divisors, offset=1)
-
-
-def shift_plus_volterra_composed(f, n):
-    """The same operator assembled from its parts; cross-check for the
-    closed form."""
-    n = _check_count(n, "operator parameter n", 1)
-    return add(shift(f), scale(volterra(f, monomial(1)), n))
 
 
 def nth_derivative(f, n):

@@ -3,8 +3,7 @@
 Everything else in the package works on these objects: a series is a plain
 polynomial ``c_0 + c_1 z + ... + c_N z**N`` stored densely.  Truncating an
 infinite Taylor expansion down to one of these is the caller's modelling
-decision; the arithmetic here is exact polynomial arithmetic up to the
-requested truncation degree.
+decision; the arithmetic here is exact polynomial arithmetic.
 
 Two coefficient modes exist.  The default is double-precision complex,
 stored as one read-only, finite ``complex128`` array (a result that
@@ -543,43 +542,30 @@ def _smooth_size(n):
     return best
 
 
-def multiply(f, g, out_order=None):
-    """Cauchy product truncated at ``out_order`` (default: full product order).
+def multiply(f, g):
+    """Cauchy product, of order ``f.order + g.order``.
 
-    With the default the product is exact for polynomials; a smaller
-    ``out_order`` truncates, a larger one zero-pads.  Exact mode multiplies
-    by Kronecker substitution, or by a one-coefficient factor as ``scale``
+    The product is exact for polynomials.  Exact mode multiplies by
+    Kronecker substitution, or by a one-coefficient factor as ``scale``
     does.  Float mode goes through ``np.convolve``, or, once both factors
     have more than ``_FFT_PRODUCT_LEN`` coefficients, through an FFT of
     2*3*5-smooth length; the FFT's rounding error is relative to the
     largest output coefficient, not to each one.
     """
-    if out_order is None:
-        out_order = f.order + g.order
-    size = _check_count(out_order, "out_order") + 1
     if f.exact and g.exact:
         if g.order and not f.order:
             f, g = g, f
         (fr, fi, fd), (gr, gi, gd) = f._c, g._c
         if not g.order:  # a constant factor needs no Kronecker packing
-            pad = (0,) * (size - len(fr))
-            return _exact_scaled(fr[:size] + pad, fi[:size] + pad, gr[0], gi[0], fd * gd)
-        re, im = _kronecker_product(fr[:size], fi[:size], gr[:size], gi[:size])
-        pad = [0] * (size - len(re))
-        return _exact_series(re[:size] + pad, im[:size] + pad, fd * gd)
+            return _exact_scaled(fr, fi, gr[0], gi[0], fd * gd)
+        return _exact_series(*_kronecker_product(fr, fi, gr, gi), fd * gd)
     fa, ga = _complex_coeffs(f), _complex_coeffs(g)
     if min(fa.size, ga.size) > _FFT_PRODUCT_LEN:
-        # coefficients above out_order cannot reach the kept degrees
-        fa, ga = fa[:size], ga[:size]
         full = fa.size + ga.size - 1
         m = _smooth_size(full)
         conv = _quietly(lambda: np.fft.ifft(np.fft.fft(fa, m) * np.fft.fft(ga, m)))
-        conv = conv[: min(full, size)]
-    else:
-        conv = np.convolve(fa, ga)[:size]  # np.convolve overflows without warning
-    out = np.zeros(size, dtype=complex)
-    out[: conv.size] = conv
-    return _float_series(out)
+        return _float_series(conv[:full])
+    return _float_series(np.convolve(fa, ga))  # np.convolve overflows without warning
 
 
 def _check_perm_range(f, what, top, m):
@@ -630,12 +616,17 @@ def evaluate(f, z):
 
     Exact coefficients with an exact z give an exact ``RationalComplex``,
     computed by Gaussian-integer Horner with one final division; any float
-    or complex operand degrades the result to complex.
+    or complex operand degrades the result to complex, and a complex value
+    that is not finite (an infinite or NaN point, or an overflow) raises
+    ValueError.
     """
     w = _gaussian(z) if f.exact else None
     if w is None:  # an exact point meets float coefficients as complex()
         z = complex(z) if isinstance(z, RationalComplex) else z
-        return _horner(_complex_coeffs(f).tolist(), z)
+        value = _horner(_complex_coeffs(f).tolist(), z)
+        if not cmath.isfinite(value):
+            raise ValueError(f"the order-{f.order} series at z={z!r} has no finite value")
+        return value
     (zr, zi, zd), (re, im, fd) = w, f._c
     ar, ai, power = re[-1], im[-1], 1
     for k in range(len(re) - 2, -1, -1):

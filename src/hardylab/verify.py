@@ -371,7 +371,7 @@ def suite_algebra(cfg):
     t_rec, t_recf = _Tracker(), _Tracker()
     for idx in range(50):
         n = 1 + idx % 3
-        fr = zero_head(random_rational_series(rng, 32), 0)
+        fr = random_rational_series(rng, 32)
         rebuilt = lift_approximant(fr, nth_derivative(fr, n), n)
         t_rec.record(_exact_eq_margin(rebuilt, fr), sample=idx, n=n, f=fr)
         ff = random_series(rng, cfg.order)
@@ -445,7 +445,7 @@ def suite_intertwine(cfg):
         fr = random_rational_series(rng, rational_degree)
         ff = random_series(rng, cfg.order)
         # the operands that do not depend on n, built once per sample; the
-        # composed operator is shift_plus_volterra_composed's own sum
+        # composed operator is their sum shift(f) + n * volterra(f, z)
         shifted, integrated = shift(fr), volterra(fr, monomial(1))
         lower = fr  # derivative(fr, n - 1): the previous n's nth_derivative
         for n in range(1, 6):
