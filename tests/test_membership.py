@@ -388,6 +388,15 @@ class TestLogDistanceIntegral:
             value = log_distance_integral(spec)
         assert math.isfinite(value) and abs(value) < 2e-3
 
+    def test_points_on_the_node_grid_keep_the_midpoint_rule(self):
+        # 1 and i sit on the unshifted node grid, so the nodes land halfway
+        # between grid points, as in the plain midpoint rule
+        spec = SubspaceSpec(((1 + 0j, 1j),), TRIVIAL, SpaceParams(1, 2.0))
+        nodes = np.exp(1j * (np.arange(4096) + 0.5) * (2 * math.pi / 4096))
+        dist = np.minimum(np.abs(nodes - 1), np.abs(nodes - 1j))
+        midpoint = float(np.sum(np.log(dist)) * (2 * math.pi / 4096))
+        assert log_distance_integral(spec) == pytest.approx(midpoint, rel=1e-9)
+
     def test_empty_union_is_infinite(self):
         spec = SubspaceSpec(((),), TRIVIAL, SpaceParams(1, 2.0))
         assert log_distance_integral(spec) == math.inf
@@ -496,6 +505,9 @@ class TestCountArguments:
                      id="monomial--1"),
         pytest.param(lambda: derivative(TaylorSeries([1.0, 2.0]), -1),
                      "derivative count must be an integer >= 0, got -1", id="derivative-count--1"),
+        pytest.param(lambda: shift_plus_volterra(TaylorSeries([1.0, 2.0]), True),
+                     "operator parameter n must be an integer >= 1, got True",
+                     id="combined-n-bool"),
         pytest.param(lambda: nth_antiderivative(TaylorSeries([1.0, 2.0]), -1),
                      "operator parameter n must be an integer >= 1, got -1",
                      id="antiderivative-n--1"),

@@ -185,6 +185,13 @@ class TestArithmetic:
         f = TaylorSeries([2.0, -1.0, 3.5])
         assert multiply(f, TaylorSeries([1])) == f
 
+    @pytest.mark.parametrize("one", [1, 1.0], ids=["exact", "float"])
+    def test_multiply_order_is_the_sum_of_orders(self, one):
+        # the product keeps every degree, trailing zeros included
+        f, g = TaylorSeries([one, 0]), TaylorSeries([one, one, 0])
+        out = multiply(f, g)
+        assert out.order == 3 and out == TaylorSeries([1, 1])
+
     def test_scale_takes_numbers_only(self):
         # complex() would read "2" and Decimal("2"); a product with them never could
         for bad in ("2", Decimal("2"), None):
