@@ -26,12 +26,13 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .inner import InnerFunction, inner_from_dict, inner_to_dict, zero_residuals
-from .norms import SpaceParams, _boundary_scales, boundary_scale
+from .norms import SpaceParams, _grid_peaks, boundary_scale
 from .operators import nth_antiderivative, nth_derivative, shift, shift_plus_volterra
 from .report import VerificationReport, _Tracker
 from .series import (TaylorSeries, _check_count, _json_numbers, add, derivative, evaluate,
@@ -206,6 +207,13 @@ class MembershipResult:
         return self.member
 
 
+def _check_tol(tol):
+    """ValueError unless tol is a finite positive real number; a bool is not a tolerance."""
+    # float first: a float tol skips the slower numbers.Real ABC check
+    if type(tol) is bool or not (isinstance(tol, (float, numbers.Real)) and 0 < tol < math.inf):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+
+
 def membership(f, spec, tol=1e-9):
     """Decide membership of f in the subspace, one condition at a time.
 
@@ -214,8 +222,7 @@ def membership(f, spec, tol=1e-9):
     conditions), so the verdict does not change when f is rescaled.  The
     zero series is a member of every subspace and short-circuits.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    _check_tol(tol)
     ensure_valid(spec)
     if f.is_zero:
         cond = ConditionResult(
@@ -227,7 +234,7 @@ def membership(f, spec, tol=1e-9):
     derivs = [f]
     for _ in range(spec.n - 1):
         derivs.append(derivative(derivs[-1], 1))
-    scales = _boundary_scales(derivs)
+    scales = [peak for peak, _, _ in _grid_peaks(derivs)]
 
     conditions = []
     for j, ks in enumerate(spec.boundary_sets):
@@ -299,6 +306,7 @@ def sample_element(spec, h, tol=1e-9):
     is an implementation bug and raises RuntimeError.  Specs with singular
     atoms cannot be sampled by polynomials and are rejected.
     """
+    _check_tol(tol)
     ensure_valid(spec)
     if spec.inner.has_atoms:
         raise ValueError(
@@ -330,6 +338,7 @@ def sampled_members(spec, count, seed=0, tol=1e-9):
     a random polynomial of degree at most 8; the shared sample pool for the
     invariance harnesses and the scale-invariance checks."""
     rng = np.random.default_rng([_check_count(seed, "seed"), 77])
+    _check_tol(tol)
     return [
         sample_element(spec, random_series(rng, 8), tol)
         for _ in range(_check_count(count, "count"))
@@ -378,6 +387,8 @@ def _invariance_claim(spec, samples, tol, seed, negative_control, claim, probes,
     least membership margin, the witness the first non-member; ``extra``
     goes into the claim's config before the negative-control flag."""
     samples, seed = _check_count(samples, "samples", 1), _check_count(seed, "seed")
+    if not isinstance(negative_control, bool):
+        raise ValueError(f"negative_control must be True or False, got {negative_control!r}")
     config = (f"samples={samples} tol={tol} seed={seed} {extra}"
               f"negative-control={'on' if negative_control else 'off'}")
     t = _Tracker()

@@ -15,7 +15,9 @@ four norms of one series (H^p, recursive, derivative-sum, sup-sum) come
 from one chain, one ladder and one batch of means (:func:`_norm_family`).
 The ``_*_parts`` functions split a derivative norm into the rows it
 measures and the function of their norms, so that a caller can batch the
-rows of many series.
+rows of many series.  The same budget blocks the battery's draws
+(:func:`_blocks`), and every boundary maximum (:func:`boundary_scale`,
+each sup's grid max) comes from one batched sampler, :func:`_grid_peaks`.
 
 Quadrature modes:
 
@@ -139,11 +141,6 @@ def _transform(buf):
     return buf
 
 
-def _grid_abs(c, m):
-    """|f| at the m-th roots of unity, f with coefficients c."""
-    return _quietly(lambda: np.abs(_transform(_stack([c], m, complex))[0]))
-
-
 def boundary_values(f, num_points):
     """Values of f at ``num_points`` uniform samples of the unit circle.
 
@@ -170,20 +167,20 @@ def boundary_scale(f):
     Used as the natural magnitude reference when a residual has to be
     compared scale-free against f itself.
     """
-    return _boundary_scales([f])[0]
+    return _grid_peaks([f])[0][0]
 
 
-def _boundary_scales(series, floor=256):
-    """:func:`boundary_scale` of each series, at another ``floor`` the grid
-    max of :func:`sup_bracket` at that ``num_points``: the nonzero ones
-    sampled in batched transforms per node count (:func:`_fit`); each
-    row's ``abs`` and ``max`` are elementwise, so every scale is the
-    one-series value bit for bit."""
-    groups = {}
+def _grid_peaks(series, floor=256):
+    """``(peak, j, m)`` of each series: the max of |f| on m = max(floor,
+    4(N + 1)) boundary nodes, at node j.  The nonzero series are sampled in
+    batched transforms per m (:func:`_fit`), each row's ``abs`` and
+    ``argmax`` elementwise, so every peak is the one-series value bit for
+    bit; the zero series takes no row and reads ``(0.0, 0, m)``."""
+    groups, peaks = {}, []
     for i, f in enumerate(series):
+        peaks.append((0.0, 0, _effective_points(f, floor)))
         if not f.is_zero:
-            groups.setdefault(_effective_points(f, floor), []).append(i)
-    peaks = [0.0] * len(series)
+            groups.setdefault(peaks[i][2], []).append(i)
 
     def sample():
         for m, idx in groups.items():
@@ -192,11 +189,11 @@ def _boundary_scales(series, floor=256):
                 chunk = idx[a:a + step]
                 rows = np.abs(_transform(_stack([_complex_coeffs(series[i]) for i in chunk],
                                                 m, complex)))
-                for i, peak in zip(chunk, rows.max(axis=1).tolist()):
-                    peaks[i] = peak
+                for i, row, j in zip(chunk, rows, rows.argmax(axis=1).tolist()):
+                    peaks[i] = (row[j], j, m)
 
     _quietly(sample)
-    return [_finite_sum([peak]) for peak in peaks]
+    return [(_finite_sum([peak]), j, m) for peak, j, m in peaks]
 
 
 def _check_exponent(p):
@@ -379,6 +376,22 @@ def _fit(entries):
     return max(1, _BLOCK_ELEMS // entries)
 
 
+def _blocks(draws):
+    """The draws, tuples holding their series, in consecutive lists whose
+    series hold at most ``_BLOCK_ELEMS`` coefficients, or one larger draw:
+    a battery suite holds one block at a time, its rows and per-sample scalars."""
+    block, held = [], 0
+    for draw in draws:
+        size = sum(x.order + 1 for x in draw if isinstance(x, TaylorSeries))
+        if block and held + size > _BLOCK_ELEMS:
+            yield block
+            block, held = [], 0
+        block.append(draw)
+        held += size
+    if block:
+        yield block
+
+
 def hp_norm(f, p, cfg=None):
     """The H^p norm of the stored polynomial.
 
@@ -473,9 +486,9 @@ def _sn_parts(f, depths):
 
 def _unrolled_parts(f, n):
     """:func:`sn_norm_unrolled` as ``(rows, finish)``, as :func:`_sn_parts`."""
-    n = _depth(f, n)
-    heads = _finite_sum(abs(complex(_complex_coeffs(derivative(f, k))[0])) for k in range(n))
-    return [derivative(f, n)], lambda norms: _finite_sum([heads + norms[0]])
+    *rungs, tail = _ladder(f, n)
+    heads = _finite_sum(abs(complex(_complex_coeffs(g)[0])) for g in rungs)
+    return [tail], lambda norms: _finite_sum([heads + norms[0]])
 
 
 def sn_norm_unrolled(f, params, cfg=None):
@@ -510,8 +523,9 @@ def sup_sum_norm(f, params, cfg=None):
 
 
 def _sups(ladder, cfg):
-    """The sum of the boundary sups of a ladder's rungs but the last."""
-    return _finite_sum(sup_norm(g, cfg) for g in ladder[:-1])
+    """The sum of the boundary sups of a ladder's rungs but the last, from
+    one :func:`_sup_walks` call."""
+    return _finite_sum(lo for lo, _ in _sup_walks(ladder[:-1], cfg))
 
 
 def _family_parts(f, params, cfg):
@@ -592,7 +606,7 @@ def sup_bracket(f, cfg=None):
     beyond double range raise ValueError, and so does an ``hi`` beyond it.
     """
     cfg = cfg if cfg is not None else QuadratureConfig()
-    lo, grid = _sup_walk(f, cfg)
+    lo, grid = _sup_walks([f], cfg)[0]
     return lo, _sup_upper(f, cfg, grid)
 
 
@@ -601,31 +615,22 @@ def _sup_upper(f, cfg, grid):
     return _finite_sum([grid * _sup_slack(f, cfg)])
 
 
-def _sup_grid(f, cfg):
-    """``(grid max, j, m, c)``: the max of |f| on the m = max(num_points,
-    4(N + 1)) boundary nodes of :func:`sup_bracket`, its node j, and the
-    coefficients c."""
-    m, c = _effective_points(f, cfg.num_points), _complex_coeffs(f)
-    vals = _grid_abs(c, m)
-    j = int(np.argmax(vals))
-    return _finite_sum([vals[j]]), j, m, c
-
-
-def _sup_walk(f, cfg):
-    """``(lo, grid max)`` of :func:`sup_bracket`."""
-    if f.is_zero:
-        return 0.0, 0.0
-    grid, j, m, c = _sup_grid(f, cfg)
-    t, h = 2 * math.pi * j / m, 2 * math.pi / m
-    # a constant's grid max is its sup and its hi: no walk to round past it
-    peak = _quietly(_peak_walk, c, t, h) if f.order else grid
-    return max(grid, peak), grid
+def _sup_walks(series, cfg):
+    """``(lo, grid max)`` of :func:`sup_bracket` for each series, from one
+    :func:`_grid_peaks` call: ``lo`` walks from the best node j."""
+    cfg, out = cfg if cfg is not None else QuadratureConfig(), []
+    for f, (grid, j, m) in zip(series, _grid_peaks(series, cfg.num_points)):
+        # a constant's grid max is its sup and its hi: no walk to round past it
+        peak = (_quietly(_peak_walk, _complex_coeffs(f), 2 * math.pi * j / m, 2 * math.pi / m)
+                if f.order and not f.is_zero else grid)
+        out.append((max(grid, peak), grid))
+    return out
 
 
 def sup_norm(f, cfg=None):
     """Boundary sup of |f|, from below: the lower end of :func:`sup_bracket`,
     which stays finite where only the upper end leaves double range."""
-    return _sup_walk(f, cfg if cfg is not None else QuadratureConfig())[0]
+    return _sup_walks([f], cfg)[0][0]
 
 
 def hardy_sum(f):

@@ -668,10 +668,9 @@ def from_dict(data):
     pairs = data["coeffs"]
     if not isinstance(pairs, list) or not pairs:
         raise ValueError("'coeffs' must be a non-empty list of [re, im] pairs")
-    if data["order"] != len(pairs) - 1:
-        raise ValueError(
-            f"order {data['order']} does not match {len(pairs)} coefficients"
-        )
+    order = _check_count(data["order"], "order")
+    if order != len(pairs) - 1:
+        raise ValueError(f"order {order} does not match {len(pairs)} coefficients")
     return _float_series(_json_numbers(pairs, 2, "a coefficient").view(complex).ravel())
 
 

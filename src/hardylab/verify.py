@@ -9,15 +9,16 @@ mutated sample) and the twisted claims are expected to fail; that is the
 battery's own falsifiability check.
 
 A suite that measures norms works in three steps: it draws a block of
-samples (:func:`_blocks`), measures every H^p norm the block needs in one
+samples (``norms._blocks``), measures every H^p norm the block needs in one
 ``_hp_norms`` call per (p, quadrature config) (:class:`_Batch`), and records
-the margins sample by sample.  A block's series hold at most
-``_BLOCK_ELEMS`` = 8192 coefficients (one larger draw is a block of its
+the margins sample by sample.  A block's series hold at most the norms
+module's budget of 8192 coefficients (one larger draw is a block of its
 own), so what a suite holds stays bounded at any order: at order 8 one
-block is the whole suite, at order 16384 one sample.  No draw depends on a
-result, and a batched norm equals its one-series norm bit for bit, so each
-claim's tracker sees the margins a sample-by-sample loop makes, in its
-order: no slack or witness can move.
+block is the whole suite, at order 16384 one sample; ``sup-chain`` reads
+its grid maxima from one ``norms._grid_peaks`` call per block.  No draw
+depends on a result, and a batched norm equals its one-series norm bit for
+bit, so each claim's tracker sees the margins a sample-by-sample loop
+makes, in its order: no slack or witness can move.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 from .membership import (
     SubspaceSpec,
+    _perturbed,
     combined_invariance_check,
     log_distance_integral,
     membership,
@@ -40,11 +42,11 @@ from .membership import (
 )
 from .inner import InnerFunction
 from .norms import (
-    _BLOCK_ELEMS,
     QuadratureConfig,
     SpaceParams,
-    _boundary_scales,
+    _blocks,
     _family_parts,
+    _grid_peaks,
     _hp_norms,
     _sn_chain,
     _sn_parts,
@@ -52,7 +54,6 @@ from .norms import (
     _sup_slack,
     _sup_upper,
     _unrolled_parts,
-    boundary_scale,
     hardy_sum,
 )
 from .operators import (
@@ -149,22 +150,6 @@ def _exact_eq_margin(a, b):
     return 0.0 if a == b else -1.0
 
 
-def _blocks(draws):
-    """The draws, tuples holding their series, in consecutive lists whose
-    series hold at most ``_BLOCK_ELEMS`` coefficients, or one larger draw:
-    a suite holds one block at a time, its rows and per-sample scalars."""
-    block, held = [], 0
-    for draw in draws:
-        size = sum(x.order + 1 for x in draw if isinstance(x, TaylorSeries))
-        if block and held + size > _BLOCK_ELEMS:
-            yield block
-            block, held = [], 0
-        block.append(draw)
-        held += size
-    if block:
-        yield block
-
-
 class _Batch:
     """The H^p norms one block of samples needs.  :meth:`add` queues one
     request, rows at one (p, cfg); :meth:`run` measures every queued row in
@@ -230,8 +215,8 @@ def suite_sup_chain(cfg):
         for idx, f, n, p in block:
             means.add(p, qcfg, *_sn_parts(f, (1, n - 1, n)))
         # the sup-bound reads only hi: the grid max, with no walk to the peak
-        grids = _boundary_scales([f for _, f, _, _ in block], cfg.points)
-        for (idx, f, n, p), grid, (at_one, lower, upper) in zip(block, grids, means.run()):
+        peaks = _grid_peaks([f for _, f, _, _ in block], cfg.points)
+        for (idx, f, n, p), (grid, _, _), (at_one, lower, upper) in zip(block, peaks, means.run()):
             witness = dict(sample=idx, n=n, p=p, coeffs=f)
             t_sup.record(const * at_one + cfg.tol - _sup_upper(f, qcfg, grid), **witness)
             t_chain.record(const * upper + cfg.tol - lower, **witness)
@@ -593,8 +578,7 @@ def suite_scale(cfg):
             for stage, g in (("element", f), ("shifted", shift(f))):
                 variants = [g, scale(g, 1e6), scale(g, 1e-6)]
                 if cfg.negative_control:
-                    bump = 1e-3 * max(boundary_scale(g), 1.0)
-                    variants[1] = add(scale(g, 1e6), TaylorSeries([bump * 1e6]))
+                    variants[1] = scale(_perturbed(g), 1e6)
                 verdicts = [membership(v, spec, cfg.tol).member for v in variants]
                 t.record(0.0, len(set(verdicts)) == 1,
                          sample=idx, stage=stage, verdicts=verdicts, coeffs=f)

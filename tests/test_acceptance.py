@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from hardylab import RunConfig, SUITES, combined_invariance_check, fixed_specs, run_suites
-from hardylab import norms, report, verify
+from hardylab import norms, report
 
 CFG = RunConfig(order=64, seed=7)
 SPEC_NAMES = ("one-zero", "nested", "two-zero")
@@ -157,7 +157,6 @@ def test_raw_margins_are_pinned(monkeypatch, budget):
     # at budget 1 every draw is its own block and every buffer holds one
     # series: how the draws and norms are blocked moves no margin
     if budget is not None:
-        monkeypatch.setattr(verify, "_BLOCK_ELEMS", budget)
         monkeypatch.setattr(norms, "_BLOCK_ELEMS", budget)
     margins = []
     record = report._Tracker.record

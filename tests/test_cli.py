@@ -158,6 +158,16 @@ class TestNormCommand:
         assert "not finite" in captured.err
         assert "nan" not in captured.out and "inf" not in captured.out
 
+    @pytest.mark.parametrize("order", ["true", '"1"'], ids=["bool", "string"])
+    def test_order_that_is_not_a_count_is_usage_error(self, tmp_path, capsys, order):
+        # {"order": true} used to load as order 1 and exit 0
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"order": {order}, "coeffs": [[1.0, 0.0], [2.0, 0.0]]}}',
+                        encoding="utf-8")
+        assert main(["norm", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "order must be an integer >= 0" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("part", ["null", "[1.0]", '{"re": 1.0}', "1" + "0" * 400, '"12"',
                                       "true"],

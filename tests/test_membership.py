@@ -140,6 +140,30 @@ class TestMembership:
         assert failing[0].residual == pytest.approx(2.0)
         assert failing[0].threshold < 1e-6
 
+    @pytest.mark.parametrize("tol", ["1e-9", None, 1j, True, math.nan],
+                             ids=["str", "none", "complex", "bool", "nan"])
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda tol: membership(_poly_with_roots(1.0, 1.0, -1.0), NESTED, tol),
+                     id="membership"),
+        pytest.param(lambda tol: membership(TaylorSeries([0j]), NESTED, tol),
+                     id="membership-zero"),
+        pytest.param(lambda tol: sample_element(NESTED, TaylorSeries([1.0]), tol),
+                     id="sample-element"),
+        pytest.param(lambda tol: sample_element(NESTED, TaylorSeries([0.0]), tol),
+                     id="sample-element-zero-h"),
+        pytest.param(lambda tol: sampled_members(NESTED, 2, 0, tol), id="sampled-members"),
+        pytest.param(lambda tol: sampled_members(NESTED, 0, 0, tol), id="sampled-members-none"),
+        pytest.param(lambda tol: shift_invariance_check(NESTED, 2, tol), id="shift-harness"),
+        pytest.param(lambda tol: combined_invariance_check(ONE_ZERO, 2, tol),
+                     id="combined-harness"),
+    ])
+    def test_tolerance_that_is_not_a_positive_real_is_a_value_error(self, call, tol):
+        # "1e-9", None and 1j used to raise TypeError from math.isfinite, and
+        # True passed as a tolerance of 1
+        with pytest.raises(ValueError) as exc:
+            call(tol)
+        assert str(exc.value) == f"tolerance must be finite and positive, got {tol!r}"
+
     def test_zero_series_short_circuits(self):
         res = membership(TaylorSeries([0.0, 0.0]), NESTED)
         assert res.member
@@ -426,6 +450,15 @@ class TestInvarianceHarnesses:
         )
         assert not rep.passed
         assert "multiple=2" in rep.failures[0].witness
+
+    @pytest.mark.parametrize("check, spec", [
+        (shift_invariance_check, NESTED), (combined_invariance_check, ONE_ZERO)])
+    @pytest.mark.parametrize("flag", ["no", 0.0, 1, None], ids=["str", "float", "int", "none"])
+    def test_negative_control_that_is_not_a_bool_is_a_value_error(self, check, spec, flag):
+        # "no" used to run the twisted harness and 0.0 the plain one
+        with pytest.raises(ValueError) as exc:
+            check(spec, 3, 1e-9, 0, flag)
+        assert str(exc.value) == f"negative_control must be True or False, got {flag!r}"
 
     def test_combined_harness_needs_zero_mode(self):
         with pytest.raises(ValueError, match="zero"):

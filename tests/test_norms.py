@@ -120,7 +120,7 @@ class TestQuadratureMachinery:
             m = max(256, 4 * (order + 1))
             assert boundary_scale(f) == np.abs(boundary_values(f, m)).max()
 
-    def test_batched_boundary_scales_are_the_one_series_scales(self):
+    def test_batched_grid_peaks_are_the_one_series_boundary_scale(self):
         # below order 64 the rows share 256 nodes, above it each order has
         # its own count; a zero series in a batch takes no row and reads 0.0
         rng = np.random.default_rng(38)
@@ -129,22 +129,25 @@ class TestQuadratureMachinery:
         fs = [fs[i] for i in rng.permutation(len(fs))]
         batches = [fs, fs[:7], fs[-40:], [fs[0]], []]
         for batch in batches:
-            scales = norms._boundary_scales(batch)
+            scales = [peak for peak, _, _ in norms._grid_peaks(batch)]
             assert [type(s) for s in scales] == [float] * len(batch)
             for f, s in zip(batch, scales):
                 m = max(256, 4 * (f.order + 1))
                 ref = 0.0 if f.is_zero else np.abs(boundary_values(f, m)).max()
                 assert s == boundary_scale(f) == ref
 
-    def test_batched_boundary_scales_at_a_floor_are_the_sup_grid_maxima(self):
-        # sup-chain's grid maxima: at 5000 nodes a group takes one row a buffer
+    @pytest.mark.parametrize("floor", [4, 256, 5000])
+    def test_grid_peaks_are_the_max_and_argmax_of_the_boundary_values(self, floor):
+        # several node counts and zero series of two orders in one batch; at
+        # 5000 nodes a group takes one row a buffer
         rng = np.random.default_rng(39)
         fs = [_random_series(rng, order) for order in (0, 3, 8, 8, 63, 64, 1023, 1300)]
-        fs.insert(2, zero())
-        for points in (4, 256, 5000):
-            cfg = QuadratureConfig(num_points=points)
-            assert norms._boundary_scales(fs, points) == [
-                0.0 if f.is_zero else norms._sup_grid(f, cfg)[0] for f in fs]
+        fs[2:2] = [zero(), TaylorSeries([0j] * 7)]
+        for f, (peak, j, m) in zip(fs, norms._grid_peaks(fs, floor)):
+            assert m == max(floor, 4 * (f.order + 1))
+            vals = np.abs(boundary_values(f, m))
+            assert (peak, j) == ((0.0, 0) if f.is_zero else (vals.max(), int(vals.argmax())))
+            assert type(peak) is float and type(j) is int
 
     @pytest.mark.filterwarnings("error")
     def test_batched_boundary_scale_beyond_double_range_is_the_one_series_error(self):
@@ -152,7 +155,7 @@ class TestQuadratureMachinery:
         with pytest.raises(ValueError) as one:
             boundary_scale(bad)
         with pytest.raises(ValueError) as batched:
-            norms._boundary_scales([ONE_PLUS_Z, zero(), bad, TaylorSeries([0.5] * 90)])
+            norms._grid_peaks([ONE_PLUS_Z, zero(), bad, TaylorSeries([0.5] * 90)])
         assert str(batched.value) == str(one.value)
 
     @pytest.mark.parametrize("p", ["3", None, 3j])
@@ -281,14 +284,29 @@ class TestSpaceNorms:
                 f = _random_series(rng, order)
                 lo, hi = sup_bracket(f, cfg)
                 m = max(points, 4 * (order + 1))
+                grid = np.abs(boundary_values(f, m)).max()
                 dense = float(np.abs(boundary_values(f, 64 * m)).max())
                 # the sup lies within dense's own slack of the dense max
                 top = dense / math.sqrt(math.cos(math.pi * order / (64 * m)))
-                assert sup_norm(f, cfg) == lo and np.abs(boundary_values(f, m)).max() <= lo <= hi
-                # the sup-chain suite reads hi without the walk
-                assert norms._sup_upper(f, cfg, norms._sup_grid(f, cfg)[0]) == hi
+                assert sup_norm(f, cfg) == lo and grid <= lo <= hi
+                # the sup-chain suite reads hi from the grid max, without the walk
+                assert norms._sup_upper(f, cfg, grid) == hi
                 # both FFTs and the walk's sums round
                 assert lo <= top * (1 + 1e-12) and dense <= hi * (1 + 1e-12)
+
+    @pytest.mark.parametrize("cfg", [None, QuadratureConfig(num_points=8)], ids=["4096", "8"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sup_sum_norm_is_the_rung_sups_plus_the_tail_norm(self, n, cfg):
+        # the rungs' sups come from one batch of grid peaks, at 8 points one
+        # node count per rung; each is the rung's own sup_norm
+        rng = np.random.default_rng(40)
+        for order in (0, 1, 2, 5, 64, 300):
+            f = _random_series(rng, order)
+            ladder = [derivative(f, k) for k in range(min(n, order + 1) + 1)]
+            sups = math.fsum(sup_norm(g, cfg) for g in ladder[:-1])
+            for p in (1.0, 2.0, 3.0):
+                expected = sups + hp_norm(ladder[-1], p, cfg)
+                assert sup_sum_norm(f, SpaceParams(n, p), cfg).hex() == expected.hex()
 
     def test_sup_norm_dominates_hp(self):
         rng = np.random.default_rng(9)

@@ -302,6 +302,22 @@ class TestSerialization:
         with pytest.raises(ValueError):
             from_dict({"order": 3, "coeffs": [[1.0, 0.0]]})
 
+    @pytest.mark.parametrize("order, message", [
+        (True, "order must be an integer >= 0, got True"),
+        ("1", "order must be an integer >= 0, got '1'"),
+        (1.5, "order must be an integer >= 0, got 1.5"),
+        (None, "order must be an integer >= 0, got None"),
+        (-1, "order must be an integer >= 0, got -1"),
+    ], ids=["bool", "string", "fraction", "none", "negative"])
+    def test_order_that_is_not_a_count_rejected(self, order, message):
+        # True used to load as order 1, and "1" to say it did not match 2 coefficients
+        with pytest.raises(ValueError) as exc:
+            from_dict({"order": order, "coeffs": [[1.0, 0.0], [2.0, 0.0]]})
+        assert str(exc.value) == message
+
+    def test_integral_float_order_is_read(self):
+        assert from_dict({"order": 1.0, "coeffs": [[1.0, 0.0], [2.0, 0.0]]}).order == 1
+
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             from_dict({"coeffs": [[1.0, 0.0]]})

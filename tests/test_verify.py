@@ -26,7 +26,7 @@ class TestSampleBlocks:
                 yield draw
 
         blocks = []
-        for block in verify._blocks(lazily()):
+        for block in norms._blocks(lazily()):
             # a block comes before the draw after it: at most one draw ahead
             assert drawn[-1] <= block[-1][0] + 1
             blocks.append(block)
@@ -39,11 +39,11 @@ class TestSampleBlocks:
 
     def test_every_series_of_a_draw_counts(self):
         f, g = TaylorSeries([1.0] * 5000), TaylorSeries([1.0] * 4000)
-        blocks = list(verify._blocks([(0, f, g), (1, f), (2, g, f)]))
+        blocks = list(norms._blocks([(0, f, g), (1, f), (2, g, f)]))
         assert [[draw[0] for draw in block] for block in blocks] == [[0], [1], [2]]
 
     def test_no_draws_no_blocks(self):
-        assert list(verify._blocks([])) == []
+        assert list(norms._blocks([])) == []
 
 
 class TestBatch:
