@@ -10,12 +10,15 @@ for a singular factor, since the inner factor of a nonzero polynomial is a
 finite Blaschke product.  All vanishing thresholds are relative to the
 boundary scale of the derivative being tested, so verdicts are invariant
 under rescaling the function; the scales of all the derivatives come from
-batched boundary transforms.
+batched boundary transforms.  Each derivative's coefficients become one
+list of Python ``complex``, and every boundary condition runs Horner's rule
+on it (``series._horner``); the value at 0 is read off as ``c_0``.
 
-A spec cannot change once built, so its structural validation and the
-generator of its constructed members are computed once per spec object and
-kept on it: :func:`membership` and :func:`sample_element` re-check a spec
-by reading those cached claims.
+A spec cannot change once built, so its structural validation, the
+generator of its constructed members and the labels of its boundary and
+zero-mode conditions are computed once per spec object and kept on it:
+:func:`membership` and :func:`sample_element` re-check a spec by reading
+those cached claims, and :func:`membership` reads the cached labels.
 
 Every verdict is about the truncated coefficient data as given, never about
 an idealised infinite expansion.
@@ -35,8 +38,8 @@ from .inner import InnerFunction, inner_from_dict, inner_to_dict, zero_residuals
 from .norms import SpaceParams, _grid_peaks, boundary_scale
 from .operators import nth_antiderivative, nth_derivative, shift, shift_plus_volterra
 from .report import VerificationReport, _Tracker
-from .series import (TaylorSeries, _check_count, _json_numbers, add, derivative, evaluate,
-                     monomial, multiply)
+from .series import (TaylorSeries, _check_count, _complex_coeffs, _horner, _json_numbers, add,
+                     derivative, monomial, multiply)
 
 __all__ = [
     "SubspaceSpec",
@@ -69,9 +72,10 @@ class SubspaceSpec:
     infinite boundary point; the structural properties are checked by
     :func:`validate_spec` and reported, not raised.
 
-    Every field is immutable, so the structural claims and the generator of
-    :func:`sample_element` are computed once per spec object, at first use,
-    and kept on it; ``==``, ``hash`` and ``repr`` read the fields alone.
+    Every field is immutable, so the structural claims, the generator of
+    :func:`sample_element` and the condition labels of :func:`membership`
+    are computed once per spec object, at first use, and kept on it;
+    ``==``, ``hash`` and ``repr`` read the fields alone.
     """
 
     boundary_sets: tuple
@@ -102,6 +106,10 @@ class SubspaceSpec:
     @functools.cached_property
     def _generator(self):
         return _generator_of(self)
+
+    @functools.cached_property
+    def _labels(self):
+        return _condition_labels(self)
 
 
 def _contains(points, z, eps=_POINT_EPS):
@@ -235,18 +243,14 @@ def membership(f, spec, tol=1e-9):
     for _ in range(spec.n - 1):
         derivs.append(derivative(derivs[-1], 1))
     scales = [peak for peak, _, _ in _grid_peaks(derivs)]
+    coeffs = [_complex_coeffs(d).tolist() for d in derivs]
+    vanishing, heads = spec._labels
 
     conditions = []
-    for j, ks in enumerate(spec.boundary_sets):
-        for z in ks:
-            residual = abs(complex(evaluate(derivs[j], z)))
-            cap = tol * scales[j]
-            conditions.append(
-                ConditionResult(
-                    f"derivative-{j}-vanishes-at-{_fmt_point(z)}",
-                    residual <= cap, residual, cap,
-                )
-            )
+    for j, z, label in vanishing:
+        residual = abs(_horner(coeffs[j], z))
+        cap = tol * scales[j]
+        conditions.append(ConditionResult(label, residual <= cap, residual, cap))
 
     cap0 = tol * scales[0]
     for a, i, residual in zero_residuals(f, spec.inner):
@@ -265,18 +269,24 @@ def membership(f, spec, tol=1e-9):
             )
         )
 
-    if spec.zero_mode:
-        for m in range(spec.n):
-            residual = abs(complex(evaluate(derivs[m], 0)))
-            cap = tol * scales[m]
-            conditions.append(
-                ConditionResult(
-                    f"vanishing-at-0-order-{m}", residual <= cap, residual, cap,
-                )
-            )
+    # |f^(m)(0)| is |c_0|, the modulus Horner at 0 returns bit for bit
+    for m, label in enumerate(heads):
+        residual = abs(coeffs[m][0])
+        cap = tol * scales[m]
+        conditions.append(ConditionResult(label, residual <= cap, residual, cap))
 
     member = all(c.passed for c in conditions)
     return MembershipResult(member, tuple(conditions), f.order)
+
+
+def _condition_labels(spec):
+    """The labels of :func:`membership`'s conditions that depend on the spec
+    alone: ``(j, z, label)`` for each point z of each K_j, and in zero mode
+    the label of each order m < n of vanishing at 0."""
+    vanishing = tuple((j, z, f"derivative-{j}-vanishes-at-{_fmt_point(z)}")
+                      for j, ks in enumerate(spec.boundary_sets) for z in ks)
+    heads = tuple(f"vanishing-at-0-order-{m}" for m in range(spec.n)) if spec.zero_mode else ()
+    return vanishing, heads
 
 
 def _generator_of(spec):

@@ -113,7 +113,7 @@ class QuadratureConfig:
     mode: str = "auto"
 
     def __post_init__(self):
-        _check_count(self.num_points, "num_points", 4)
+        object.__setattr__(self, "num_points", _check_count(self.num_points, "num_points", 4))
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
 
@@ -312,9 +312,26 @@ def _means(series, p, mode, num_points):
     one transform, ``abs``, ``**p`` and row sum each; the coefficient sums'
     hold every radius at full length (the terms a cut drops are 0.0), and
     get one row sum each.  Each step works elementwise or per contiguous
-    row, so every mean is the one-series mean bit for bit.  The first
-    series with a mean that is not finite raises ValueError.
+    row, so every mean is the one-series mean bit for bit.  The work runs
+    without NumPy's overflow warnings, and the first series with a mean
+    that is not finite, or nonzero with an r = 1 mean of 0.0 (``|f|^p``
+    underflowed at a large p), raises ValueError.
     """
+    means = _quietly(_unchecked_means, series, p, mode, num_points)
+    for f, row in zip(series, means):
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"an integral mean of the order-{f.order} series is not finite "
+                             "in double precision")
+        # ||f||_p >= max |c_k|, so the r = 1 mean of a nonzero series is 0.0
+        # only where |f|^p underflowed
+        if row[-1] == 0.0 and not f.is_zero:
+            raise ValueError(f"an integral mean of the order-{f.order} series underflows to 0.0 "
+                             f"in double precision at p = {p}")
+    return means
+
+
+def _unchecked_means(series, p, mode, num_points):
+    """:func:`_means` before its checks: a mean beyond double range reads inf."""
     by_size = {}
     for i, f in enumerate(series):
         by_size.setdefault(f.order, []).append(i)
@@ -363,10 +380,6 @@ def _means(series, p, mode, num_points):
                 means[idx[k]] = [math.ldexp(x, e) for x in means[idx[k]]]
             except OverflowError:
                 means[idx[k]] = [math.inf]
-    for f, row in zip(series, means):
-        if not all(map(math.isfinite, row)):
-            raise ValueError(f"an integral mean of the order-{f.order} series is not finite "
-                             "in double precision")
     return means
 
 
@@ -397,7 +410,10 @@ def hp_norm(f, p, cfg=None):
 
     Returns the boundary integral mean, after asserting that the means on
     the radius grid (0.5, 0.75, 1.0) are nondecreasing; a violation means
-    the quadrature itself is broken and raises RuntimeError.
+    the quadrature itself is broken and raises RuntimeError.  A mean
+    beyond double range raises ValueError, and so does a nonzero series
+    whose norm would read 0.0 because ``|f|^p`` underflows (possible from
+    p of about 1075 on); a mean inside the disk may underflow to 0.0.
     """
     return _hp_norms([f], p, cfg)[0]
 

@@ -603,11 +603,15 @@ def _derivative(f, m):
 
 
 def _horner(cs, z):
-    """``sum cs[k] * z**k`` by Horner's rule, from the top coefficient down."""
+    """``sum cs[k] * z**k`` of the coefficient list cs, Python ``complex``,
+    by Horner's rule from the top coefficient down; ValueError unless the
+    value is finite."""
     it = reversed(cs)
     acc = next(it)
     for c in it:
         acc = acc * z + c
+    if not cmath.isfinite(acc):
+        raise ValueError(f"the order-{len(cs) - 1} series at z={z!r} has no finite value")
     return acc
 
 
@@ -623,10 +627,7 @@ def evaluate(f, z):
     w = _gaussian(z) if f.exact else None
     if w is None:  # an exact point meets float coefficients as complex()
         z = complex(z) if isinstance(z, RationalComplex) else z
-        value = _horner(_complex_coeffs(f).tolist(), z)
-        if not cmath.isfinite(value):
-            raise ValueError(f"the order-{f.order} series at z={z!r} has no finite value")
-        return value
+        return _horner(_complex_coeffs(f).tolist(), z)
     (zr, zi, zd), (re, im, fd) = w, f._c
     ar, ai, power = re[-1], im[-1], 1
     for k in range(len(re) - 2, -1, -1):

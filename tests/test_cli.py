@@ -139,6 +139,20 @@ class TestNormCommand:
         assert main(["norm", str(path), "--n", "200"]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coeffs", [[[2.0, 0.0]], [[1.0, 0.5]] * 9],
+                             ids=["order-0", "order-8"])
+    def test_norm_at_large_p_is_usage_error(self, tmp_path, capsys, coeffs):
+        # at p = 2000 the order-0 series's norm 2 underflowed to 0 and exited
+        # 0; the order-8 series's power overflowed with a NumPy warning
+        path = tmp_path / "large-p.json"
+        path.write_text(json.dumps({"order": len(coeffs) - 1, "coeffs": coeffs}),
+                        encoding="utf-8")
+        assert main(["norm", str(path), "--p", "2000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "double precision" in captured.err
+
     def test_space_norm_near_double_range_is_finite(self, tmp_path, capsys):
         # perm(300, 120) ~ 1e284 fits a double but its square does not
         path = tmp_path / "order300.json"

@@ -14,6 +14,7 @@ import pytest
 from hardylab import (
     InnerFunction,
     QuadratureConfig,
+    RationalComplex,
     RunConfig,
     SpaceParams,
     SubspaceSpec,
@@ -325,22 +326,43 @@ def _reference_sample(spec, h):
 
 ATOM = SubspaceSpec(((1j,),), InnerFunction(atoms=((math.pi / 2, 0.5),)), SpaceParams(1, 2.0))
 
+DEPTH_3 = SubspaceSpec(((1 + 0j, -1 + 0j, 1j), (1 + 0j, -1 + 0j), (1 + 0j,)),
+                       InnerFunction(zeros=((0.4 - 0.2j, 2),)), SpaceParams(3, 2.0),
+                       zero_mode=True)
+
+
+def _random_poly(rng, degree):
+    """A unit-box complex polynomial of exactly the given degree."""
+    return TaylorSeries(rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1))
+
+
+def _exact_copy(f):
+    """The exact series with f's coefficients, each double as a Fraction."""
+    return TaylorSeries([RationalComplex(Fraction(c.real), Fraction(c.imag)) for c in f.coeffs])
+
 
 class TestSpecCache:
-    """A spec's claims and generator are computed once; every result is the
-    one the uncached formulas give."""
+    """A spec's claims, generator and condition labels are computed once;
+    every result is the one the uncached formulas give."""
 
-    @pytest.mark.parametrize("name, spec", [*fixed_specs(), ("nested-free", NESTED)])
+    @pytest.mark.parametrize("name, spec", [*fixed_specs(), ("nested-free", NESTED),
+                                            ("depth-3-double-zero", DEPTH_3)])
     def test_membership_matches_the_uncached_reference(self, name, spec):
         rng = np.random.default_rng(41)
-        for _ in range(6):
-            h = random_series(rng, 8)
+        # the degree-300 h puts every derivative past the 256-node floor
+        hs = [random_series(rng, 8) for _ in range(6)] + [_random_poly(rng, 300)]
+        for h in hs:
             f = sample_element(spec, h)
             assert f == _reference_sample(spec, h)
             for g in (f, shift(f), membership_module._perturbed(f), 1e-7 * shift(f)):
                 assert membership(g, spec) == _reference_membership(g, spec)
+                # the same values as exact coefficients, Fractions of the doubles
+                exact = _exact_copy(g)
+                assert membership(exact, spec) == _reference_membership(exact, spec)
         zero = TaylorSeries([0.0, 0.0])
         assert membership(zero, spec) == _reference_membership(zero, spec)
+        exact = TaylorSeries([3, 0, -3])  # 3(1 - z^2), a member of none of these specs
+        assert membership(exact, spec) == _reference_membership(exact, spec)
 
     def test_atom_spec_matches_the_uncached_reference(self):
         rng = np.random.default_rng(42)
@@ -363,7 +385,7 @@ class TestSpecCache:
 
     def test_validation_and_generator_run_once_per_spec(self, monkeypatch):
         calls = Counter()
-        for name in ("_structural_claims", "_generator_of"):
+        for name in ("_structural_claims", "_generator_of", "_condition_labels"):
             def counted(spec, name=name, real=getattr(membership_module, name)):
                 calls[name] += 1
                 return real(spec)
@@ -372,7 +394,7 @@ class TestSpecCache:
         members = [sample_element(spec, TaylorSeries([1.0, 0.1 * k])) for k in range(10)]
         for k in range(50):
             membership(members[k % 10], spec)
-        assert calls == {"_structural_claims": 1, "_generator_of": 1}
+        assert calls == {"_structural_claims": 1, "_generator_of": 1, "_condition_labels": 1}
         # the cache is kept on the object: equality and hashing read the fields
         twin = SubspaceSpec(((1 + 0j, -1 + 0j), (1 + 0j,)), TRIVIAL, SpaceParams(2, 2.0))
         assert twin == spec and hash(twin) == hash(spec) and repr(twin) == repr(spec)
@@ -563,3 +585,6 @@ class TestCountArguments:
         assert [type(v) for v in (cfg.order, cfg.points, cfg.seed, cfg.samples)] == [int] * 4
         report = shift_invariance_check(ONE_ZERO, samples=2.0, seed=3.0)
         assert report.claims[0].config.startswith("samples=2 tol=1e-09 seed=3 ")
+        for points in (4096.0, np.int64(4096)):
+            stored = QuadratureConfig(num_points=points).num_points
+            assert type(stored) is int and stored == 4096

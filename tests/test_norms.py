@@ -17,6 +17,7 @@ from hardylab import (
     derivative_sum_norm,
     hardy_sum,
     hp_norm,
+    monomial,
     sn_norm,
     sn_norm_unrolled,
     sup_bracket,
@@ -470,6 +471,34 @@ class TestFastPaths:
             hp_norm(TaylorSeries([1e308] * 4), 3.0)
         with pytest.raises(ValueError, match="not finite"):
             hp_norm(TaylorSeries([1.0, math.inf]), 2.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["auto", "trapezoid"])
+    @pytest.mark.parametrize("p", [1076, 2000])
+    def test_norm_that_underflows_at_large_p_is_a_value_error(self, mode, p):
+        # the rescaled coefficient is 0.5 and 0.5^p is 0.0, but the norm is 2,
+        # and ||f||_p >= max |c_k| for every p: 0.0 is never a norm here
+        cfg = QuadratureConfig(mode=mode)
+        with pytest.raises(ValueError, match="underflows to 0.0"):
+            hp_norm(TaylorSeries([2.0]), p, cfg)
+        with pytest.raises(ValueError, match="underflows to 0.0"):
+            derivative_sum_norm(TaylorSeries([2.0]), SpaceParams(1, p), cfg)
+        assert hp_norm(zero(), p, cfg) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_power_beyond_double_range_at_large_p_warns_nothing(self):
+        # |f|^2000 on the boundary of an order-8 series leaves double range:
+        # the named error, with no NumPy overflow warning before it
+        f = _random_series(np.random.default_rng(8), 8)
+        with pytest.raises(ValueError, match="not finite"):
+            hp_norm(f, 2000)
+
+    def test_interior_means_that_underflow_keep_the_norm(self):
+        # the r = 0.5 and r = 0.75 means of z^1200 at p = 3 are 0.0 because
+        # they are that small (0.5^1200, 0.75^3600); only the r = 1 mean counts
+        f = monomial(1200, 1.0)
+        assert norms._means([f], 3, "trapezoid", 4096)[0][:2] == [0.0, 0.0]
+        assert hp_norm(f, 3) == pytest.approx(1.0, rel=1e-12)
 
 
 def _reference_means(f, p, radii, mode, num_points, cut=True):
