@@ -8,17 +8,14 @@ own check (wrong constant, wrong operator multiple, biased quadrature, or
 mutated sample) and the twisted claims are expected to fail; that is the
 battery's own falsifiability check.
 
-A suite that measures norms works in three steps: it draws a block of
-samples (``norms._blocks``), measures every H^p norm the block needs in one
-``_hp_norms`` call per (p, quadrature config) (:class:`_Batch`), and records
-the margins sample by sample.  A block's series hold at most the norms
-module's budget of 8192 coefficients (one larger draw is a block of its
-own), so what a suite holds stays bounded at any order: at order 8 one
-block is the whole suite, at order 16384 one sample; ``sup-chain`` reads
-its grid maxima from one ``norms._grid_peaks`` call per block.  No draw
-depends on a result, and a batched norm equals its one-series norm bit for
-bit, so each claim's tracker sees the margins a sample-by-sample loop
-makes, in its order: no slack or witness can move.
+A suite that measures norms reads each draw back with its values from
+:func:`_measured`, which takes the draws in blocks of at most the norms
+module's budget of 8192 coefficients (``norms._blocks``; one larger draw is
+a block of its own) and measures a block in one ``_hp_norms`` or
+``_grid_peaks`` call per key.  No draw depends on a result, and a batched
+value equals its one-series value bit for bit, so each claim's tracker sees
+the margins a sample-by-sample loop makes, in its order.  The coefficient
+identities have nothing to batch and loop over their draws directly.
 """
 
 from __future__ import annotations
@@ -76,7 +73,6 @@ from .series import (
     multiply,
     scale,
     subtract,
-    zero,
 )
 
 __all__ = [
@@ -150,23 +146,28 @@ def _exact_eq_margin(a, b):
     return 0.0 if a == b else -1.0
 
 
-class _Batch:
-    """The H^p norms one block of samples needs.  :meth:`add` queues one
-    request, rows at one (p, cfg); :meth:`run` measures every queued row in
-    one :func:`_hp_norms` call per (p, cfg)."""
-
-    def __init__(self):
-        self._groups, self._queued = {}, []
-
-    def add(self, p, cfg, rows, finish=list):
-        group = self._groups.setdefault((p, cfg), [])
-        self._queued.append(((p, cfg), len(group), len(group) + len(rows), finish))
-        group.extend(rows)
-
-    def run(self):
-        """``finish`` of each request's list of norms, in queue order."""
-        norms = {key: _hp_norms(rows, *key) for key, rows in self._groups.items()}
-        return [finish(norms[key][lo:hi]) for key, lo, hi, finish in self._queued]
+def _measured(draws, measure):
+    """``(draw, values)`` for each draw, in draw order.  ``measure(*draw)``
+    lists the draw's requests ``(key, rows, finish)``, with key
+    ``(_hp_norms, p, cfg)`` or ``(_grid_peaks, floor)``.  The draws come in
+    :func:`_blocks` blocks, pulled at most one draw ahead of the block
+    yielded; a block's rows are measured in one ``key[0](rows, *key[1:])``
+    call per key, and ``values`` holds each request's slice of them in
+    request order, passed through ``finish`` unless that is None."""
+    for block in _blocks(draws):
+        groups, asked = {}, []
+        for draw in block:
+            spans = []
+            for key, rows, finish in measure(*draw):
+                group = groups.setdefault(key, [])
+                spans.append((group, len(group), len(group) + len(rows), finish))
+                group += rows
+            asked.append(spans)
+        for key, group in groups.items():  # each group's rows give way to their values
+            group[:] = key[0](group, *key[1:])
+        for draw, spans in zip(block, asked):
+            yield draw, [group[lo:hi] if finish is None else finish(group[lo:hi])
+                         for group, lo, hi, finish in spans]
 
 
 def suite_hardy_sum(cfg):
@@ -176,10 +177,10 @@ def suite_hardy_sum(cfg):
     qcfg = QuadratureConfig(num_points=cfg.points)
     const = 1.0 if cfg.negative_control else math.pi
     t = _Tracker()
-    for block in _blocks((idx, random_series(rng, cfg.order)) for idx in range(samples)):
-        norms = _hp_norms([f for _, f in block], 1.0, qcfg)
-        for (idx, f), norm in zip(block, norms):
-            t.record(const * norm + cfg.tol - hardy_sum(f), sample=idx, coeffs=f)
+    key = (_hp_norms, 1.0, qcfg)
+    draws = ((idx, random_series(rng, cfg.order)) for idx in range(samples))
+    for (idx, f), ((norm,),) in _measured(draws, lambda idx, f: [(key, [f], None)]):
+        t.record(const * norm + cfg.tol - hardy_sum(f), sample=idx, coeffs=f)
     claims = [
         t.claim(
             "hardy-sum.random",
@@ -210,16 +211,16 @@ def suite_sup_chain(cfg):
     t_sup, t_chain = _Tracker(), _Tracker()
     draws = ((idx, random_series(rng, cfg.order), 1 + idx % 4, _P_GRID[idx % len(_P_GRID)])
              for idx in range(samples))
-    for block in _blocks(draws):
-        means = _Batch()
-        for idx, f, n, p in block:
-            means.add(p, qcfg, *_sn_parts(f, (1, n - 1, n)))
-        # the sup-bound reads only hi: the grid max, with no walk to the peak
-        peaks = _grid_peaks([f for _, f, _, _ in block], cfg.points)
-        for (idx, f, n, p), (grid, _, _), (at_one, lower, upper) in zip(block, peaks, means.run()):
-            witness = dict(sample=idx, n=n, p=p, coeffs=f)
-            t_sup.record(const * at_one + cfg.tol - _sup_upper(f, qcfg, grid), **witness)
-            t_chain.record(const * upper + cfg.tol - lower, **witness)
+    # the sup-bound reads only hi: the grid max, with no walk to the peak
+    peaks = (_grid_peaks, cfg.points)
+
+    def measure(idx, f, n, p):
+        return [((_hp_norms, p, qcfg), *_sn_parts(f, (1, n - 1, n))), (peaks, [f], None)]
+
+    for (idx, f, n, p), ((at_one, lower, upper), ((grid, _, _),)) in _measured(draws, measure):
+        witness = dict(sample=idx, n=n, p=p, coeffs=f)
+        t_sup.record(const * at_one + cfg.tol - _sup_upper(f, qcfg, grid), **witness)
+        t_chain.record(const * upper + cfg.tol - lower, **witness)
     shared = (
         f"samples={samples} degree<={cfg.order} points={cfg.points} "
         f"tol={cfg.tol} seed={cfg.seed} const={const!r}"
@@ -242,26 +243,26 @@ def suite_norm_equivalence(cfg):
     ratio2 = [math.inf, 0.0]
     draws = ((idx, random_series(rng, cfg.order), 1 + idx % 3, _P_GRID[idx % len(_P_GRID)])
              for idx in range(samples))
-    for block in _blocks(draws):
-        means = _Batch()
-        for idx, f, n, p in block:
-            means.add(p, qcfg, *_family_parts(f, SpaceParams(n, p), qcfg))
-        for (idx, f, n, p), (_, base, dsum, ssum) in zip(block, means.run()):
-            witness = dict(sample=idx, n=n, p=p, coeffs=f)
-            # ssum adds each sup's lower end, at least its grid max.  f's slack
-            # 1/sqrt(cos(pi N/m)), m = max(points, 4(N + 1)), bounds every
-            # derivative's, as N/m does not grow as N drops, so ssum times it
-            # bounds the sup-sum above
-            ssum_hi = ssum * _sup_slack(f, qcfg)
-            chain_const = 1.0 + math.fsum(math.pi**k for k in range(1, n + 1))
-            t_a.record(factor * dsum + cfg.tol - base, **witness)
-            t_b.record(factor * ssum + cfg.tol - dsum, **witness)
-            t_c.record(factor * chain_const * base + cfg.tol - ssum_hi, **witness)
-            if base > 1e-300:
-                ratio1[0] = min(ratio1[0], dsum / base)
-                ratio1[1] = max(ratio1[1], dsum / base)
-                ratio2[0] = min(ratio2[0], ssum / base)
-                ratio2[1] = max(ratio2[1], ssum / base)
+
+    def measure(idx, f, n, p):
+        return [((_hp_norms, p, qcfg), *_family_parts(f, SpaceParams(n, p), qcfg))]
+
+    for (idx, f, n, p), ((_, base, dsum, ssum),) in _measured(draws, measure):
+        witness = dict(sample=idx, n=n, p=p, coeffs=f)
+        # ssum adds each sup's lower end, at least its grid max.  f's slack
+        # 1/sqrt(cos(pi N/m)), m = max(points, 4(N + 1)), bounds every
+        # derivative's, as N/m does not grow as N drops, so ssum times it
+        # bounds the sup-sum above
+        ssum_hi = ssum * _sup_slack(f, qcfg)
+        chain_const = 1.0 + math.fsum(math.pi**k for k in range(1, n + 1))
+        t_a.record(factor * dsum + cfg.tol - base, **witness)
+        t_b.record(factor * ssum + cfg.tol - dsum, **witness)
+        t_c.record(factor * chain_const * base + cfg.tol - ssum_hi, **witness)
+        if base > 1e-300:
+            ratio1[0] = min(ratio1[0], dsum / base)
+            ratio1[1] = max(ratio1[1], dsum / base)
+            ratio2[0] = min(ratio2[0], ssum / base)
+            ratio2[1] = max(ratio2[1], ssum / base)
     shared = (
         f"samples={samples} degree<={cfg.order} points={cfg.points} "
         f"tol={cfg.tol} seed={cfg.seed} factor={factor!r}"
@@ -289,17 +290,17 @@ def suite_algebra(cfg):
     t_alg = _Tracker()
     draws = ((idx, random_series(rng, cfg.order), random_series(rng, cfg.order),
               1 + idx % 3, _P_GRID[idx % len(_P_GRID)]) for idx in range(pairs))
-    for block in _blocks(draws):
-        means, heads = _Batch(), []
-        for idx, f, g, n, p in block:
-            chains = [_sn_chain(h, n) for h in (f, g, multiply(f, g))]
-            heads.append([h for h, _ in chains])
-            means.add(p, qcfg, [chain[-1] for _, chain in chains])
-        for (idx, f, g, n, p), sn_heads, tails in zip(block, heads, means.run()):
-            sn_f, sn_g, sn_fg = map(_sn_sum, sn_heads, tails)
-            bound = (2.0**n * (1.0 + math.pi**n) - 1.0) * sn_f * sn_g
-            margin = factor * bound + cfg.tol - sn_fg
-            t_alg.record(margin, pair=idx, n=n, p=p, f=f, g=g)
+
+    def measure(idx, f, g, n, p):
+        chains = [_sn_chain(h, n) for h in (f, g, multiply(f, g))]
+        heads = [h for h, _ in chains]
+        return [((_hp_norms, p, qcfg), [chain[-1] for _, chain in chains],
+                 lambda tails: list(map(_sn_sum, heads, tails)))]
+
+    for (idx, f, g, n, p), ((sn_f, sn_g, sn_fg),) in _measured(draws, measure):
+        bound = (2.0**n * (1.0 + math.pi**n) - 1.0) * sn_f * sn_g
+        margin = factor * bound + cfg.tol - sn_fg
+        t_alg.record(margin, pair=idx, n=n, p=p, f=f, g=g)
     claims = [
         t_alg.claim(
             "algebra.product-bound",
@@ -323,58 +324,43 @@ def suite_algebra(cfg):
         return (idx, f, pm, lift_pm, random_rational_series(rng, 32),
                 random_rational_series(rng, 32), 1 + idx % 3, _P_GRID[idx % len(_P_GRID)])
 
-    for block in _blocks(density_draw(idx) for idx in range(density_samples)):
-        means, heads = _Batch(), []
-        for idx, f, pm, lift_pm, fr, pr, n, p in block:
-            lhs_heads, chain = _sn_chain(subtract(lift_approximant(f, lift_pm, n), f), n)
-            heads.append(lhs_heads)
-            means.add(p, qcfg, [chain[-1], subtract(pm, nth_derivative(f, n))])
-        for (idx, f, pm, lift_pm, fr, pr, n, p), lhs_heads, (tail, rhs) in zip(
-                block, heads, means.run()):
-            lhs = _sn_sum(lhs_heads, tail)
-            t_den.record(density_tol - abs(lhs - rhs), sample=idx, n=n, p=p, f=f, pm=pm)
-            # exact arithmetic collapses the identity at the coefficient level
-            diff = subtract(lift_approximant(fr, pr, n), fr)
-            t_dex.record(
-                _exact_eq_margin(nth_derivative(diff, n), subtract(pr, nth_derivative(fr, n))),
-                sample=idx, n=n, f=fr, pm=pr,
-            )
-    claims.append(
-        t_den.claim(
-            "algebra.approximant-norm-transfer",
-            f"samples={density_samples} degree<={density_degree} "
-            f"points={cfg.points} tol={density_tol} seed={cfg.seed}",
+    def density_measure(idx, f, pm, lift_pm, fr, pr, n, p):
+        key = (_hp_norms, p, qcfg)
+        return [(key, *_sn_parts(subtract(lift_approximant(f, lift_pm, n), f), (n,))),
+                (key, [subtract(pm, nth_derivative(f, n))], None)]
+
+    measured = _measured((density_draw(idx) for idx in range(density_samples)), density_measure)
+    for (idx, f, pm, lift_pm, fr, pr, n, p), ((lhs,), (rhs,)) in measured:
+        t_den.record(density_tol - abs(lhs - rhs), sample=idx, n=n, p=p, f=f, pm=pm)
+        # exact arithmetic collapses the identity at the coefficient level
+        diff = subtract(lift_approximant(fr, pr, n), fr)
+        t_dex.record(
+            _exact_eq_margin(nth_derivative(diff, n), subtract(pr, nth_derivative(fr, n))),
+            sample=idx, n=n, f=fr, pm=pr,
         )
-    )
-    claims.append(
-        t_dex.claim(
-            "algebra.approximant-transfer-exact",
-            f"samples={density_samples} degree<=32 seed={cfg.seed} mode=exact",
-        )
-    )
+    claims += [
+        t_den.claim("algebra.approximant-norm-transfer",
+                    f"samples={density_samples} degree<={density_degree} "
+                    f"points={cfg.points} tol={density_tol} seed={cfg.seed}"),
+        t_dex.claim("algebra.approximant-transfer-exact",
+                    f"samples={density_samples} degree<=32 seed={cfg.seed} mode=exact"),
+    ]
 
     t_rec, t_recf = _Tracker(), _Tracker()
-    for idx in range(50):
+    draws = ((idx, random_rational_series(rng, 32), random_series(rng, cfg.order))
+             for idx in range(50))
+    for idx, fr, ff in draws:
         n = 1 + idx % 3
-        fr = random_rational_series(rng, 32)
         rebuilt = lift_approximant(fr, nth_derivative(fr, n), n)
         t_rec.record(_exact_eq_margin(rebuilt, fr), sample=idx, n=n, f=fr)
-        ff = random_series(rng, cfg.order)
         rebuilt = lift_approximant(ff, nth_derivative(ff, n), n)
         t_recf.record(1e-13 - max_rel_coeff_error(rebuilt, ff), sample=idx, n=n, f=ff)
-    claims.append(
-        t_rec.claim(
-            "algebra.reconstruction.rational",
-            f"samples=50 degree<=32 seed={cfg.seed} mode=exact",
-        )
-    )
-    claims.append(
-        t_recf.claim(
-            "algebra.reconstruction.float",
-            f"samples=50 degree<={cfg.order} seed={cfg.seed} rel-tol=1e-13",
-        )
-    )
-    return claims
+    return claims + [
+        t_rec.claim("algebra.reconstruction.rational",
+                    f"samples=50 degree<=32 seed={cfg.seed} mode=exact"),
+        t_recf.claim("algebra.reconstruction.float",
+                     f"samples=50 degree<={cfg.order} seed={cfg.seed} rel-tol=1e-13"),
+    ]
 
 
 def suite_parseval(cfg):
@@ -383,25 +369,21 @@ def suite_parseval(cfg):
     rng = np.random.default_rng([cfg.seed, 5])
     bias = 1.0 + 1e-6 if cfg.negative_control else 1.0
     rel_tol = 1e-12
-    trap = QuadratureConfig(num_points=cfg.points, mode="trapezoid")
-    pars = QuadratureConfig(num_points=cfg.points, mode="parseval")
+    two_trap = (_hp_norms, 2.0, QuadratureConfig(num_points=cfg.points, mode="trapezoid"))
+    two_pars = (_hp_norms, 2.0, QuadratureConfig(num_points=cfg.points, mode="parseval"))
     t_two, t_even = _Tracker(), _Tracker()
     draws = ((idx, random_series(rng, cfg.order), (4.0, 6.0, 8.0)[idx % 3])
              for idx in range(samples))
-    for block in _blocks(draws):
-        means = _Batch()
-        for idx, f, p in block:
-            pts = max(cfg.points, int(p) * f.order + 1)
-            means.add(2.0, trap, [f])
-            means.add(2.0, pars, [f])
-            means.add(p, QuadratureConfig(num_points=pts, mode="trapezoid"), [f])
-            means.add(p, QuadratureConfig(num_points=pts, mode="power-trick"), [f])
-        norms = iter(means.run())
-        for idx, f, p in block:
-            for t in (t_two, t_even):
-                (a,), (b,) = next(norms), next(norms)
-                b *= bias
-                t.record(rel_tol - abs(a - b) / max(a, b, 1e-300), sample=idx, coeffs=f)
+
+    def measure(idx, f, p):
+        pts = max(cfg.points, int(p) * f.order + 1)
+        return [(two_trap, [f], None), (two_pars, [f], None),
+                ((_hp_norms, p, QuadratureConfig(num_points=pts, mode="trapezoid")), [f], None),
+                ((_hp_norms, p, QuadratureConfig(num_points=pts, mode="power-trick")), [f], None)]
+
+    for (idx, f, p), ((a2,), (b2,), (ap,), (bp,)) in _measured(draws, measure):
+        for t, a, b in ((t_two, a2, b2 * bias), (t_even, ap, bp * bias)):
+            t.record(rel_tol - abs(a - b) / max(a, b, 1e-300), sample=idx, coeffs=f)
     shared = (
         f"samples={samples} degree<={cfg.order} points>={cfg.points} "
         f"rel-tol={rel_tol} seed={cfg.seed} bias={bias!r}"
@@ -426,9 +408,9 @@ def suite_intertwine(cfg):
     t_rat, t_flt = _Tracker(), _Tracker()
     t_leib, t_closed = _Tracker(), _Tracker()
     t_rt, t_rtf = _Tracker(), _Tracker()
-    for idx in range(intertwine_samples):
-        fr = random_rational_series(rng, rational_degree)
-        ff = random_series(rng, cfg.order)
+    draws = ((idx, random_rational_series(rng, rational_degree), random_series(rng, cfg.order))
+             for idx in range(intertwine_samples))
+    for idx, fr, ff in draws:
         # the operands that do not depend on n, built once per sample; the
         # composed operator is their sum shift(f) + n * volterra(f, z)
         shifted, integrated = shift(fr), volterra(fr, monomial(1))
@@ -485,22 +467,24 @@ def suite_intertwine(cfg):
     t_iso = _Tracker()
     iso_tol = 1e-9
     depths = (1, 2, 3, 4)
-    for block in _blocks((idx, random_series(rng, cfg.order))
-                         for idx in range(isometry_samples)):
-        means, heads = _Batch(), []
-        for idx, f in block:
-            # the lifts' chains do not depend on p: build them once
-            lifts = [_sn_chain(nth_antiderivative(f, n + wrong), n) for n in depths]
-            heads.append([lift_heads for lift_heads, _ in lifts])
-            for p in _P_GRID:
-                means.add(p, qcfg, [f] + [chain[-1] for _, chain in lifts])
-        norms = iter(means.run())
-        for (idx, f), lifts in zip(block, heads):
-            for p in _P_GRID:
-                rhs, *tails = next(norms)
-                for n, lift_heads, tail in zip(depths, lifts, tails):
-                    lhs = _sn_sum(lift_heads, tail)
-                    t_iso.record(iso_tol - abs(lhs - rhs), sample=idx, n=n, p=p, coeffs=f)
+    keys = [(_hp_norms, p, qcfg) for p in _P_GRID]
+
+    def measure(idx, f):
+        # the lifts' chains do not depend on p: build them once
+        lifts = [_sn_chain(nth_antiderivative(f, n + wrong), n) for n in depths]
+        heads = [lift_heads for lift_heads, _ in lifts]
+
+        def finish(norms):
+            return norms[0], list(map(_sn_sum, heads, norms[1:]))
+
+        rows = [f] + [chain[-1] for _, chain in lifts]
+        return [(key, rows, finish) for key in keys]
+
+    draws = ((idx, random_series(rng, cfg.order)) for idx in range(isometry_samples))
+    for (idx, f), values in _measured(draws, measure):
+        for p, (rhs, lifted) in zip(_P_GRID, values):
+            for n, lhs in zip(depths, lifted):
+                t_iso.record(iso_tol - abs(lhs - rhs), sample=idx, n=n, p=p, coeffs=f)
     claims.append(
         t_iso.claim(
             "intertwine.antiderivative-isometry",
@@ -603,15 +587,14 @@ def suite_norms_consistency(cfg):
     t = _Tracker()
     draws = ((idx, random_series(rng, cfg.order), 1 + idx % 4, _P_GRID[idx % len(_P_GRID)])
              for idx in range(samples))
-    for block in _blocks(draws):
-        means = _Batch()
-        for idx, f, n, p in block:
-            means.add(p, qcfg, *_sn_parts(f, (n,)))
-            means.add(p, qcfg, *_unrolled_parts(f, n))
-        norms = iter(means.run())
-        for idx, f, n, p in block:
-            (a,), b = next(norms), next(norms) * bias
-            t.record(rel_tol - abs(a - b) / max(a, b, 1e-300), sample=idx, n=n, p=p, coeffs=f)
+
+    def measure(idx, f, n, p):
+        key = (_hp_norms, p, qcfg)
+        return [(key, *_sn_parts(f, (n,))), (key, *_unrolled_parts(f, n))]
+
+    for (idx, f, n, p), ((a,), b) in _measured(draws, measure):
+        b *= bias
+        t.record(rel_tol - abs(a - b) / max(a, b, 1e-300), sample=idx, n=n, p=p, coeffs=f)
     return [
         t.claim(
             "norms.recursive-vs-unrolled",

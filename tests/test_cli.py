@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -354,6 +355,29 @@ class TestVerifyCommand:
         ])
         assert code == exit_code
         assert hashlib.sha256(dest.read_bytes()).hexdigest() == digest
+
+
+class TestConsoleScript:
+    @pytest.mark.parametrize("argv, first_line", [
+        pytest.param(["--help"], "usage: hardylab", id="help"),
+        pytest.param(["verify", "--suite", "norms", "--order", "4", "--points", "64"],
+                     "# hardylab verification report", id="verify"),
+    ])
+    def test_project_script_exits_0(self, monkeypatch, capsys, argv, first_line):
+        # the [project.scripts] target, resolved and called as an installed
+        # script calls it: no arguments, sys.argv read, the exit code raised
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["hardylab"]
+        module, _, name = target.partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        monkeypatch.setattr(sys, "argv", ["hardylab", *argv])
+        with pytest.raises(SystemExit) as exit_:
+            entry()
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(first_line)
+        assert argv == ["--help"] or out.endswith("# result: PASS (1 claims, 0 failed)\n")
 
 
 class TestRepeatedCalls:

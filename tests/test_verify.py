@@ -46,36 +46,93 @@ class TestSampleBlocks:
         assert list(norms._blocks([])) == []
 
 
-class TestBatch:
-    def test_each_request_reads_its_own_norms_in_queue_order(self):
+class TestMeasured:
+    @staticmethod
+    def _tagged(rows, tag):
+        # a stand-in measure: each row's value names the call and the row
+        return [(tag, row) for row in rows]
+
+    def test_values_are_the_one_series_values_bit_for_bit(self):
         rng = np.random.default_rng(49)
-        fs = [random_series(rng, 8) for _ in range(12)]
+        fs = [random_series(rng, int(k)) for k in rng.integers(0, 40, 24)]
         cfgs = [QuadratureConfig(num_points=256), QuadratureConfig(num_points=64, mode="trapezoid")]
-        requests = [(p, cfgs[i % 2], fs[i: i + 3]) for i in range(10) for p in (1.0, 2.0, 4.0)]
-        batch = verify._Batch()
-        for request in requests:
-            batch.add(*request)
-        batch.add(3.0, cfgs[0], fs[:2], sum)
-        want = [[hp_norm(f, p, cfg) for f in rows] for p, cfg, rows in requests]
-        assert batch.run() == want + [sum(hp_norm(f, 3.0, cfgs[0]) for f in fs[:2])]
 
-    def test_one_call_per_exponent_and_config(self, monkeypatch):
+        def measure(i, f, g):
+            return [((verify._hp_norms, (1.0, 2.0, 3.0)[i % 3], cfgs[i % 2]), [f, g], None),
+                    ((verify._grid_peaks, (64, 256)[i % 2]), [g, f], None),
+                    ((verify._hp_norms, 4.0, cfgs[0]), [g], None)]
+
+        draws = [(i, fs[i], fs[-1 - i]) for i in range(len(fs))]
+        for (i, f, g), (hp, peaks, (hp4,)) in verify._measured(draws, measure):
+            p, cfg, floor = (1.0, 2.0, 3.0)[i % 3], cfgs[i % 2], (64, 256)[i % 2]
+            assert [x.hex() for x in hp] == [hp_norm(h, p, cfg).hex() for h in (f, g)]
+            assert hp4.hex() == hp_norm(g, 4.0, cfgs[0]).hex()
+            for (peak, j, m), h in zip(peaks, (g, f)):
+                one, = norms._grid_peaks([h], floor)
+                assert (peak.hex(), j, m) == (one[0].hex(), *one[1:])
+
+    def test_requests_keep_their_order_and_finish_applies(self):
+        a, b = (self._tagged, "a"), (self._tagged, "b")
+
+        def measure(i):
+            if i == 1:
+                return []
+            return [(a, [i, i + 10], None), (b, [i], len), (a, [i + 20], None),
+                    (b, [i + 30, i + 40], list.copy)]
+
+        got = list(verify._measured([(0, TaylorSeries([1.0])), (1,), (2,)],
+                                    lambda i, *_: measure(i)))
+        assert [draw for draw, _ in got] == [(0, TaylorSeries([1.0])), (1,), (2,)]
+        assert [values for _, values in got] == [
+            [[("a", 0), ("a", 10)], 1, [("a", 20)], [("b", 30), ("b", 40)]],
+            [],
+            [[("a", 2), ("a", 12)], 1, [("a", 22)], [("b", 32), ("b", 42)]],
+        ]
+
+    def test_one_call_per_key_per_block(self, monkeypatch):
+        monkeypatch.setattr(norms, "_BLOCK_ELEMS", 20)
         calls = []
-        hp_norms = verify._hp_norms
 
-        def spy(series, p, cfg):
-            calls.append((len(series), p, cfg.num_points))
-            return hp_norms(series, p, cfg)
+        def spy(real):
+            def call(rows, *args):
+                calls.append((real.__name__, args, list(rows)))
+                return real(rows, *args)
+            return call
 
-        monkeypatch.setattr(verify, "_hp_norms", spy)
-        f, g = TaylorSeries([1.0, 2.0]), TaylorSeries([1.0, 2.0, 3.0])
-        cfg, other = QuadratureConfig(num_points=64), QuadratureConfig(num_points=128)
-        batch = verify._Batch()
-        batch.add(3.0, cfg, [f, g])
-        batch.add(1.0, cfg, [f])
-        batch.add(3.0, other, [g])
-        batch.add(3.0, cfg, [g])
-        got = batch.run()
-        assert sorted(calls) == [(1, 1.0, 64), (1, 3.0, 128), (3, 3.0, 64)]
-        assert got == [[hp_norm(f, 3.0, cfg), hp_norm(g, 3.0, cfg)], [hp_norm(f, 1.0, cfg)],
-                       [hp_norm(g, 3.0, other)], [hp_norm(g, 3.0, cfg)]]
+        hp, peaks = spy(verify._hp_norms), spy(verify._grid_peaks)
+        cfg = QuadratureConfig(num_points=64)
+        fs = [TaylorSeries([1.0 + k, 2.0, 0.5j][:1 + k % 3] * 3) for k in range(12)]
+        draws = [(k, f) for k, f in enumerate(fs)]
+
+        def measure(k, f):
+            return [((hp, 2.0, cfg), [f], None), ((peaks, 64), [f], None),
+                    ((hp, 1.0, cfg), [f, f], None), ((hp, 2.0, cfg), [f], None)]
+
+        list(verify._measured(draws, measure))
+        want = []
+        for block in norms._blocks(draws):
+            block_fs = [f for _, f in block]
+            twice = [f for f in block_fs for _ in range(2)]
+            want += [("_hp_norms", (2.0, cfg), twice), ("_grid_peaks", (64,), block_fs),
+                     ("_hp_norms", (1.0, cfg), twice)]
+        assert len(want) > 3  # the budget splits the draws
+        assert calls == want
+
+    def test_draws_are_pulled_at_most_one_ahead_of_the_block(self, monkeypatch):
+        monkeypatch.setattr(norms, "_BLOCK_ELEMS", 10)
+        draws = [(k, TaylorSeries([1.0] * (1 + k % 4))) for k in range(30)]
+        ends = {draw[0]: block[-1][0] for block in norms._blocks(draws) for draw in block}
+        assert len(set(ends.values())) > 3
+        drawn = []
+
+        def lazily():
+            for draw in draws:
+                drawn.append(draw[0])
+                yield draw
+
+        seen = []
+        for (k, _), values in verify._measured(lazily(), lambda k, f: []):
+            # the block holding draw k is measured before the draw after it
+            assert drawn[-1] <= ends[k] + 1
+            seen.append((k, values))
+        assert seen == [(k, []) for k in range(30)]
