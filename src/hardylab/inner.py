@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import _check_count, _json_numbers, derivative, evaluate
+from .series import _check_count, _derivative, _json_numbers, evaluate
 
 __all__ = [
     "InnerFunction",
@@ -112,11 +112,8 @@ def zero_residuals(f, G):
     multiplicity, up to the order of f (higher derivatives vanish)."""
     out = []
     for a, m in G.zeros:
-        d = f
         for i in range(min(m, f.order + 1)):
-            if i:
-                d = derivative(d, 1)
-            out.append((a, i, abs(complex(evaluate(d, a)))))
+            out.append((a, i, abs(complex(evaluate(_derivative(f, i), a)))))
     return out
 
 

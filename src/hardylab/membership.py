@@ -38,8 +38,8 @@ from .inner import InnerFunction, inner_from_dict, inner_to_dict, zero_residuals
 from .norms import SpaceParams, _grid_peaks, boundary_scale
 from .operators import nth_antiderivative, nth_derivative, shift, shift_plus_volterra
 from .report import VerificationReport, _Tracker
-from .series import (TaylorSeries, _check_count, _complex_coeffs, _horner, _json_numbers, add,
-                     derivative, monomial, multiply)
+from .series import (TaylorSeries, _check_count, _complex_coeffs, _derivative, _horner,
+                     _json_numbers, add, monomial, multiply)
 
 __all__ = [
     "SubspaceSpec",
@@ -239,9 +239,7 @@ def membership(f, spec, tol=1e-9):
         )
         return MembershipResult(True, (cond,), f.order)
 
-    derivs = [f]
-    for _ in range(spec.n - 1):
-        derivs.append(derivative(derivs[-1], 1))
+    derivs = [_derivative(f, j) for j in range(spec.n)]
     scales = [peak for peak, _, _ in _grid_peaks(derivs)]
     coeffs = [_complex_coeffs(d).tolist() for d in derivs]
     vanishing, heads = spec._labels

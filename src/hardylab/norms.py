@@ -9,10 +9,11 @@ Every public H^p norm goes through :func:`_hp_norms`: the three means of
 a series come from batched coefficient transforms per row length, shared
 by the series of one length in a batch of norms, in buffers of at most
 ``_BLOCK_ELEMS`` entries so that a batch of any size holds a bounded
-amount of memory.  The equivalent norms read one derivative ladder
-``f, f', ..., f^(n)``, each rung one direct :func:`derivative`, and the
-four norms of one series (H^p, recursive, derivative-sum, sup-sum) come
-from one chain, one ladder and one batch of means (:func:`_norm_family`).
+amount of memory.  Every derivative-space norm, the recursive one
+included, reads one derivative ladder ``f, f', ..., f^(n)``
+(:func:`_ladder`), each rung one direct :func:`derivative`, and the four
+norms of one series (H^p, recursive, derivative-sum, sup-sum) come from
+one ladder and one batch of means (:func:`_norm_family`).
 The ``_*_parts`` functions split a derivative norm into the rows it
 measures and the function of their norms, so that a caller can batch the
 rows of many series.  The same budget blocks the battery's draws
@@ -449,19 +450,19 @@ def _depth(f, n):
     return min(n, f.order + 1)
 
 
-def _sn_chain(f, n):
-    """The part of :func:`sn_norm` that does not depend on p: the heads
-    ``|f^(k)(0)|`` for k < ``min(n, order + 1)``, and the derivatives
-    f, f', ... down to that depth, each one ``derivative(., 1)`` step from
-    the last.  Depth d <= n reads ``heads[:k]`` and ``chain[k]``,
-    k = ``min(d, len(heads))``."""
+def _ladder(f, n):
+    """``[f, derivative(f, 1), ..., derivative(f, d)]``, d = ``min(n, order + 1)``:
+    each rung one direct derivative of f, the one form in which every
+    derivative norm reads f^(k).  A float series whose factor
+    ``perm(order, n)`` exceeds double range is rejected before any rung is
+    built, with the error :func:`derivative` gives at n."""
     _check_perm_range(f, f"derivative {n}", f.order, n)
-    heads, chain = [], [f]
-    for _ in range(_depth(f, n)):
-        heads.append(abs(complex(_complex_coeffs(f)[0])))
-        f = derivative(f, 1)
-        chain.append(f)
-    return heads, chain
+    return [derivative(f, k) for k in range(_depth(f, n) + 1)]
+
+
+def _heads(ladder):
+    """``|f^(k)(0)|`` of each rung of a :func:`_ladder` but the last."""
+    return [abs(complex(_complex_coeffs(g)[0])) for g in ladder[:-1]]
 
 
 def _sn_sum(heads, tail):
@@ -487,9 +488,10 @@ def sn_norm(f, params, cfg=None):
 
 def _sn_parts(f, depths):
     """:func:`sn_norm` of f at each depth as ``(rows, finish)``: one row per
-    distinct depth from one chain, and the sn_norms as a function of the
-    rows' H^p norms.  Neither depends on p."""
-    heads, chain = _sn_chain(f, max(depths))
+    distinct depth from one :func:`_ladder`, and the sn_norms as a function
+    of the rows' H^p norms.  Neither depends on p."""
+    ladder = _ladder(f, max(depths))
+    heads = _heads(ladder)
     ks = [min(d, len(heads)) for d in depths]
     distinct = sorted(set(ks))
 
@@ -497,14 +499,14 @@ def _sn_parts(f, depths):
         tails = dict(zip(distinct, norms))
         return [_sn_sum(heads[:k], tails[k]) for k in ks]
 
-    return [chain[k] for k in distinct], finish
+    return [ladder[k] for k in distinct], finish
 
 
 def _unrolled_parts(f, n):
     """:func:`sn_norm_unrolled` as ``(rows, finish)``, as :func:`_sn_parts`."""
-    *rungs, tail = _ladder(f, n)
-    heads = _finite_sum(abs(complex(_complex_coeffs(g)[0])) for g in rungs)
-    return [tail], lambda norms: _finite_sum([heads + norms[0]])
+    ladder = _ladder(f, n)
+    heads = _finite_sum(_heads(ladder))
+    return [ladder[-1]], lambda norms: _finite_sum([heads + norms[0]])
 
 
 def sn_norm_unrolled(f, params, cfg=None):
@@ -514,14 +516,6 @@ def sn_norm_unrolled(f, params, cfg=None):
     """
     rows, finish = _unrolled_parts(f, params.n)
     return finish(_hp_norms(rows, params.p, cfg))
-
-
-def _ladder(f, n):
-    """``[f, derivative(f, 1), ..., derivative(f, d)]``, d = ``min(n, order + 1)``:
-    each rung one direct derivative of f, as the equivalent norms read them
-    (from the second derivative on, :func:`_sn_chain`'s rungs may round
-    otherwise)."""
-    return [derivative(f, k) for k in range(_depth(f, n) + 1)]
 
 
 def derivative_sum_norm(f, params, cfg=None):
@@ -545,29 +539,24 @@ def _sups(ladder, cfg):
 
 
 def _family_parts(f, params, cfg):
-    """:func:`_norm_family` as ``(rows, finish)``, as :func:`_sn_parts`; the
-    sups are taken here, so ``finish`` holds no derivative."""
-    heads, chain = _sn_chain(f, params.n)
+    """:func:`_norm_family` as ``(rows, finish)``, as :func:`_sn_parts`: the
+    rows are the ladder's rungs, and the sups are taken here, so ``finish``
+    holds no derivative."""
     ladder = _ladder(f, params.n)
-    depth = len(heads)
-    sups = _sups(ladder, cfg)
+    heads, sups = _heads(ladder), _sups(ladder, cfg)
 
     def finish(norms):
-        return (norms[0], _sn_sum(heads, norms[-1]), _finite_sum(norms[:depth + 1]),
-                _finite_sum([sups + norms[depth]]))
+        return (norms[0], _sn_sum(heads, norms[-1]), _finite_sum(norms),
+                _finite_sum([sups + norms[-1]]))
 
-    return (ladder + [chain[-1]]) if depth >= 2 else ladder, finish
+    return ladder, finish
 
 
 def _norm_family(f, params, cfg):
     """``(hp_norm, sn_norm, derivative_sum_norm, sup_sum_norm)`` of f, each
-    equal to its public call bit for bit, from one :func:`_sn_chain`, one
-    :func:`_ladder` and one :func:`_hp_norms` batch.
-
-    The chain's first two rungs equal the ladder's.  From depth 2 on its tail
-    may round otherwise than the ladder's last rung, so it joins the batch
-    as one more row, of that rung's length: the same block and transform.
-    """
+    equal to its public call bit for bit, from one :func:`_ladder` and one
+    :func:`_hp_norms` batch of its rungs: the first rung's norm is the H^p
+    norm and the last's the tail that the other three share."""
     rows, finish = _family_parts(f, params, cfg)
     return finish(_hp_norms(rows, params.p, cfg))
 

@@ -44,8 +44,9 @@ from .norms import (
     _blocks,
     _family_parts,
     _grid_peaks,
+    _heads,
     _hp_norms,
-    _sn_chain,
+    _ladder,
     _sn_parts,
     _sn_sum,
     _sup_slack,
@@ -292,9 +293,9 @@ def suite_algebra(cfg):
               1 + idx % 3, _P_GRID[idx % len(_P_GRID)]) for idx in range(pairs))
 
     def measure(idx, f, g, n, p):
-        chains = [_sn_chain(h, n) for h in (f, g, multiply(f, g))]
-        heads = [h for h, _ in chains]
-        return [((_hp_norms, p, qcfg), [chain[-1] for _, chain in chains],
+        ladders = [_ladder(h, n) for h in (f, g, multiply(f, g))]
+        heads = list(map(_heads, ladders))
+        return [((_hp_norms, p, qcfg), [ladder[-1] for ladder in ladders],
                  lambda tails: list(map(_sn_sum, heads, tails)))]
 
     for (idx, f, g, n, p), ((sn_f, sn_g, sn_fg),) in _measured(draws, measure):
@@ -470,14 +471,14 @@ def suite_intertwine(cfg):
     keys = [(_hp_norms, p, qcfg) for p in _P_GRID]
 
     def measure(idx, f):
-        # the lifts' chains do not depend on p: build them once
-        lifts = [_sn_chain(nth_antiderivative(f, n + wrong), n) for n in depths]
-        heads = [lift_heads for lift_heads, _ in lifts]
+        # the lifts' ladders do not depend on p: build them once
+        lifts = [_ladder(nth_antiderivative(f, n + wrong), n) for n in depths]
+        heads = list(map(_heads, lifts))
 
         def finish(norms):
             return norms[0], list(map(_sn_sum, heads, norms[1:]))
 
-        rows = [f] + [chain[-1] for _, chain in lifts]
+        rows = [f] + [ladder[-1] for ladder in lifts]
         return [(key, rows, finish) for key in keys]
 
     draws = ((idx, random_series(rng, cfg.order)) for idx in range(isometry_samples))

@@ -118,13 +118,14 @@ class TestNormCommand:
         save_series(TaylorSeries([1.0] * 301), path)
         assert main(["norm", str(path), "--n", "200"]) == 2
         captured = capsys.readouterr()
-        assert "exceeds double range" in captured.err
+        # the depth asked for, checked before any rung of the ladder is built
+        assert captured.err == ("error: derivative 200 of an order-300 float series needs "
+                                "the factor perm(300, 200), which exceeds double range\n")
         assert "Traceback" not in captured.out + captured.err
 
     def test_space_norm_rejects_deep_n_instead_of_printing_nan(self, tmp_path, capsys):
-        # each single derivative step stays in double range, but the
-        # coefficients reach inf long before the 200th; sn_norm checks
-        # perm(order, n) up front
+        # the coefficients of the 200th derivative would reach inf; the
+        # ladder checks perm(order, n) up front
         path = tmp_path / "order300.json"
         save_series(TaylorSeries([1.0] * 301), path)
         assert main(["norm", str(path), "--n", "200"]) == 2
@@ -134,7 +135,7 @@ class TestNormCommand:
         assert "space-norm" not in captured.out
 
     def test_failing_norm_prints_no_partial_report(self, tmp_path, capsys):
-        # hp-norm succeeds on this series and sn_norm fails after it
+        # hp-norm alone would succeed on this series; the ladder fails first
         path = tmp_path / "order300.json"
         save_series(TaylorSeries([1.0] * 301), path)
         assert main(["norm", str(path), "--n", "200"]) == 2
@@ -339,7 +340,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("flags, exit_code, digest", [
         pytest.param([], 0,
-                     "6e35fca1092858bab9fb8dc8685124f154459e16559f9faa9a035a10e9b77b53",
+                     "ee29b5a97e5f586c9caf06c4bace603845525e231f7ac916174c69b55c2ba760",
                      id="positive"),
         # 25 failing claims: a witness in every format the battery writes
         pytest.param(["--negative-control"], 1,
@@ -412,7 +413,7 @@ class TestRepeatedCalls:
             assert main(["verify", "--suite", "all", "--seed", "7", "--order", "8",
                          "--points", "256", "--samples", "20", "--out", str(dest)]) == 0
             assert hashlib.sha256(dest.read_bytes()).hexdigest() == (
-                "6e35fca1092858bab9fb8dc8685124f154459e16559f9faa9a035a10e9b77b53")
+                "ee29b5a97e5f586c9caf06c4bace603845525e231f7ac916174c69b55c2ba760")
         # two shapes the battery asked for: the 2-fold antiderivative and
         # the n = 1 combined operator of an order-8 series
         hits = series._tables.cache_info().hits

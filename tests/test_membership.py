@@ -278,9 +278,7 @@ def _reference_membership(f, spec, tol=1e-9):
         cond = ConditionResult("zero-function", True, 0.0, 0.0,
                                "the zero series belongs to every subspace")
         return MembershipResult(True, (cond,), f.order)
-    derivs = [f]
-    for _ in range(spec.n - 1):
-        derivs.append(derivative(derivs[-1], 1))
+    derivs = [derivative(f, j) for j in range(spec.n)]
     scales = [boundary_scale(d) for d in derivs]
     conditions = []
     for j, ks in enumerate(spec.boundary_sets):
@@ -289,10 +287,8 @@ def _reference_membership(f, spec, tol=1e-9):
             conditions.append(ConditionResult(
                 f"derivative-{j}-vanishes-at-{format(z, 'g')}", residual <= cap, residual, cap))
     for a, m in spec.inner.zeros:
-        d = f
         for i in range(min(m, f.order + 1)):
-            d = derivative(d, 1) if i else d
-            residual, cap = abs(complex(evaluate(d, a))), tol * scales[0]
+            residual, cap = abs(complex(evaluate(derivative(f, i), a))), tol * scales[0]
             conditions.append(ConditionResult(
                 f"blaschke-zero-{format(a, 'g')}-order-{i}", residual <= cap, residual, cap))
     if spec.inner.has_atoms:
@@ -330,6 +326,10 @@ DEPTH_3 = SubspaceSpec(((1 + 0j, -1 + 0j, 1j), (1 + 0j, -1 + 0j), (1 + 0j,)),
                        InnerFunction(zeros=((0.4 - 0.2j, 2),)), SpaceParams(3, 2.0),
                        zero_mode=True)
 
+# a triple zero: its order-2 residual reads derivative(f, 2)
+TRIPLE = SubspaceSpec(((1j,), (1j,), (1j,)), InnerFunction(zeros=((0.5 + 0.3j, 3),)),
+                      SpaceParams(3, 2.0))
+
 
 def _random_poly(rng, degree):
     """A unit-box complex polynomial of exactly the given degree."""
@@ -346,7 +346,8 @@ class TestSpecCache:
     every result is the one the uncached formulas give."""
 
     @pytest.mark.parametrize("name, spec", [*fixed_specs(), ("nested-free", NESTED),
-                                            ("depth-3-double-zero", DEPTH_3)])
+                                            ("depth-3-double-zero", DEPTH_3),
+                                            ("depth-3-triple-zero", TRIPLE)])
     def test_membership_matches_the_uncached_reference(self, name, spec):
         rng = np.random.default_rng(41)
         # the degree-300 h puts every derivative past the 256-node floor

@@ -615,12 +615,11 @@ class TestBitIdentity:
 
         for order in (0, 8, 1100, 1101, 2651, 2652):
             f = _random_series(rng, order)
-            heads, chain = norms._sn_chain(f, n)
-            assert sn_norm(f, params).hex() == norms._sn_sum(heads, tail(chain[-1])).hex()
             depth = min(n, order + 1)
-            unrolled = math.fsum(abs(derivative(f, k).coeffs[0]) for k in range(depth))
-            want = unrolled + tail(derivative(f, depth))
-            assert sn_norm_unrolled(f, params).hex() == want.hex()
+            heads = [abs(derivative(f, k).coeffs[0]) for k in range(depth)]
+            last = tail(derivative(f, depth))
+            assert sn_norm(f, params).hex() == norms._sn_sum(heads, last).hex()
+            assert sn_norm_unrolled(f, params).hex() == (math.fsum(heads) + last).hex()
 
     def test_power_rows_stay_bounded(self):
         # every kept plan holds slices of one table of the sanity radii's
@@ -716,7 +715,7 @@ class TestBatchedMeans:
         assert norms._hp_norms(batch, 4.0, cfg) == [hp_norm(f, 4.0, cfg) for f in batch]
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
-    def test_sn_norms_of_one_chain_are_sn_norm(self, p):
+    def test_sn_norms_of_one_ladder_are_sn_norm(self, p):
         rng = np.random.default_rng(43)
         cfg = QuadratureConfig(num_points=256)
         for order in (0, 1, 2, 8, 40):
@@ -782,7 +781,7 @@ class TestBlockedMeans:
 
 class TestNormFamily:
     """``_norm_family`` returns the four public norms bit for bit, from one
-    chain, one ladder and one batch of means."""
+    ladder and one batch of means."""
 
     PS = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0)
 
@@ -804,17 +803,25 @@ class TestNormFamily:
                 assert list(map(float.hex, got)) == list(map(float.hex, want)), (order, params)
 
     @pytest.mark.parametrize("p", PS)
-    def test_family_where_the_chain_tail_rounds_otherwise(self, p):
-        # at order 2000 and depth 3 the chain's repeated single steps round
-        # otherwise than one derivative(f, 3) in over a thousand coefficients
+    def test_every_derivative_norm_ends_in_the_direct_derivative(self, p):
+        # at order 2000 and depth 3, three derivative(., 1) steps round
+        # otherwise than one derivative(f, 3) in over a thousand
+        # coefficients; every norm reads the direct one, and its heads
         rng = np.random.default_rng(2000)
         f = _random_series(rng, 2000)
-        chain_tail = norms._sn_chain(f, 3)[1][-1]
-        assert np.count_nonzero(chain_tail._c != derivative(f, 3)._c) > 0
-        cfg = QuadratureConfig()
-        params = SpaceParams(3, p)
-        got = norms._norm_family(f, params, cfg)
-        assert list(map(float.hex, got)) == list(map(float.hex, self._public(f, params, cfg)))
+        stepped = derivative(derivative(derivative(f, 1), 1), 1)
+        assert np.count_nonzero(stepped._c != derivative(f, 3)._c) > 1000
+        cfg, params = QuadratureConfig(), SpaceParams(3, p)
+        ladder = [derivative(f, k) for k in range(4)]
+        rungs = [hp_norm(g, p, cfg) for g in ladder]
+        heads = [abs(g.coeffs[0]) for g in ladder[:-1]]
+        sups = math.fsum(sup_norm(g, cfg) for g in ladder[:-1])
+        recursive = norms._sn_sum(heads, rungs[-1])
+        got = [sn_norm(f, params, cfg), sn_norm_unrolled(f, params, cfg),
+               derivative_sum_norm(f, params, cfg), *norms._norm_family(f, params, cfg)]
+        want = [recursive, math.fsum(heads) + rungs[-1], math.fsum(rungs),
+                rungs[0], recursive, math.fsum(rungs), sups + rungs[-1]]
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
 
     def test_family_measures_each_series_once(self, monkeypatch):
         measured = []
@@ -832,6 +839,6 @@ class TestNormFamily:
             measured.clear()
             norms._norm_family(f, SpaceParams(n, 3.0), cfg)
             depth = min(n, order + 1)
-            # the ladder's rungs, plus the chain's tail from depth 2 on
-            assert len(measured) == depth + 1 + (depth >= 2)
+            # the ladder's rungs, and nothing else
+            assert len(measured) == depth + 1
             assert len({id(g) for g in measured}) == len(measured)
