@@ -6,10 +6,10 @@ singular factor ``exp(-sum_k c_k (w_k + z)/(w_k - z))`` supported on finitely
 many boundary directions ``w_k = exp(i theta_k)`` with masses ``c_k > 0``.
 
 Membership decides whether such a function divides a polynomial from two
-things kept here: :func:`zero_residuals` for the Blaschke part (zero
-multiplicities), and ``has_atoms`` for the singular part, which divides no
-nonzero polynomial because a polynomial's inner factor is a finite Blaschke
-product.
+things kept here: the zeros with their multiplicities for the Blaschke part,
+whose residuals ``|f^(i)(a)|`` ``membership`` reads off its own derivatives,
+and ``has_atoms`` for the singular part, which divides no nonzero polynomial
+because a polynomial's inner factor is a finite Blaschke product.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import _check_count, _derivative, _json_numbers, evaluate
+from .series import _check_count, _json_numbers
 
 __all__ = [
     "InnerFunction",
@@ -105,16 +105,6 @@ def boundary_unimodularity_defect(G, num_samples=4096):
             expo -= mass * (w + z) / (w - z)
         values *= np.exp(expo)
     return float(np.abs(np.abs(values) - 1.0).max(initial=0.0))
-
-
-def zero_residuals(f, G):
-    """``(a, i, |f^(i)(a)|)`` for every Blaschke zero a and order i below its
-    multiplicity, up to the order of f (higher derivatives vanish)."""
-    out = []
-    for a, m in G.zeros:
-        for i in range(min(m, f.order + 1)):
-            out.append((a, i, abs(complex(evaluate(_derivative(f, i), a)))))
-    return out
 
 
 def singular_division_heuristic(f, G):

@@ -11,8 +11,9 @@ finite Blaschke product.  All vanishing thresholds are relative to the
 boundary scale of the derivative being tested, so verdicts are invariant
 under rescaling the function; the scales of all the derivatives come from
 batched boundary transforms.  Each derivative's coefficients become one
-list of Python ``complex``, and every boundary condition runs Horner's rule
-on it (``series._horner``); the value at 0 is read off as ``c_0``.
+list of Python ``complex``, and every boundary condition and Blaschke
+residual ``|f^(i)(a)|`` runs Horner's rule on it (``series._horner``); the
+value at 0 is read off as ``c_0``.
 
 A spec cannot change once built, so its structural validation, the
 generator of its constructed members and the labels of its boundary and
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inner import InnerFunction, inner_from_dict, inner_to_dict, zero_residuals
+from .inner import InnerFunction, inner_from_dict, inner_to_dict
 from .norms import SpaceParams, _grid_peaks, boundary_scale
 from .operators import nth_antiderivative, nth_derivative, shift, shift_plus_volterra
 from .report import VerificationReport, _Tracker
@@ -239,8 +240,10 @@ def membership(f, spec, tol=1e-9):
         )
         return MembershipResult(True, (cond,), f.order)
 
-    derivs = [_derivative(f, j) for j in range(spec.n)]
-    scales = [peak for peak, _, _ in _grid_peaks(derivs)]
+    # a zero of multiplicity m reads f^(i), i < m, up to the order of f
+    depth = max([spec.n] + [min(m, f.order + 1) for _, m in spec.inner.zeros])
+    derivs = [_derivative(f, j) for j in range(depth)]
+    scales = [peak for peak, _, _ in _grid_peaks(derivs[:spec.n])]
     coeffs = [_complex_coeffs(d).tolist() for d in derivs]
     vanishing, heads = spec._labels
 
@@ -251,13 +254,11 @@ def membership(f, spec, tol=1e-9):
         conditions.append(ConditionResult(label, residual <= cap, residual, cap))
 
     cap0 = tol * scales[0]
-    for a, i, residual in zero_residuals(f, spec.inner):
-        conditions.append(
-            ConditionResult(
-                f"blaschke-zero-{_fmt_point(a)}-order-{i}",
-                residual <= cap0, residual, cap0,
-            )
-        )
+    for a, m in spec.inner.zeros:  # labels per call: a multiplicity may be huge
+        for i in range(min(m, f.order + 1)):
+            residual = abs(_horner(coeffs[i], a))
+            conditions.append(ConditionResult(f"blaschke-zero-{_fmt_point(a)}-order-{i}",
+                                              residual <= cap0, residual, cap0))
     if spec.inner.has_atoms:
         conditions.append(
             ConditionResult(

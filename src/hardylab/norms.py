@@ -16,7 +16,9 @@ norms of one series (H^p, recursive, derivative-sum, sup-sum) come from
 one ladder and one batch of means (:func:`_norm_family`).
 The ``_*_parts`` functions split a derivative norm into the rows it
 measures and the function of their norms, so that a caller can batch the
-rows of many series.  The same budget blocks the battery's draws
+rows of many series; a batch of S^n_p norms ``sum_{k<n} |f^(k)(0)| +
+||f^(n)||_p`` of any series and depths comes from :func:`_sn_parts`.
+The same budget blocks the battery's draws
 (:func:`_blocks`), and every boundary maximum (:func:`boundary_scale`,
 each sup's grid max) comes from one batched sampler, :func:`_grid_peaks`.
 
@@ -445,11 +447,6 @@ def _boundary_mean(means):
     return means[-1]
 
 
-def _depth(f, n):
-    """``min(n, order + 1)``: a derivative past the order adds exactly 0.0."""
-    return min(n, f.order + 1)
-
-
 def _ladder(f, n):
     """``[f, derivative(f, 1), ..., derivative(f, d)]``, d = ``min(n, order + 1)``:
     each rung one direct derivative of f, the one form in which every
@@ -457,12 +454,14 @@ def _ladder(f, n):
     ``perm(order, n)`` exceeds double range is rejected before any rung is
     built, with the error :func:`derivative` gives at n."""
     _check_perm_range(f, f"derivative {n}", f.order, n)
-    return [derivative(f, k) for k in range(_depth(f, n) + 1)]
+    # rungs past order + 1 would be zero series too, adding exactly 0.0
+    return [derivative(f, k) for k in range(min(n, f.order + 1) + 1)]
 
 
 def _heads(ladder):
-    """``|f^(k)(0)|`` of each rung of a :func:`_ladder` but the last."""
-    return [abs(complex(_complex_coeffs(g)[0])) for g in ladder[:-1]]
+    """``|f^(k)(0)|`` of each rung of a :func:`_ladder` but the last: a
+    tuple, whose full slice is itself, so a draw's heads copy nothing."""
+    return tuple(abs(complex(_complex_coeffs(g)[0])) for g in ladder[:-1])
 
 
 def _sn_sum(heads, tail):
@@ -482,31 +481,42 @@ def sn_norm(f, params, cfg=None):
     exceeds double range is rejected up front with ValueError, as
     :func:`derivative` rejects it.
     """
-    rows, finish = _sn_parts(f, (params.n,))
+    rows, finish = _sn_parts([(f, (params.n,))])
     return finish(_hp_norms(rows, params.p, cfg))[0]
 
 
-def _sn_parts(f, depths):
-    """:func:`sn_norm` of f at each depth as ``(rows, finish)``: one row per
-    distinct depth from one :func:`_ladder`, and the sn_norms as a function
-    of the rows' H^p norms.  Neither depends on p."""
-    ladder = _ladder(f, max(depths))
-    heads = _heads(ladder)
-    ks = [min(d, len(heads)) for d in depths]
-    distinct = sorted(set(ks))
+def _sn_parts(asks):
+    """:func:`sn_norm` of each ask ``(f, depths)`` at each of its depths as
+    ``(rows, finish)``: per ask one :func:`_ladder` and one row per distinct
+    depth ``min(d, order + 1)``, and the sn_norms, in ask and depth order,
+    as a function of the rows' H^p norms.  At depth 0 the sn_norm is the
+    H^p norm.  Neither depends on p."""
+    rows, heads, tails = [], [], []  # per sn_norm its heads and its tail's row
+    for f, depths in asks:
+        ladder = _ladder(f, max(depths))
+        top, at = _heads(ladder), {}  # the row of each distinct depth
+        for d in depths:
+            k = min(d, len(top))
+            if k not in at:
+                at[k] = len(rows)
+                rows.append(ladder[k])
+            heads.append(top[:k])
+            tails.append(at[k])
 
     def finish(norms):
-        tails = dict(zip(distinct, norms))
-        return [_sn_sum(heads[:k], tails[k]) for k in ks]
+        return [_sn_sum(h, norms[i]) for h, i in zip(heads, tails)]
 
-    return [ladder[k] for k in distinct], finish
+    return rows, finish
 
 
 def _unrolled_parts(f, n):
-    """:func:`sn_norm_unrolled` as ``(rows, finish)``, as :func:`_sn_parts`."""
+    """``(sn_norm, sn_norm_unrolled)`` of f at depth n as ``(rows, finish)``,
+    as :func:`_sn_parts`: one ladder, whose last rung is the one row."""
     ladder = _ladder(f, n)
-    heads = _finite_sum(_heads(ladder))
-    return [ladder[-1]], lambda norms: _finite_sum([heads + norms[0]])
+    heads = _heads(ladder)
+    total = _finite_sum(heads)
+    return [ladder[-1]], lambda norms: (_sn_sum(heads, norms[0]),
+                                        _finite_sum([total + norms[0]]))
 
 
 def sn_norm_unrolled(f, params, cfg=None):
@@ -515,7 +525,7 @@ def sn_norm_unrolled(f, params, cfg=None):
     Agrees with :func:`sn_norm` up to float summation order.
     """
     rows, finish = _unrolled_parts(f, params.n)
-    return finish(_hp_norms(rows, params.p, cfg))
+    return finish(_hp_norms(rows, params.p, cfg))[1]
 
 
 def derivative_sum_norm(f, params, cfg=None):

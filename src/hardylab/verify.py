@@ -14,8 +14,9 @@ module's budget of 8192 coefficients (``norms._blocks``; one larger draw is
 a block of its own) and measures a block in one ``_hp_norms`` or
 ``_grid_peaks`` call per key.  No draw depends on a result, and a batched
 value equals its one-series value bit for bit, so each claim's tracker sees
-the margins a sample-by-sample loop makes, in its order.  The coefficient
-identities have nothing to batch and loop over their draws directly.
+the margins a sample-by-sample loop makes, in its order; no suite sums a
+norm of its own, each S^n_p norm coming from ``norms._sn_parts``.  The
+coefficient identities have nothing to batch and loop over their draws directly.
 """
 
 from __future__ import annotations
@@ -44,11 +45,8 @@ from .norms import (
     _blocks,
     _family_parts,
     _grid_peaks,
-    _heads,
     _hp_norms,
-    _ladder,
     _sn_parts,
-    _sn_sum,
     _sup_slack,
     _sup_upper,
     _unrolled_parts,
@@ -216,7 +214,7 @@ def suite_sup_chain(cfg):
     peaks = (_grid_peaks, cfg.points)
 
     def measure(idx, f, n, p):
-        return [((_hp_norms, p, qcfg), *_sn_parts(f, (1, n - 1, n))), (peaks, [f], None)]
+        return [((_hp_norms, p, qcfg), *_sn_parts([(f, (1, n - 1, n))])), (peaks, [f], None)]
 
     for (idx, f, n, p), ((at_one, lower, upper), ((grid, _, _),)) in _measured(draws, measure):
         witness = dict(sample=idx, n=n, p=p, coeffs=f)
@@ -293,10 +291,7 @@ def suite_algebra(cfg):
               1 + idx % 3, _P_GRID[idx % len(_P_GRID)]) for idx in range(pairs))
 
     def measure(idx, f, g, n, p):
-        ladders = [_ladder(h, n) for h in (f, g, multiply(f, g))]
-        heads = list(map(_heads, ladders))
-        return [((_hp_norms, p, qcfg), [ladder[-1] for ladder in ladders],
-                 lambda tails: list(map(_sn_sum, heads, tails)))]
+        return [((_hp_norms, p, qcfg), *_sn_parts([(h, (n,)) for h in (f, g, multiply(f, g))]))]
 
     for (idx, f, g, n, p), ((sn_f, sn_g, sn_fg),) in _measured(draws, measure):
         bound = (2.0**n * (1.0 + math.pi**n) - 1.0) * sn_f * sn_g
@@ -326,12 +321,13 @@ def suite_algebra(cfg):
                 random_rational_series(rng, 32), 1 + idx % 3, _P_GRID[idx % len(_P_GRID)])
 
     def density_measure(idx, f, pm, lift_pm, fr, pr, n, p):
-        key = (_hp_norms, p, qcfg)
-        return [(key, *_sn_parts(subtract(lift_approximant(f, lift_pm, n), f), (n,))),
-                (key, [subtract(pm, nth_derivative(f, n))], None)]
+        # the right side's H^p norm is its sn_norm at depth 0
+        asks = [(subtract(lift_approximant(f, lift_pm, n), f), (n,)),
+                (subtract(pm, nth_derivative(f, n)), (0,))]
+        return [((_hp_norms, p, qcfg), *_sn_parts(asks))]
 
     measured = _measured((density_draw(idx) for idx in range(density_samples)), density_measure)
-    for (idx, f, pm, lift_pm, fr, pr, n, p), ((lhs,), (rhs,)) in measured:
+    for (idx, f, pm, lift_pm, fr, pr, n, p), ((lhs, rhs),) in measured:
         t_den.record(density_tol - abs(lhs - rhs), sample=idx, n=n, p=p, f=f, pm=pm)
         # exact arithmetic collapses the identity at the coefficient level
         diff = subtract(lift_approximant(fr, pr, n), fr)
@@ -471,19 +467,15 @@ def suite_intertwine(cfg):
     keys = [(_hp_norms, p, qcfg) for p in _P_GRID]
 
     def measure(idx, f):
-        # the lifts' ladders do not depend on p: build them once
-        lifts = [_ladder(nth_antiderivative(f, n + wrong), n) for n in depths]
-        heads = list(map(_heads, lifts))
-
-        def finish(norms):
-            return norms[0], list(map(_sn_sum, heads, norms[1:]))
-
-        rows = [f] + [ladder[-1] for ladder in lifts]
+        # the ladders do not depend on p: build them once, f's H^p norm
+        # being its sn_norm at depth 0
+        rows, finish = _sn_parts([(f, (0,))] + [(nth_antiderivative(f, n + wrong), (n,))
+                                                for n in depths])
         return [(key, rows, finish) for key in keys]
 
     draws = ((idx, random_series(rng, cfg.order)) for idx in range(isometry_samples))
     for (idx, f), values in _measured(draws, measure):
-        for p, (rhs, lifted) in zip(_P_GRID, values):
+        for p, (rhs, *lifted) in zip(_P_GRID, values):
             for n, lhs in zip(depths, lifted):
                 t_iso.record(iso_tol - abs(lhs - rhs), sample=idx, n=n, p=p, coeffs=f)
     claims.append(
@@ -590,10 +582,9 @@ def suite_norms_consistency(cfg):
              for idx in range(samples))
 
     def measure(idx, f, n, p):
-        key = (_hp_norms, p, qcfg)
-        return [(key, *_sn_parts(f, (n,))), (key, *_unrolled_parts(f, n))]
+        return [((_hp_norms, p, qcfg), *_unrolled_parts(f, n))]
 
-    for (idx, f, n, p), ((a,), b) in _measured(draws, measure):
+    for (idx, f, n, p), ((a, b),) in _measured(draws, measure):
         b *= bias
         t.record(rel_tol - abs(a - b) / max(a, b, 1e-300), sample=idx, n=n, p=p, coeffs=f)
     return [

@@ -14,7 +14,6 @@ from hardylab import (
     inner_to_dict,
     singular_division_heuristic,
 )
-from hardylab.inner import zero_residuals
 from hardylab.verify import fixed_specs
 
 BLASCHKE_HALF = InnerFunction(zeros=((0.5 + 0j, 1),))
@@ -96,26 +95,6 @@ class TestUnimodularity:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             boundary_unimodularity_defect(BLASCHKE_HALF, 8)
-
-
-class TestZeroResiduals:
-    @pytest.mark.parametrize("coeffs, zeros, expected", [
-        pytest.param([-0.5, 1.0], ((0.5, 1),), [(0.5, 0, 0.0)], id="simple-zero"),
-        pytest.param([-0.5, 1.0], ((0.5, 2),), [(0.5, 0, 0.0), (0.5, 1, 1.0)],
-                     id="multiplicity-not-met"),
-        pytest.param([0.25, -1.0, 1.0], ((0.5, 2),), [(0.5, 0, 0.0), (0.5, 1, 0.0)],
-                     id="double-zero"),
-        pytest.param([0.0, 0.0, 1.0], ((0.0, 2),), [(0.0, 0, 0.0), (0.0, 1, 0.0)],
-                     id="zero-at-origin"),
-        pytest.param([1.0, 1.0], ((0.5, 1),), [(0.5, 0, 1.5)], id="non-vanishing"),
-        pytest.param([3.0], ((0.5, 3),), [(0.5, 0, 3.0)], id="capped-at-order"),
-        pytest.param([-0.25, 0.0, 1.0], ((0.5, 1), (-0.5j, 1)),
-                     [(0.5, 0, 0.0), (-0.5j, 0, 0.5)], id="zeros-in-order"),
-        pytest.param([1.0, 2.0], (), [], id="no-zeros"),
-    ])
-    def test_residuals(self, coeffs, zeros, expected):
-        G = InnerFunction(zeros=zeros)
-        assert zero_residuals(TaylorSeries(coeffs), G) == expected
 
 
 def _taylor_of_inner(G, order, sample_radius=0.95, points=2048):

@@ -209,6 +209,34 @@ class TestMembership:
         failing = [c.condition for c in res.conditions if not c.passed]
         assert failing == ["blaschke-zero-0.5+0j-order-0"]
 
+    @pytest.mark.parametrize("coeffs, zeros, expected", [
+        pytest.param([-0.5, 1.0], ((0.5, 1),), [(0.5, 0, 0.0)], id="simple-zero"),
+        pytest.param([-0.5, 1.0], ((0.5, 2),), [(0.5, 0, 0.0), (0.5, 1, 1.0)],
+                     id="multiplicity-not-met"),
+        pytest.param([0.25, -1.0, 1.0], ((0.5, 2),), [(0.5, 0, 0.0), (0.5, 1, 0.0)],
+                     id="double-zero"),
+        pytest.param([0.0, 0.0, 1.0], ((0.0, 2),), [(0.0, 0, 0.0), (0.0, 1, 0.0)],
+                     id="zero-at-origin"),
+        pytest.param([1.0, 1.0], ((0.5, 1),), [(0.5, 0, 1.5)], id="non-vanishing"),
+        pytest.param([3.0], ((0.5, 3),), [(0.5, 0, 3.0)], id="capped-at-order"),
+        pytest.param([-0.25, 0.0, 1.0], ((0.5, 1), (-0.5j, 1)),
+                     [(0.5, 0, 0.0), (-0.5j, 0, 0.5)], id="zeros-in-order"),
+        pytest.param([1.0, 2.0], (), [], id="no-zeros"),
+    ])
+    def test_blaschke_residuals(self, coeffs, zeros, expected):
+        # with no boundary point the conditions are the residuals |f^(i)(a)|
+        # of each zero a and order i below its multiplicity, up to the order
+        # of f, each against tol times the boundary scale of f
+        spec = SubspaceSpec(((),), InnerFunction(zeros=zeros), SpaceParams(1, 2.0))
+        f = TaylorSeries(coeffs)
+        res = membership(f, spec)
+        assert [(c.condition, c.residual) for c in res.conditions] == [
+            (f"blaschke-zero-{format(complex(a), 'g')}-order-{i}", r) for a, i, r in expected]
+        cap = 1e-9 * boundary_scale(f)
+        assert all(c.threshold == cap and c.passed == (c.residual <= cap)
+                   for c in res.conditions)
+        assert res.member == all(r <= cap for _, _, r in expected)
+
     def test_singular_condition_is_labeled_heuristic(self):
         spec = SubspaceSpec(
             ((1 + 0j,),), InnerFunction(atoms=((0.0, 1.0),)), SpaceParams(1, 2.0)
@@ -330,6 +358,11 @@ DEPTH_3 = SubspaceSpec(((1 + 0j, -1 + 0j, 1j), (1 + 0j, -1 + 0j), (1 + 0j,)),
 TRIPLE = SubspaceSpec(((1j,), (1j,), (1j,)), InnerFunction(zeros=((0.5 + 0.3j, 3),)),
                       SpaceParams(3, 2.0))
 
+# n = 1 with a zero of multiplicity 4: its residuals read derivatives past
+# the n that the boundary conditions and scales read
+QUADRUPLE = SubspaceSpec(((1j,),), InnerFunction(zeros=((0.3 - 0.4j, 4),)),
+                         SpaceParams(1, 2.0))
+
 
 def _random_poly(rng, degree):
     """A unit-box complex polynomial of exactly the given degree."""
@@ -347,7 +380,8 @@ class TestSpecCache:
 
     @pytest.mark.parametrize("name, spec", [*fixed_specs(), ("nested-free", NESTED),
                                             ("depth-3-double-zero", DEPTH_3),
-                                            ("depth-3-triple-zero", TRIPLE)])
+                                            ("depth-3-triple-zero", TRIPLE),
+                                            ("quadruple-zero", QUADRUPLE)])
     def test_membership_matches_the_uncached_reference(self, name, spec):
         rng = np.random.default_rng(41)
         # the degree-300 h puts every derivative past the 256-node floor

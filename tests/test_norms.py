@@ -715,17 +715,31 @@ class TestBatchedMeans:
         assert norms._hp_norms(batch, 4.0, cfg) == [hp_norm(f, 4.0, cfg) for f in batch]
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
-    def test_sn_norms_of_one_ladder_are_sn_norm(self, p):
+    def test_sn_norms_of_one_ladder_are_sn_norm(self, monkeypatch, p):
+        # several asks in one call: one ladder per ask and one row per
+        # distinct depth min(d, order + 1), the norms in ask and depth
+        # order; depth 0 is the H^p norm, a depth past order + 1 the last rung
         rng = np.random.default_rng(43)
         cfg = QuadratureConfig(num_points=256)
-        for order in (0, 1, 2, 8, 40):
-            f = _random_series(rng, order)
-            depths = (1, 0, 1, 3, 4, 7)
-            rows, finish = norms._sn_parts(f, depths)
-            # one row per distinct depth, min(d, order + 1)
-            assert len(rows) == len({min(d, order + 1) for d in depths})
-            assert finish(norms._hp_norms(rows, p, cfg)) == [
-                sn_norm(f, SpaceParams(d, p), cfg) for d in depths]
+        asks = [(_random_series(rng, order), depths) for order, depths in (
+            (0, (1, 0, 1, 3)), (1, (0,)), (2, (4, 0, 7)), (8, (3, 1, 12, 0, 3)),
+            (40, (7, 41, 45, 0)), (40, (2,)))]
+        built, ladder = [], norms._ladder
+        monkeypatch.setattr(norms, "_ladder", lambda f, n: built.append(f) or ladder(f, n))
+        rows, finish = norms._sn_parts(asks)
+        assert built == [f for f, _ in asks]
+        assert rows == [derivative(f, k) for f, depths in asks
+                        for k in dict.fromkeys(min(d, f.order + 1) for d in depths)]
+        want = [(hp_norm(f, p, cfg) if d == 0 else sn_norm(f, SpaceParams(d, p), cfg)).hex()
+                for f, depths in asks for d in depths]
+        assert list(map(float.hex, finish(norms._hp_norms(rows, p, cfg)))) == want
+        assert [sn_norm(f, SpaceParams(0, p), cfg).hex() for f, _ in asks] == [
+            hp_norm(f, p, cfg).hex() for f, _ in asks]
+        # an ask too deep for its float factor fails before any row is measured
+        asks.append((_random_series(rng, 300), (3, 200)))
+        with pytest.raises(ValueError, match=r"^derivative 200 of an order-300 float series "
+                           r"needs the factor perm\(300, 200\), which exceeds double range$"):
+            norms._sn_parts(asks)
 
 
 class TestBlockedMeans:
