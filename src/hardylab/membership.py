@@ -39,8 +39,8 @@ from .inner import InnerFunction, inner_from_dict, inner_to_dict
 from .norms import SpaceParams, _grid_peaks, boundary_scale
 from .operators import nth_antiderivative, nth_derivative, shift, shift_plus_volterra
 from .report import VerificationReport, _Tracker
-from .series import (TaylorSeries, _check_count, _complex_coeffs, _derivative, _horner,
-                     _json_numbers, add, monomial, multiply)
+from .series import (TaylorSeries, _check_count, _complex_coeffs, _derivative, _float_series,
+                     _horner, _json_numbers, add, monomial, multiply)
 
 __all__ = [
     "SubspaceSpec",
@@ -336,10 +336,15 @@ def sample_element(spec, h, tol=1e-9):
 
 
 def random_series(rng, max_degree):
-    """Random polynomial with unit-box complex coefficients."""
+    """Random polynomial with unit-box complex coefficients: the real parts,
+    then the imaginary parts, drawn in one call, the same stream that two
+    calls of ``deg + 1`` draws each would take."""
     deg = int(rng.integers(0, max_degree + 1))
-    c = rng.uniform(-1, 1, deg + 1) + 1j * rng.uniform(-1, 1, deg + 1)
-    return TaylorSeries(c)
+    v = rng.uniform(-1, 1, 2 * (deg + 1))
+    c = np.empty(deg + 1, complex)
+    c.real, c.imag = v[:deg + 1], v[deg + 1:]
+    # uniform draws are finite: no scan
+    return _float_series(c, scan=False)
 
 
 def sampled_members(spec, count, seed=0, tol=1e-9):

@@ -16,7 +16,11 @@ a block of its own) and measures a block in one ``_hp_norms`` or
 value equals its one-series value bit for bit, so each claim's tracker sees
 the margins a sample-by-sample loop makes, in its order; no suite sums a
 norm of its own, each S^n_p norm coming from ``norms._sn_parts``.  The
-coefficient identities have nothing to batch and loop over their draws directly.
+coefficient identities loop over their draws directly.  ``intertwine``
+compares a draw's ten float pairs (per n, the intertwining and the round
+trip) in one :func:`_max_rel_coeff_errors` call, whose values equal the
+one-pair ones bit for bit, and records each margin at its n, in the order
+the claims recorded them one pair at a time.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .norms import (
     SpaceParams,
     _blocks,
     _family_parts,
+    _fit,
     _grid_peaks,
     _hp_norms,
     _sn_parts,
@@ -63,8 +68,8 @@ from .operators import (
 from .report import ClaimResult, VerificationReport, _Tracker
 from .series import (
     TaylorSeries,
-    _aligned,
     _check_count,
+    _complex_coeffs,
     _exact_series,
     _reweighted,
     add,
@@ -111,13 +116,12 @@ class RunConfig:
 
 def random_rational_series(rng, max_degree):
     """Random exact-mode polynomial, coefficients in the unit box with
-    denominator 64."""
+    denominator 64.  Each coefficient's real and imaginary numerators
+    alternate in one call, the same stream that a scalar call per numerator
+    would take: the generator buffers the 32-bit draws either way."""
     deg = int(rng.integers(0, max_degree + 1))
-    re, im = [], []
-    for _ in range(deg + 1):
-        re.append(int(rng.integers(-64, 65)))
-        im.append(int(rng.integers(-64, 65)))
-    return _exact_series(re, im, 64)
+    v = rng.integers(-64, 65, 2 * (deg + 1)).tolist()
+    return _exact_series(v[0::2], v[1::2], 64)
 
 
 def zero_head(f, n):
@@ -125,20 +129,39 @@ def zero_head(f, n):
     return _reweighted(f, start=min(n, f.order + 1))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def max_rel_coeff_error(f, g):
     """Worst per-coefficient relative difference between two series; where
     a difference and a modulus both leave double range it is inf, so that the
     check it feeds fails."""
-    a, b = _aligned(f, g)
-    d = a - b
-    # np.hypot is the abs of Python complex; np.abs rounds otherwise
-    denom = np.maximum(np.hypot(a.real, a.imag), np.hypot(b.real, b.imag))
-    # where denom is 0 so are a, b and their difference: the 0 stays
-    err = np.hypot(d.real, d.imag)
-    worst = float(np.divide(err, denom, out=err, where=denom > 0).max())
+    return _max_rel_coeff_errors([(f, g)])[0]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _max_rel_coeff_errors(pairs):
+    """:func:`max_rel_coeff_error` of each ``(f, g)`` pair, in pair order.
+    The pairs' coefficients fill the rows of zero-filled ``(rows, width)``
+    blocks of as many pairs as ``_BLOCK_ELEMS`` entries hold (:func:`_fit`),
+    a shorter series padded with +0j; each step works elementwise or per
+    row, so each value is its pair's alone."""
+    coeffs = [(_complex_coeffs(f), _complex_coeffs(g)) for f, g in pairs]
+    width = max(max(a.size, b.size) for a, b in coeffs)
+    step = _fit(width)
+    worst = []
+    for lo in range(0, len(coeffs), step):
+        chunk = coeffs[lo:lo + step]
+        a, b = np.zeros((len(chunk), width), complex), np.zeros((len(chunk), width), complex)
+        for row, (x, y) in enumerate(chunk):
+            a[row, :x.size] = x
+            b[row, :y.size] = y
+        # np.hypot is the abs of Python complex; np.abs rounds otherwise
+        denom = np.hypot(a.real, a.imag)
+        np.maximum(denom, np.hypot(b.real, b.imag), out=denom)
+        a -= b  # the difference, in a's buffer: one block fewer per chunk
+        # where denom is 0 so are a, b and their difference: the 0 stays
+        err = np.hypot(a.real, a.imag)
+        worst += np.divide(err, denom, out=err, where=denom > 0).max(axis=1).tolist()
     # inf / inf, an overflowed difference over an overflowed modulus
-    return math.inf if math.isnan(worst) else worst
+    return [math.inf if math.isnan(w) else w for w in worst]
 
 
 def _exact_eq_margin(a, b):
@@ -408,6 +431,15 @@ def suite_intertwine(cfg):
     draws = ((idx, random_rational_series(rng, rational_degree), random_series(rng, cfg.order))
              for idx in range(intertwine_samples))
     for idx, fr, ff in draws:
+        # the float identities' pairs, per n the intertwining and the round
+        # trip, compared in one call; their margins are recorded at their n
+        pairs = []
+        for n in range(1, 6):
+            gf = zero_head(ff, n)
+            pairs += [(nth_derivative(shift(gf), n),
+                       shift_plus_volterra(nth_derivative(gf, n), n + wrong)),
+                      (nth_derivative(nth_antiderivative(ff, n), n), ff)]
+        errs = iter(_max_rel_coeff_errors(pairs))
         # the operands that do not depend on n, built once per sample; the
         # composed operator is their sum shift(f) + n * volterra(f, z)
         shifted, integrated = shift(fr), volterra(fr, monomial(1))
@@ -423,10 +455,7 @@ def suite_intertwine(cfg):
             lhs = nth_derivative(shift(g), n)
             rhs = shift_plus_volterra(dg, n + wrong)
             t_rat.record(_exact_eq_margin(lhs, rhs), **wit_r)
-            gf = zero_head(ff, n)
-            lhs = nth_derivative(shift(gf), n)
-            rhs = shift_plus_volterra(nth_derivative(gf, n), n + wrong)
-            t_flt.record(rel_tol - max_rel_coeff_error(lhs, rhs), **wit_f)
+            t_flt.record(rel_tol - next(errs), **wit_f)
             # Leibniz form holds for every polynomial, no projection
             lhs = nth_derivative(shifted, n)
             rhs = add(shift(dg), scale(lower, n + wrong))
@@ -443,11 +472,7 @@ def suite_intertwine(cfg):
                 **wit_r,
             )
             t_rt.record(_exact_eq_margin(nth_antiderivative(dg, n), g), **wit_r)
-            t_rtf.record(
-                rel_tol
-                - max_rel_coeff_error(nth_derivative(nth_antiderivative(ff, n), n), ff),
-                **wit_f,
-            )
+            t_rtf.record(rel_tol - next(errs), **wit_f)
     shared = (
         f"samples={intertwine_samples} n=1..5 rational-degree<={rational_degree} "
         f"float-degree<={cfg.order} seed={cfg.seed} wrong-multiple={wrong}"

@@ -1,9 +1,15 @@
 """The battery's draw, batch and record steps."""
 
-import numpy as np
+import math
+import warnings
+from fractions import Fraction
 
-from hardylab import QuadratureConfig, TaylorSeries, hp_norm, norms, verify
+import numpy as np
+import pytest
+
+from hardylab import QuadratureConfig, TaylorSeries, hp_norm, norms, scale, verify, zero
 from hardylab.membership import random_series
+from hardylab.series import _aligned, _exact_series
 
 
 class TestSampleBlocks:
@@ -136,3 +142,102 @@ class TestMeasured:
             assert drawn[-1] <= ends[k] + 1
             seen.append((k, values))
         assert seen == [(k, []) for k in range(30)]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _one_pair_reference(f, g):
+    # the one-pair body the batched comparison replaced
+    a, b = _aligned(f, g)
+    d = a - b
+    denom = np.maximum(np.hypot(a.real, a.imag), np.hypot(b.real, b.imag))
+    err = np.hypot(d.real, d.imag)
+    worst = float(np.divide(err, denom, out=err, where=denom > 0).max())
+    return math.inf if math.isnan(worst) else worst
+
+
+class TestMaxRelCoeffErrors:
+    BIG = 1.5e308 + 1.5e308j
+
+    def _pairs(self):
+        rng = np.random.default_rng(50)
+        pairs = []
+        for width in [1, 2, 3, 9, 48, 49, 257, 300, *(int(k) for k in rng.integers(1, 301, 30))]:
+            f = random_series(rng, width - 1)
+            # a near copy, a shorter or longer series, and the other mode
+            near = TaylorSeries(f._c * (1 + 1e-14 * rng.standard_normal(f.order + 1)))
+            other = random_series(rng, int(rng.integers(0, 300)))
+            exact = verify.random_rational_series(rng, width - 1)
+            pairs += [(f, near), (f, other), (other, f), (exact, f),
+                      (exact, scale(verify.random_rational_series(rng, 40), Fraction(1, 3)))]
+        # the zero series of both modes, against each other and a series
+        pairs += [(zero(), zero(exact=True)), (zero(), pairs[0][0]), (pairs[1][1], zero(exact=True))]
+        # an overflowed row between finite rows
+        overflow = (TaylorSeries([self.BIG, 1.0]), TaylorSeries([0j, 1.0]))
+        mid = len(pairs) // 2
+        return pairs[:mid] + [overflow] + pairs[mid:], mid
+
+    @pytest.mark.parametrize("budget", [None, 1], ids=["default-budget", "budget-1"])
+    def test_each_value_is_the_one_pair_value_bit_for_bit(self, monkeypatch, budget):
+        if budget is not None:  # every row a chunk of its own
+            monkeypatch.setattr(norms, "_BLOCK_ELEMS", budget)
+        pairs, overflowed = self._pairs()
+        assert norms._fit(300) < len(pairs)  # the default budget chunks the rows too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = verify._max_rel_coeff_errors(pairs)
+            one = [verify.max_rel_coeff_error(f, g) for f, g in pairs]
+        want = [_one_pair_reference(f, g) for f, g in pairs]
+        assert [x.hex() for x in got] == [x.hex() for x in one] == [x.hex() for x in want]
+        assert [i for i, x in enumerate(got) if not math.isfinite(x)] == [overflowed]
+        assert 0 < min(got[:overflowed]) and 0 < min(got[overflowed + 1:-3])
+        assert got[-3] == 0.0
+
+    def test_a_chunk_holds_at_most_the_budget(self, monkeypatch):
+        monkeypatch.setattr(norms, "_BLOCK_ELEMS", 40)
+        shapes = []
+        zeros = np.zeros
+
+        def spy(shape, *args, **kwargs):
+            if isinstance(shape, tuple):  # the blocks, not a 1-D padding
+                shapes.append(shape)
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(verify.np, "zeros", spy)
+        rng = np.random.default_rng(51)
+        pairs = [(random_series(rng, 9), random_series(rng, 9)) for _ in range(9)]
+        verify._max_rel_coeff_errors(pairs)
+        # one block for each side of a chunk's pairs, 4 * 10 <= 40 entries
+        assert shapes == [(4, 10)] * 4 + [(1, 10)] * 2
+
+
+def _random_series_reference(rng, max_degree):
+    # the two-call body that one call replaced
+    deg = int(rng.integers(0, max_degree + 1))
+    c = rng.uniform(-1, 1, deg + 1) + 1j * rng.uniform(-1, 1, deg + 1)
+    return TaylorSeries(c)
+
+
+def _random_rational_series_reference(rng, max_degree):
+    # the scalar call per numerator that one call replaced
+    deg = int(rng.integers(0, max_degree + 1))
+    re, im = [], []
+    for _ in range(deg + 1):
+        re.append(int(rng.integers(-64, 65)))
+        im.append(int(rng.integers(-64, 65)))
+    return _exact_series(re, im, 64)
+
+
+class TestOneCallDraws:
+    @pytest.mark.parametrize("max_degree", [0, 1, 8, 64, 300])
+    def test_same_series_and_same_stream_as_the_reference(self, max_degree):
+        for seed in range(10):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(12):
+                f, want = random_series(rng, max_degree), _random_series_reference(ref, max_degree)
+                assert not f.exact and not f._c.flags.writeable
+                assert f._c.tobytes() == want._c.tobytes()
+                f = verify.random_rational_series(rng, max_degree)
+                want = _random_rational_series_reference(ref, max_degree)
+                assert f.exact and f._c == want._c
+                assert all(type(x) is int for part in f._c[:2] for x in part)
+            assert rng.random() == ref.random()
