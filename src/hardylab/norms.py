@@ -453,9 +453,10 @@ def _ladder(f, n):
     derivative norm reads f^(k).  A float series whose factor
     ``perm(order, n)`` exceeds double range is rejected before any rung is
     built, with the error :func:`derivative` gives at n."""
-    _check_perm_range(f, f"derivative {n}", f.order, n)
+    top = f.order
+    _check_perm_range(f, "derivative", top, n)
     # rungs past order + 1 would be zero series too, adding exactly 0.0
-    return [derivative(f, k) for k in range(min(n, f.order + 1) + 1)]
+    return [derivative(f, k) for k in range(min(n, top + 1) + 1)]
 
 
 def _heads(ladder):

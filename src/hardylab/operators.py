@@ -35,14 +35,14 @@ __all__ = [
 
 def shift(f):
     """Multiplication by the coordinate: ``(c_0, ..., c_N) -> (0, c_0, ..., c_N)``."""
-    return _reweighted(f, offset=1)
+    return _reweighted(f, 0, f.order + 1, 1)
 
 
 def _antiderivative(f):
     """Term-by-term antiderivative with value 0 at the origin."""
     if f.is_zero:
         return zero(exact=f.exact)
-    return _reweighted(f, divisors=(range(1, f.order + 2), 1), offset=1)
+    return _reweighted(f, 0, f.order + 1, 1, dk=1, dm=1)
 
 
 def volterra(f, g):
@@ -64,8 +64,7 @@ def shift_plus_volterra(f, n):
     ``c_k * (k + 1 + n) / (k + 1)`` and the constant term is 0.
     """
     n = _check_count(n, "operator parameter n", 1)
-    weights, divisors = (range(n + 1, f.order + n + 2), 1), (range(1, f.order + 2), 1)
-    return _reweighted(f, weights, divisors, offset=1)
+    return _reweighted(f, 0, f.order + 1, 1, wk=n + 1, wm=1, dk=1, dm=1)
 
 
 def nth_derivative(f, n):
@@ -83,8 +82,9 @@ def nth_antiderivative(f, n):
     In float mode a divisor beyond double range raises ValueError.
     """
     n = _check_count(n, "operator parameter n", 1)
-    _check_perm_range(f, f"antiderivative {n}", f.order + n, n)
-    return _reweighted(f, divisors=(range(n, f.order + n + 1), n), offset=n)
+    top = f.order
+    _check_perm_range(f, "antiderivative", top + n, n)
+    return _reweighted(f, 0, top + 1, n, dk=n, dm=n)
 
 
 def lift_approximant(f, pm, n):
@@ -98,5 +98,5 @@ def lift_approximant(f, pm, n):
     density from H^p up to the derivative spaces.
     """
     n = _check_count(n, "operator parameter n", 1)
-    return add(_reweighted(f, stop=n), nth_antiderivative(pm, n))
+    return add(_reweighted(f, 0, n), nth_antiderivative(pm, n))
 

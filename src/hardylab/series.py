@@ -23,9 +23,10 @@ In float mode its rounding is fixed per call: ``c * w`` without divisors,
 ``c / d`` without weights, ``c * (w / d)`` with both, and a plain copy with
 neither.  Float results are bit-identical to Python ``complex`` arithmetic,
 signed zeros included: where NumPy rounds otherwise (``complex / real``,
-``complex * complex``) the parts follow Python's formulas.  Its integer
-tables depend only on the shape of the call and are built once per shape
-(:func:`_tables`).
+``complex * complex``) the parts follow Python's formulas.  A call gives its
+shape as plain ints (the start and ``m`` of the weights and of the divisors,
+the row length, the mode), and one cached lookup on them returns the ready
+row, built once per shape (:func:`_tables`).
 
 Exact storage follows FLINT's ``fmpq_poly`` layout: a tuple of Python-int
 real numerators, a tuple of imaginary numerators, and one positive int
@@ -294,7 +295,7 @@ def _perm_floats(ks, m):
 _PY_LOOP_LEN = 48
 
 # :func:`_tables` keeps this many shapes; the default order-256 battery at
-# seed 7 asks for 1469.  An exact entry grows with the square of its degree
+# seed 7 asks for 1626.  An exact entry grows with the square of its degree
 # (200 shapes at degree 1000 held 45 MB), so exact tables of more than
 # _TABLE_LEN coefficients are built per call: kept ones take at most 22 KB
 # for n <= 5, a full cache about 45 MB
@@ -303,17 +304,18 @@ _TABLE_LEN = 257
 
 
 @functools.lru_cache(maxsize=_TABLE_SHAPES)
-def _tables(weights, divisors, exact):
-    """The tables of one :func:`_reweighted` shape, built once per shape:
-    tuples, since every call of that shape shares them.
+def _tables(wk, wm, dk, dm, size, exact):
+    """The row of one :func:`_reweighted` shape, built once per shape: the
+    weights ``perm(wk + i, wm)`` and divisors ``perm(dk + i, dm)`` for
+    ``i < size``, as tuples, since every call of that shape shares them.
 
     Exact: ``(folded, common)``, where ``common`` is the lcm of the
     divisors (1 without them) and ``folded[i] = w_i * (common // d_i)``.
     Float: the row the short loop applies, the quotients ``w_i / d_i``
     when both are given, else the one given as ints.
     """
-    w = None if weights is None else _perm_ints(*weights)
-    d = None if divisors is None else _perm_ints(*divisors)
+    w = _perm_ints(range(wk, wk + size), wm) if wm else None
+    d = _perm_ints(range(dk, dk + size), dm) if dm else None
     if not exact:
         if w is not None and d is not None:
             return tuple([a / b for a, b in zip(w, d)])
@@ -324,21 +326,18 @@ def _tables(weights, divisors, exact):
     return tuple([a * (common // b) for a, b in zip(repeat(1) if w is None else w, d)]), common
 
 
-def _reweighted(f, weights=None, divisors=None, offset=0, start=None, stop=None):
-    """The series with ``c_k * w_i / d_i`` at degree ``k + offset`` for the
-    source degrees ``start <= k < stop``, where ``i = k - start``, and zeros
-    below degree ``start + offset``.
+def _reweighted(f, start, stop, offset=0, wk=0, wm=0, dk=0, dm=0):
+    """The series with ``c_k * perm(wk + i, wm) / perm(dk + i, dm)`` at
+    degree ``k + offset`` for the source degrees ``start <= k < stop``,
+    where ``i = k - start``, and zeros below degree ``start + offset``,
+    which must not be negative.
 
-    ``weights`` and ``divisors`` are pairs ``(ks, m)`` meaning
-    ``perm(ks[i], m)``; one left out counts as all ones.  ``start`` defaults
-    to ``max(0, -offset)`` and ``stop`` to the end of f; ``start + offset``
-    must not be negative.  Exact mode puts the divisors over one ``lcm``;
-    float mode rounds as the module docstring states.  Without weights a
-    float result is a copy of finite values or their quotients by integers
-    d >= 1, so it skips the finite check.
+    Plain ints describe the shape: an ``m`` of 0 makes its row all ones.
+    Exact mode puts the divisors over one ``lcm``; float mode rounds as the
+    module docstring states.  Without weights a float result is a copy of
+    finite values or their quotients by integers d >= 1, so it skips the
+    finite check.
     """
-    if start is None:
-        start = max(0, -offset)
     pad = start + offset
     if not f.exact:
         c = f._c[start:stop]
@@ -346,20 +345,16 @@ def _reweighted(f, weights=None, divisors=None, offset=0, start=None, stop=None)
             # the same rounding on Python complex, which beats the array
             # kernels' fixed cost on short series and overflows without a warning
             out = c.tolist()
-            if weights is not None or divisors is not None:
-                only = weights if divisors is None else divisors if weights is None else None
-                # a single m = 1 row is its range: nothing to build
-                row = only[0] if only and only[1] == 1 else _tables(weights, divisors, False)
-                if divisors is None:
+            if wm or dm:
+                row = _tables(wk, wm, dk, dm, len(out), False)
+                if wm:
                     out = [x * a for x, a in zip(out, row)]
-                elif weights is None:
-                    out = [x / b for x, b in zip(out, row)]
                 else:
-                    out = [x * q for x, q in zip(out, row)]
-            return _float_series([0j] * pad + out, scan=weights is not None)
-        out = c
-        w = None if weights is None else _perm_floats(*weights)
-        d = None if divisors is None else _perm_floats(*divisors)
+                    out = [x / b for x, b in zip(out, row)]
+            return _float_series([0j] * pad + out, scan=wm > 0)
+        out, ws, ds = c, range(wk, wk + c.size), range(dk, dk + c.size)
+        w = _perm_floats(ws, wm) if wm else None
+        d = _perm_floats(ds, dm) if dm else None
         if w is None and d is not None:
             # Python's complex / real, which cannot overflow here; NumPy's
             # multiplies by a reciprocal
@@ -370,23 +365,20 @@ def _reweighted(f, weights=None, divisors=None, offset=0, start=None, stop=None)
             if d is not None:
                 # int / int rounds once, as the quotient of exact floats does
                 w = w / d if max(w[-1], d[-1]) < 2**53 else np.array(
-                    [a / b for a, b in zip(_perm_ints(*weights), _perm_ints(*divisors))])
+                    [a / b for a, b in zip(_perm_ints(ws, wm), _perm_ints(ds, dm))])
             out = _quietly(np.multiply, c, w)
         if pad or out is c:
             out = np.concatenate((np.zeros(pad, dtype=complex), out))
-        return _float_series(out, scan=weights is not None)
+        return _float_series(out, scan=wm > 0)
     re, im, den = f._c
     re, im = re[start:stop], im[start:stop]
-    if divisors is None and (weights is None or weights[1] == 1):
-        # a weights-only m = 1 row is its range: nothing to build
-        weights = None if weights is None else weights[0]
-    else:
-        tables = _tables if len(re) <= _TABLE_LEN else _tables.__wrapped__
-        weights, common = tables(weights, divisors, True)
+    if wm or dm:
+        size = len(re)
+        row, common = (_tables if size <= _TABLE_LEN else _tables.__wrapped__)(
+            wk, wm, dk, dm, size, True)
+        re = tuple([x * w for x, w in zip(re, row)])
+        im = tuple([x * w for x, w in zip(im, row)])
         den *= common
-    if weights is not None:
-        re = tuple([x * w for x, w in zip(re, weights)])
-        im = tuple([x * w for x, w in zip(im, weights)])
     pad = (0,) * pad
     return _exact_series(pad + re, pad + im, den)
 
@@ -570,14 +562,14 @@ def multiply(f, g):
 
 def _check_perm_range(f, what, top, m):
     """Raise ValueError when f is a float series and ``perm(top, m)``, the
-    largest factor of ``what`` applied to f, exceeds double range."""
+    largest factor of the m-fold ``what`` applied to f, exceeds double range."""
     if f.exact:
         return
     try:
         float(math.perm(top, m))
     except OverflowError:
         raise ValueError(
-            f"{what} of an order-{f.order} float series needs the factor "
+            f"{what} {m} of an order-{f.order} float series needs the factor "
             f"perm({top}, {m}), which exceeds double range"
         ) from None
 
@@ -596,10 +588,11 @@ def _derivative(f, m):
     """:func:`derivative` of a count m already checked."""
     if m == 0:
         return f
-    if m > f.order:
+    top = f.order
+    if m > top:
         return zero(exact=f.exact)
-    _check_perm_range(f, f"derivative {m}", f.order, m)
-    return _reweighted(f, (range(m, f.order + 1), m), offset=-m)
+    _check_perm_range(f, "derivative", top, m)
+    return _reweighted(f, m, top + 1, -m, wk=m, wm=m)
 
 
 def _horner(cs, z):

@@ -20,7 +20,8 @@ coefficient identities loop over their draws directly.  ``intertwine``
 compares a draw's ten float pairs (per n, the intertwining and the round
 trip) in one :func:`_max_rel_coeff_errors` call, whose values equal the
 one-pair ones bit for bit, and records each margin at its n, in the order
-the claims recorded them one pair at a time.
+the claims recorded them one pair at a time; ``algebra``'s reconstruction
+compares the float pairs of a :func:`_blocks` block in one call.
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ def random_rational_series(rng, max_degree):
 
 def zero_head(f, n):
     """Project into zero initial data: blank the first n coefficients."""
-    return _reweighted(f, start=min(n, f.order + 1))
+    size = f.order + 1
+    return _reweighted(f, min(n, size), size)
 
 
 def max_rel_coeff_error(f, g):
@@ -366,15 +368,18 @@ def suite_algebra(cfg):
                     f"samples={density_samples} degree<=32 seed={cfg.seed} mode=exact"),
     ]
 
+    # a block's float pairs are compared in one call; both claims are
+    # recorded in draw order
     t_rec, t_recf = _Tracker(), _Tracker()
-    draws = ((idx, random_rational_series(rng, 32), random_series(rng, cfg.order))
+    draws = ((idx, 1 + idx % 3, random_rational_series(rng, 32), random_series(rng, cfg.order))
              for idx in range(50))
-    for idx, fr, ff in draws:
-        n = 1 + idx % 3
-        rebuilt = lift_approximant(fr, nth_derivative(fr, n), n)
-        t_rec.record(_exact_eq_margin(rebuilt, fr), sample=idx, n=n, f=fr)
-        rebuilt = lift_approximant(ff, nth_derivative(ff, n), n)
-        t_recf.record(1e-13 - max_rel_coeff_error(rebuilt, ff), sample=idx, n=n, f=ff)
+    for block in _blocks(draws):
+        errs = _max_rel_coeff_errors(
+            [(lift_approximant(ff, nth_derivative(ff, n), n), ff) for _, n, _, ff in block])
+        for (idx, n, fr, ff), err in zip(block, errs):
+            rebuilt = lift_approximant(fr, nth_derivative(fr, n), n)
+            t_rec.record(_exact_eq_margin(rebuilt, fr), sample=idx, n=n, f=fr)
+            t_recf.record(1e-13 - err, sample=idx, n=n, f=ff)
     return claims + [
         t_rec.claim("algebra.reconstruction.rational",
                     f"samples=50 degree<=32 seed={cfg.seed} mode=exact"),
@@ -428,6 +433,7 @@ def suite_intertwine(cfg):
     t_rat, t_flt = _Tracker(), _Tracker()
     t_leib, t_closed = _Tracker(), _Tracker()
     t_rt, t_rtf = _Tracker(), _Tracker()
+    z = monomial(1)  # the Volterra symbol of the composed operator
     draws = ((idx, random_rational_series(rng, rational_degree), random_series(rng, cfg.order))
              for idx in range(intertwine_samples))
     for idx, fr, ff in draws:
@@ -442,7 +448,7 @@ def suite_intertwine(cfg):
         errs = iter(_max_rel_coeff_errors(pairs))
         # the operands that do not depend on n, built once per sample; the
         # composed operator is their sum shift(f) + n * volterra(f, z)
-        shifted, integrated = shift(fr), volterra(fr, monomial(1))
+        shifted, integrated = shift(fr), volterra(fr, z)
         lower = fr  # derivative(fr, n - 1): the previous n's nth_derivative
         for n in range(1, 6):
             wit_r = dict(sample=idx, n=n, f=fr)

@@ -414,11 +414,12 @@ class TestRepeatedCalls:
                          "--points", "256", "--samples", "20", "--out", str(dest)]) == 0
             assert hashlib.sha256(dest.read_bytes()).hexdigest() == (
                 "ee29b5a97e5f586c9caf06c4bace603845525e231f7ac916174c69b55c2ba760")
-        # two shapes the battery asked for: the 2-fold antiderivative and
-        # the n = 1 combined operator of an order-8 series
+        # two shapes the battery asked for, keyed (wk, wm, dk, dm, size,
+        # exact): the 2-fold antiderivative and the n = 1 combined operator
+        # of an order-8 series
         hits = series._tables.cache_info().hits
-        folded, common = series._tables(None, (range(2, 11), 2), True)
-        quotients = series._tables((range(2, 11), 1), (range(1, 10), 1), False)
+        folded, common = series._tables(0, 0, 2, 2, 9, True)
+        quotients = series._tables(2, 1, 1, 1, 9, False)
         assert series._tables.cache_info().hits == hits + 2
         assert type(folded) is tuple and type(quotients) is tuple
         # exact tables above degree 256 are built per call, not kept
@@ -427,7 +428,7 @@ class TestRepeatedCalls:
         assert series._tables.cache_info() == info
         bound = info.maxsize
         for k in range(bound + 10):
-            series._tables(None, (range(k + 2, k + 4), 2), True)
+            series._tables(0, 0, k + 2, 2, 2, True)
         assert series._tables.cache_info().currsize == bound
 
 

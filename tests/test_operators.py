@@ -1,5 +1,6 @@
 """Operator identities: closed forms, intertwining, round trips."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -272,3 +273,46 @@ class TestFloatFormulas:
                 assert nth_antiderivative(f, n).coeffs == (0j,) * n + tuple(
                     x / math.perm(k + n, n) for k, x in enumerate(c)
                 )
+
+
+class TestCoefficientMapPin:
+    """Every output of the shared coefficient map, bit for bit, on both
+    sides of its shape boundaries: the short float loop (``_PY_LOOP_LEN``)
+    and the kept exact tables (``_TABLE_LEN``)."""
+
+    ORDERS = (0, 1, 8, 47, 48, 49, 256, 257, 300)
+    DIGEST = "69bd443da37ea324b99a3f82906d4f310c1a54f93bc5dc0417f31248091b5e5e"
+
+    @staticmethod
+    def _line(g):
+        if g.exact:
+            re, im, den = g._c
+            return f"{' '.join(map(str, re))} | {' '.join(map(str, im))} / {den}"
+        return " ".join(float.hex(x) for x in g._c.view(float))
+
+    @classmethod
+    def _outputs(cls, f, pm):
+        yield from (derivative(f, m) for m in range(6))
+        yield shift(f)
+        yield _antiderivative(f)
+        for n in range(1, 6):
+            yield zero_head(f, n)
+            yield shift_plus_volterra(f, n)
+            yield nth_antiderivative(f, n)
+            yield lift_approximant(f, pm, n)
+
+    def test_outputs_are_pinned(self):
+        rng = np.random.default_rng(29)
+        lines = []
+        for order in self.ORDERS:
+            parts = rng.uniform(-1, 1, (2, 2, order + 1))
+            parts[:, 0, ::5] = -0.0  # signed zeros must keep their sign
+            ff, pf = (TaylorSeries(re + 1j * im) for re, im in parts)
+            nums = rng.integers(-64, 65, (2, 2, order + 1)).tolist()
+            fr, pr = (TaylorSeries([RationalComplex(Fraction(a, 64), Fraction(b, 96))
+                                    for a, b in zip(re, im)]) for re, im in nums)
+            for f, pm in ((ff, pf), (fr, pr)):
+                lines += [f"{order} {f.exact} {self._line(g)}" for g in self._outputs(f, pm)]
+        assert len(lines) == len(self.ORDERS) * 2 * 28
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.DIGEST
